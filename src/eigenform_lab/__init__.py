@@ -45,15 +45,12 @@ from .graphs import (
     tilde_graph,
 )
 from .renorm import (
-    CellOperator,
     ExtensionResult,
     OperatorCache,
-    cell_operator,
     constrained_extension,
     harmonic_extension,
     one_step_energy,
     renormalize,
-    word_operator,
 )
 from .solver import EigenResult, find_eigenform, verify_eigenform
 from .spectral import (

@@ -83,10 +83,6 @@ def _load_triple(path: str):
     return load_fractal(path)
 
 
-def _require_valid(triple: FractalTriple) -> list[str]:
-    return validate(triple)
-
-
 def _eigenresult_dict(res: EigenResult) -> dict:
     return {
         "converged": res.converged,
@@ -170,7 +166,7 @@ def _solve(triple, weights, args) -> EigenResult:
 
 def _cmd_validate(args) -> int:
     triple, _ = _load_triple(args.fractal)
-    violations = _require_valid(triple)
+    violations = validate(triple)
     doc = {"name": triple.name, "valid": not violations, "violations": violations}
     print(_render(doc, args.format))
     return EXIT_OK if not violations else EXIT_INVALID_INPUT
@@ -178,7 +174,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_graphs(args) -> int:
     triple, _ = _load_triple(args.fractal)
-    violations = _require_valid(triple)
+    violations = validate(triple)
     if violations:
         print(_render({"valid": False, "violations": violations}, args.format))
         return EXIT_INVALID_INPUT
@@ -190,7 +186,7 @@ def _cmd_graphs(args) -> int:
 
 def _cmd_solve(args) -> int:
     triple, weights = _load_triple(args.fractal)
-    violations = _require_valid(triple)
+    violations = validate(triple)
     if violations:
         print(_render({"valid": False, "violations": violations}, args.format))
         return EXIT_INVALID_INPUT
@@ -201,7 +197,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     triple, weights = _load_triple(args.fractal)
-    violations = _require_valid(triple)
+    violations = validate(triple)
     if violations:
         print(_render({"valid": False, "violations": violations}, args.format))
         return EXIT_INVALID_INPUT
@@ -214,7 +210,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_check_uniqueness(args) -> int:
     triple, weights = _load_triple(args.fractal)
-    violations = _require_valid(triple)
+    violations = validate(triple)
     if violations:
         print(_render({"valid": False, "violations": violations}, args.format))
         return EXIT_INVALID_INPUT
@@ -253,7 +249,7 @@ def _cmd_check_uniqueness(args) -> int:
 
 def _cmd_report(args) -> int:
     triple, weights = _load_triple(args.fractal)
-    violations = _require_valid(triple)
+    violations = validate(triple)
     doc: dict = {
         "name": triple.name,
         "validation": {"valid": not violations, "violations": violations},

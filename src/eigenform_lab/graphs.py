@@ -215,8 +215,13 @@ def _l_single(
     )
 
 
-def _hat_lift_adjacency(triple: FractalTriple, hat: BoundaryGraph) -> list[set[int]]:
-    return adjacency(triple.num_vertices, lift_edges(triple, hat.edges))
+def _single_images(
+    triple: FractalTriple, j: int, hat: BoundaryGraph
+) -> dict[int, frozenset[int]]:
+    """``_l_single`` image of every boundary id other than ``j``, over the
+    lift of the stable graph through every cell."""
+    adj = adjacency(triple.num_vertices, lift_edges(triple, hat.edges))
+    return {jp: _l_single(triple, adj, j, jp) for jp in range(triple.N) if jp != j}
 
 
 def components(
@@ -232,9 +237,7 @@ def components(
         raise ValueError(f"j={j} is not a boundary id")
     hat = hat or hat_graph(triple)
     comps = hat.components_excluding(j)
-    adj = _hat_lift_adjacency(triple, hat)
-
-    singles = {jp: _l_single(triple, adj, j, jp) for jp in range(triple.N) if jp != j}
+    singles = _single_images(triple, j, hat)
     for jp, img in singles.items():
         if img and set(img) not in map(set, comps):
             raise InternalConsistencyError(
@@ -313,9 +316,7 @@ def l_j_image(
             raise ValueError(f"vertex {x} is not a boundary id distinct from j={j}")
     if n == 0 or not current:
         return current
-    hat = hat or hat_graph(triple)
-    adj = _hat_lift_adjacency(triple, hat)
-    singles = {jp: _l_single(triple, adj, j, jp) for jp in range(triple.N) if jp != j}
+    singles = _single_images(triple, j, hat or hat_graph(triple))
     for _ in range(n):
         current = frozenset(x for p in current for x in singles[p])
     return current

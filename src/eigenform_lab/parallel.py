@@ -1,32 +1,13 @@
-"""Thread-capped map honoring the EIGENFORM_LAB_THREADS environment variable."""
+"""Order-preserving map over the per-vertex and per-node work of the
+uniqueness analysis.
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "EIGENFORM_LAB_THREADS"
-
-
-def thread_cap() -> int:
-    """Maximum worker count: the env var when set, CPU count otherwise (0 = auto)."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{THREADS_ENV} must be nonnegative, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
+That work is small numpy calls that hold the interpreter lock, and a thread
+pool ran it slower than a plain loop on every case measured, so the map is
+serial.  It stays a named function because the benchmark tracer
+(``perfbench/tracer.py``) wraps it by name.
+"""
 
 
 def parallel_map(fn, items):
-    """Apply ``fn`` over ``items`` preserving order, threading when allowed."""
-    items = list(items)
-    workers = min(len(items), thread_cap())
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Apply ``fn`` over ``items`` in order and return the results as a list."""
+    return [fn(x) for x in items]

@@ -9,12 +9,16 @@ boundary.  The boundary-to-boundary maps obtained by restricting the minimizer
 to a single cell are small stochastic matrices and are cached per
 (form, weights) pair, since every composite map is a product of them.
 
-Linear solves use dense LU with partial pivoting; interior blocks are tiny, so
-exactness and determinism win over scalability.
+Every interior solve goes through one helper: a reachability check that names
+the offending vertex, then dense LU with partial pivoting.  The interior block
+has a handful of vertices on the built-ins and several hundred on level-m
+composites; a dense solve at that size still costs milliseconds and keeps the
+results deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -26,16 +30,13 @@ from .forms import COEFF_EPS, DirichletForm, energy, pair_list
 from .fractal import FractalTriple, check_weights
 
 __all__ = [
-    "CellOperator",
     "ExtensionResult",
     "OperatorCache",
-    "cell_operator",
     "conductance_laplacian",
     "constrained_extension",
     "harmonic_extension",
     "one_step_energy",
     "renormalize",
-    "word_operator",
 ]
 
 
@@ -51,14 +52,22 @@ class ExtensionResult:
     achieved_energy: float
 
 
-@dataclass(frozen=True)
-class CellOperator:
-    """Row ``p`` expresses the minimizing extension, read at the image of
-    boundary vertex ``p`` inside the cell, as a linear function of the
-    boundary data.  Rows sum to one."""
+_SLOT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
-    index: int
-    matrix: np.ndarray
+
+@functools.lru_cache(maxsize=32)
+def _pair_images(triple: FractalTriple) -> np.ndarray:
+    """Vertex ids ``[p, q]`` of every pair image inside every cell, one row
+    per (cell, pair), cell by cell and in ``pair_list`` order within a cell.
+    These are the only vertex pairs that can carry conductance.
+
+    Cached per triple (read-only): the solver renormalizes the same triple
+    hundreds of times, and on small networks building this array again
+    would cost as much as the Laplacian itself."""
+    pairs = np.array(pair_list(triple.N))
+    out = np.array(triple.cells)[:, pairs].reshape(-1, 2)
+    out.flags.writeable = False
+    return out
 
 
 def conductance_laplacian(
@@ -72,30 +81,23 @@ def conductance_laplacian(
     """
     r = check_weights(triple, weights)
     nv = triple.num_vertices
-    lap = np.zeros((nv, nv))
-    m = form.matrix()
-    for i, cell in enumerate(triple.cells):
-        for a, b in pair_list(triple.N):
-            c = m[a, b]
-            if c <= 0.0:
-                continue
-            w = r[i] * c
-            p, q = cell[a], cell[b]
-            lap[p, p] += w
-            lap[q, q] += w
-            lap[p, q] -= w
-            lap[q, p] -= w
-    return lap
+    pq = _pair_images(triple)
+    w = (r[:, None] * form.vector()).reshape(-1, 1)
+    # slots (p,p), (q,q), (p,q), (q,p) of each conductance.  bincount adds in
+    # input order, so every entry sums cell by cell, pair by pair, and rounds
+    # the same on every run; zero conductances add zeros and change nothing.
+    slots = pq[:, [0, 1, 0, 1]] * nv + pq[:, [0, 1, 1, 0]]
+    terms = w * _SLOT_SIGNS
+    return np.bincount(slots.ravel(), weights=terms.ravel(), minlength=nv * nv).reshape(nv, nv)
 
 
-def _check_reachable(lap: np.ndarray, free: Sequence[int], fixed: Sequence[int]):
+def _check_reachable(
+    triple: FractalTriple, lap: np.ndarray, free: Sequence[int], fixed: Sequence[int]
+):
     """Every free vertex must reach a fixed vertex through positive
     conductances, otherwise the free block is singular."""
-    nv = lap.shape[0]
-    edges = [
-        (p, q) for p in range(nv) for q in range(p + 1, nv) if lap[p, q] != 0.0
-    ]
-    adj = adjacency(nv, edges)
+    pq = _pair_images(triple)
+    adj = adjacency(lap.shape[0], pq[lap[pq[:, 0], pq[:, 1]] != 0.0].tolist())
     seen = set(fixed)
     stack = list(fixed)
     while stack:
@@ -109,17 +111,18 @@ def _check_reachable(lap: np.ndarray, free: Sequence[int], fixed: Sequence[int])
             raise SingularInteriorError(v)
 
 
-def _solve_free(
-    lap: np.ndarray, free: Sequence[int], fixed: Sequence[int], fixed_values: np.ndarray
+def _solve_interior(
+    triple: FractalTriple,
+    lap: np.ndarray,
+    free: Sequence[int],
+    fixed: Sequence[int],
+    rhs: np.ndarray,
 ) -> np.ndarray:
-    """Values on the free vertices minimizing the network energy."""
-    if not free:
-        return np.zeros(0)
-    _check_reachable(lap, free, fixed)
-    a = lap[np.ix_(free, free)]
-    b = lap[np.ix_(free, fixed)] @ fixed_values
+    """``solve(L_FF, rhs)`` on the free block of the network Laplacian, once
+    every free vertex is known to reach a fixed one."""
+    _check_reachable(triple, lap, free, fixed)
     try:
-        return np.linalg.solve(a, -b)
+        return np.linalg.solve(lap[np.ix_(free, free)], rhs)
     except np.linalg.LinAlgError:
         # reachability held, so this is numerical breakdown rather than a
         # disconnected vertex; report the first free vertex
@@ -139,6 +142,23 @@ def one_step_energy(triple: FractalTriple, form: DirichletForm, weights, v) -> f
     )
 
 
+def _extension(
+    triple: FractalTriple, form: DirichletForm, weights, fixed: Sequence[int], fixed_vals
+) -> ExtensionResult:
+    """Energy minimizer among first-level data taking ``fixed_vals`` on the
+    sorted vertex ids ``fixed``."""
+    pinned = set(fixed)
+    free = [v for v in range(triple.num_vertices) if v not in pinned]
+    lap = conductance_laplacian(triple, form, weights)
+    values = np.empty(triple.num_vertices)
+    values[fixed] = fixed_vals
+    values[free] = _solve_interior(
+        triple, lap, free, fixed, -(lap[np.ix_(free, fixed)] @ fixed_vals)
+    )
+    values.flags.writeable = False
+    return ExtensionResult(values, one_step_energy(triple, form, weights, values))
+
+
 def harmonic_extension(
     triple: FractalTriple, form: DirichletForm, weights, u
 ) -> ExtensionResult:
@@ -146,14 +166,7 @@ def harmonic_extension(
     u = np.asarray(u, dtype=float)
     if u.shape != (triple.N,):
         raise ValueError(f"expected boundary data of length {triple.N}, got {u.shape}")
-    lap = conductance_laplacian(triple, form, weights)
-    boundary = list(range(triple.N))
-    free = list(range(triple.N, triple.num_vertices))
-    values = np.empty(triple.num_vertices)
-    values[: triple.N] = u
-    values[triple.N :] = _solve_free(lap, free, boundary, u)
-    values.flags.writeable = False
-    return ExtensionResult(values, one_step_energy(triple, form, weights, values))
+    return _extension(triple, form, weights, list(range(triple.N)), u)
 
 
 def constrained_extension(
@@ -167,14 +180,7 @@ def constrained_extension(
         if not 0 <= v < triple.num_vertices:
             raise ValueError(f"fixed vertex id {v} out of range")
     fixed_vals = np.array([float(fixed[v]) for v in fixed_ids])
-    pinned = set(fixed_ids)
-    free = [v for v in range(triple.num_vertices) if v not in pinned]
-    lap = conductance_laplacian(triple, form, weights)
-    values = np.empty(triple.num_vertices)
-    values[fixed_ids] = fixed_vals
-    values[free] = _solve_free(lap, free, fixed_ids, fixed_vals)
-    values.flags.writeable = False
-    return ExtensionResult(values, one_step_energy(triple, form, weights, values))
+    return _extension(triple, form, weights, fixed_ids, fixed_vals)
 
 
 def renormalize(triple: FractalTriple, form: DirichletForm, weights) -> DirichletForm:
@@ -189,15 +195,8 @@ def renormalize(triple: FractalTriple, form: DirichletForm, weights) -> Dirichle
     n = triple.N
     boundary = list(range(n))
     free = list(range(n, triple.num_vertices))
-    s = lap[np.ix_(boundary, boundary)].copy()
-    if free:
-        _check_reachable(lap, free, boundary)
-        a = lap[np.ix_(free, free)]
-        b = lap[np.ix_(free, boundary)]
-        try:
-            s -= b.T @ np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            raise SingularInteriorError(free[0], "interior block is numerically singular")
+    b = lap[np.ix_(free, boundary)]
+    s = lap[np.ix_(boundary, boundary)] - b.T @ _solve_interior(triple, lap, free, boundary, b)
     coeffs = {}
     off = [-s[a_, b_] for a_, b_ in pair_list(n)]
     scale = max((abs(x) for x in off), default=0.0)
@@ -210,37 +209,30 @@ def renormalize(triple: FractalTriple, form: DirichletForm, weights) -> Dirichle
     return DirichletForm(n, coeffs)
 
 
-def _extension_matrix(triple: FractalTriple, form: DirichletForm, weights) -> np.ndarray:
-    """Matrix sending boundary data to the full minimizing extension."""
-    lap = conductance_laplacian(triple, form, weights)
-    n, nv = triple.N, triple.num_vertices
-    free = list(range(n, nv))
-    ext = np.zeros((nv, n))
-    ext[:n, :n] = np.eye(n)
-    if free:
-        _check_reachable(lap, free, range(n))
-        a = lap[np.ix_(free, range(n))]
-        try:
-            ext[n:, :] = np.linalg.solve(lap[np.ix_(free, free)], -a)
-        except np.linalg.LinAlgError:
-            raise SingularInteriorError(free[0], "interior block is numerically singular")
-    return ext
-
-
 class OperatorCache:
     """All cell operators for one (triple, form, weights) context.
 
-    Built once, read-only afterwards; safe to share across threads.
+    Built once, read-only afterwards.  Row ``p`` of the cell-``i`` operator
+    expresses the minimizing extension, read at the image of boundary vertex
+    ``p`` inside cell ``i``, as a linear function of the boundary data; rows
+    sum to one.
     """
 
     def __init__(self, triple: FractalTriple, form: DirichletForm, weights):
         self.triple = triple
         self.form = form
         self.weights = check_weights(triple, weights)
-        ext = _extension_matrix(triple, form, weights)
+        lap = conductance_laplacian(triple, form, self.weights)
+        n = triple.N
+        boundary = list(range(n))
+        free = list(range(n, triple.num_vertices))
+        # boundary data to the full minimizing extension: [I; -L_FF^-1 L_FB]
+        ext = np.vstack(
+            [np.eye(n), _solve_interior(triple, lap, free, boundary, -lap[np.ix_(free, boundary)])]
+        )
         ops = []
         for cell in triple.cells:
-            m = ext[np.array(cell), :].copy()
+            m = ext[np.array(cell), :]
             m.flags.writeable = False
             ops.append(m)
         self._ops = tuple(ops)
@@ -249,37 +241,14 @@ class OperatorCache:
         return self._ops[i]
 
     def word(self, word: Iterable[int]) -> np.ndarray:
-        """Product of cell operators, first index applied last (outermost)."""
+        """Product of cell operators, first index applied last (outermost).
+
+        The empty word gives the identity.  Under level composition the
+        composite map of the word ``(i1, ..., in)`` read as a single n-level
+        cell applies the single-cell maps in the opposite order; only the
+        direct composition order is exposed here.
+        """
         out = np.eye(self.triple.N)
         for i in word:
             out = out @ self._ops[i]
         return out
-
-
-def cell_operator(
-    triple: FractalTriple,
-    form: DirichletForm,
-    weights,
-    i: int,
-    cache: OperatorCache | None = None,
-) -> CellOperator:
-    cache = cache or OperatorCache(triple, form, weights)
-    return CellOperator(index=i, matrix=cache.cell(i))
-
-
-def word_operator(
-    triple: FractalTriple,
-    form: DirichletForm,
-    weights,
-    word: Sequence[int],
-    cache: OperatorCache | None = None,
-) -> np.ndarray:
-    """Composite boundary-to-boundary map for a word of cell indices.
-
-    The empty word gives the identity.  Note the reversal under level
-    composition: the composite map of the word ``(i1, ..., in)`` read as a
-    single n-level cell applies the single-cell maps in the opposite order;
-    only the direct composition order is exposed here.
-    """
-    cache = cache or OperatorCache(triple, form, weights)
-    return cache.word(word)

@@ -58,6 +58,7 @@ class StabilityDigraph:
     ``magnitudes`` stores, for every ordered node pair, the largest normalized
     functional value seen over the source's orbit span; ``edges`` holds the
     pairs above threshold.  Borderline magnitudes are listed in ``warnings``.
+    ``cache`` holds the cell operators the digraph was built from.
     """
 
     nodes: list[Node]
@@ -66,6 +67,7 @@ class StabilityDigraph:
     component_data: dict[int, ComponentData]
     spans: dict[Node, np.ndarray]
     magnitudes: dict[tuple[Node, Node], float]
+    cache: OperatorCache
     warnings: list[str] = field(default_factory=list)
 
     def out_neighbors(self, node: Node) -> list[Node]:
@@ -207,6 +209,7 @@ def stability_digraph(
         component_data=comp_by_j,
         spans=spans,
         magnitudes=magnitudes,
+        cache=cache,
         warnings=warnings,
     )
 
@@ -320,7 +323,8 @@ def decide_uniqueness(
 
     One sink means unique; two or more yield witnesses, namely two sink
     components themselves (each is closed under out-edges).  For a positive
-    form the single-vertex variant runs as well and must agree.
+    form the single-vertex variant runs as well, on the digraph's cell
+    operators, and must agree.
     """
     r = check_weights(triple, weights)
     dg = digraph or stability_digraph(triple, form, r, phi_tol=phi_tol)
@@ -332,8 +336,7 @@ def decide_uniqueness(
 
     vec = form.vector()
     if vec.min() > 1e-10 * vec.max():
-        cache = OperatorCache(triple, form, r)
-        pos_nodes, pos_edges = _positive_case_digraph(triple, form, r, phi_tol, cache)
+        pos_nodes, pos_edges = _positive_case_digraph(triple, form, r, phi_tol, dg.cache)
         pos_unique = len(_sink_sccs(pos_nodes, pos_edges)) == 1
         if pos_unique != unique:
             raise InternalConsistencyError(

@@ -1,8 +1,9 @@
 """Brute-force reference computations used only as test oracles.
 
 Each routine here recomputes a quantity by the most direct method available
-(single global Schur reduction, exhaustive word enumeration, exhaustive subset
-enumeration) without going through the production code paths it checks.
+(entry-by-entry Laplacian assembly, single global Schur reduction, exhaustive
+word enumeration, exhaustive subset enumeration) without going through the
+production code paths it checks.
 """
 
 import itertools
@@ -11,6 +12,26 @@ import numpy as np
 
 from eigenform_lab import DirichletForm, harmonicity_functional, pair_list
 from eigenform_lab.renorm import OperatorCache
+
+
+def conductance_laplacian_loop(triple, form, weights):
+    """First-level network Laplacian built entry by entry, cell by cell and
+    pair by pair, skipping pairs without conductance."""
+    nv = triple.num_vertices
+    lap = np.zeros((nv, nv))
+    m = form.matrix()
+    for i, cell in enumerate(triple.cells):
+        for a, b in pair_list(triple.N):
+            c = m[a, b]
+            if c <= 0.0:
+                continue
+            w = weights[i] * c
+            p, q = cell[a], cell[b]
+            lap[p, p] += w
+            lap[q, q] += w
+            lap[p, q] -= w
+            lap[q, p] -= w
+    return lap
 
 
 def two_level_form(triple, form, weights):

@@ -163,16 +163,6 @@ def test_malformed_json_exits_1(tmp_path, capsys):
     assert run(["validate", str(bad)]) == 1
 
 
-def test_thread_cap_env(files, capsys, monkeypatch):
-    monkeypatch.setenv("EIGENFORM_LAB_THREADS", "1")
-    assert run(["check-uniqueness", files["tree_gasket"], files["tree_form"]]) == 0
-    serial = json.loads(capsys.readouterr().out)
-    monkeypatch.setenv("EIGENFORM_LAB_THREADS", "0")
-    assert run(["check-uniqueness", files["tree_gasket"], files["tree_form"]]) == 0
-    auto = json.loads(capsys.readouterr().out)
-    assert serial == auto
-
-
 def test_float_serialization_roundtrip(files, capsys):
     run(["solve", files["gasket"]])
     out = capsys.readouterr().out

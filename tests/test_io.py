@@ -11,7 +11,7 @@ from eigenform_lab.jsonio import (
     parse_fractal,
     triple_to_dict,
 )
-from eigenform_lab.parallel import parallel_map, thread_cap
+from eigenform_lab.parallel import parallel_map
 
 
 def test_fractal_roundtrip():
@@ -66,21 +66,6 @@ def test_dumps_numpy_values():
     assert json.loads(doc) == {"a": 1.5, "b": 3, "c": [0, 1, 2], "d": True}
 
 
-def test_thread_cap(monkeypatch):
-    monkeypatch.setenv("EIGENFORM_LAB_THREADS", "2")
-    assert thread_cap() == 2
-    monkeypatch.setenv("EIGENFORM_LAB_THREADS", "0")
-    assert thread_cap() >= 1
-    monkeypatch.setenv("EIGENFORM_LAB_THREADS", "soup")
-    with pytest.raises(ValueError, match="integer"):
-        thread_cap()
-    monkeypatch.setenv("EIGENFORM_LAB_THREADS", "-1")
-    with pytest.raises(ValueError, match="nonnegative"):
-        thread_cap()
-
-
-def test_parallel_map_matches_serial(monkeypatch):
-    monkeypatch.setenv("EIGENFORM_LAB_THREADS", "4")
+def test_parallel_map_matches_serial():
     assert parallel_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
-    monkeypatch.setenv("EIGENFORM_LAB_THREADS", "1")
     assert parallel_map(lambda x: x + 1, range(5)) == list(range(1, 6))

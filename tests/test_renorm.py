@@ -1,10 +1,14 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from eigenform_lab import (
     DirichletForm,
     SingularInteriorError,
-    cell_operator,
+    builtin,
+    builtin_names,
     constrained_extension,
     harmonic_extension,
     lambda_graph,
@@ -12,11 +16,10 @@ from eigenform_lab import (
     pair_list,
     renormalize,
     support_graph,
-    word_operator,
 )
-from eigenform_lab.renorm import OperatorCache
+from eigenform_lab.renorm import OperatorCache, conductance_laplacian
 
-from oracles import two_level_form
+from oracles import conductance_laplacian_loop, two_level_form
 
 R3 = np.ones(3)
 
@@ -114,15 +117,14 @@ def test_renormalize_homogeneous(gasket):
 
 
 def test_cell_operator_gasket_rows(gasket, gasket_eigenform):
-    op = cell_operator(gasket, gasket_eigenform, R3, 0)
-    assert op.index == 0
-    assert np.allclose(op.matrix, [[1, 0, 0], [0.4, 0.4, 0.2], [0.4, 0.2, 0.4]])
+    m = OperatorCache(gasket, gasket_eigenform, R3).cell(0)
+    assert np.allclose(m, [[1, 0, 0], [0.4, 0.4, 0.2], [0.4, 0.2, 0.4]])
 
 
 def test_cell_operator_tree(tree_gasket, tree_eigenform):
-    op = cell_operator(tree_gasket, tree_eigenform, R3, 1)
+    m = OperatorCache(tree_gasket, tree_eigenform, R3).cell(1)
     u = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(op.matrix @ u, [0.5, 0.0, 0.5])
+    assert np.allclose(m @ u, [0.5, 0.0, 0.5])
 
 
 def test_cell_operator_rows(gasket, vicsek, gasket_eigenform, vicsek_eigenform):
@@ -131,8 +133,9 @@ def test_cell_operator_rows(gasket, vicsek, gasket_eigenform, vicsek_eigenform):
         (gasket, gasket_eigenform, R3),
         (vicsek, vicsek_eigenform, np.ones(5)),
     ]:
+        cache = OperatorCache(triple, form, r)
         for i in range(triple.k):
-            m = cell_operator(triple, form, r, i).matrix
+            m = cache.cell(i)
             assert np.allclose(m.sum(axis=1), 1.0)
             for p in range(triple.N):
                 v = triple.cells[i][p]
@@ -144,9 +147,9 @@ def test_cell_operator_rows(gasket, vicsek, gasket_eigenform, vicsek_eigenform):
 
 def test_word_operator_identity_and_products(gasket, gasket_eigenform):
     cache = OperatorCache(gasket, gasket_eigenform, R3)
-    assert np.allclose(word_operator(gasket, gasket_eigenform, R3, []), np.eye(3))
+    assert np.allclose(cache.word([]), np.eye(3))
     manual = cache.cell(0) @ cache.cell(2) @ cache.cell(1)
-    assert np.allclose(word_operator(gasket, gasket_eigenform, R3, [0, 2, 1], cache=cache), manual)
+    assert np.allclose(cache.word([0, 2, 1]), manual)
     assert np.allclose(manual.sum(axis=1), 1.0)
 
 
@@ -174,9 +177,46 @@ def test_extension_bounds_through_interior(gasket, gasket_eigenform):
 def test_singular_interior_reports_vertex(gasket):
     # support {0,1} only: the cell-2 copy hangs off the boundary with no path back
     lonely = DirichletForm(3, {(0, 1): 1.0})
-    with pytest.raises(SingularInteriorError) as err:
-        harmonic_extension(gasket, lonely, R3, [1.0, 0.0, 0.0])
-    assert err.value.vertex in (4, 5)
+    for solve in (
+        lambda: harmonic_extension(gasket, lonely, R3, [1.0, 0.0, 0.0]),
+        lambda: constrained_extension(gasket, lonely, R3, {0: 1.0, 1: 0.0, 2: 0.0}),
+        lambda: renormalize(gasket, lonely, R3),
+        lambda: OperatorCache(gasket, lonely, R3),
+    ):
+        with pytest.raises(SingularInteriorError) as err:
+            solve()
+        assert err.value.vertex in (4, 5)
+
+
+def _perfbench_gen():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_conductance_laplacian_matches_loop_oracle():
+    # same additions in the same order as the entry-by-entry loop, so the
+    # result must agree to the last bit, not just within round-off
+    gen = _perfbench_gen()
+    triples = [builtin(name) for name in builtin_names()]
+    triples += [gen.iterate(builtin(name), 3)[0] for name in builtin_names()]
+    triples.append(gen.iterate(gen.simplex_gasket(4), 2)[0])
+    rng = np.random.default_rng(18)
+    for triple in triples:
+        n_pairs = len(pair_list(triple.N))
+        forms = [DirichletForm(triple.N, {})]
+        for _ in range(3):
+            vec = 10.0 ** rng.uniform(-8, 8, size=n_pairs)
+            vec[rng.random(n_pairs) < 0.3] = 0.0
+            forms.append(DirichletForm(triple.N, dict(zip(pair_list(triple.N), vec))))
+        for form in forms:
+            weights = 10.0 ** rng.uniform(-8, 8, size=triple.k)
+            got = conductance_laplacian(triple, form, weights)
+            want = conductance_laplacian_loop(triple, form, weights)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_semigroup_against_two_level_oracle(gasket, tree_gasket, vicsek):

@@ -10,7 +10,6 @@ from eigenform_lab import (
     pi_limit,
     project_g,
     project_g_tilde,
-    word_operator,
 )
 from eigenform_lab.renorm import OperatorCache
 
@@ -83,11 +82,12 @@ def test_perron_component_is_eigenvector(gasket, tree_gasket, vicsek, gasket_eig
         (tree_gasket, tree_eigenform, R3),
         (vicsek, vicsek_eigenform, np.ones(5)),
     ]:
+        cache = OperatorCache(triple, form, r)
         for j in range(triple.N):
             comp = components(triple, j)
             for s in range(comp.m):
                 pd = perron_component(triple, form, r, j, s, comp)
-                power = word_operator(triple, form, r, [j] * pd.period)
+                power = cache.word([j] * pd.period)
                 assert np.allclose(power @ pd.u_tilde, pd.eigenvalue * pd.u_tilde, atol=1e-12)
                 inside = list(comp.components[s])
                 assert pd.u_tilde[inside].min() > 0
