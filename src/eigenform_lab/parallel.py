@@ -1,10 +1,9 @@
-"""Order-preserving map over the per-vertex and per-node work of the
-uniqueness analysis.
+"""Order-preserving serial map, with no caller in the library.
 
-That work is small numpy calls that hold the interpreter lock, and a thread
-pool ran it slower than a plain loop on every case measured, so the map is
-serial.  It stays a named function because the benchmark tracer
-(``perfbench/tracer.py``) wraps it by name.
+The uniqueness analysis once mapped its per-vertex and per-node work through
+here; that work is now stacked matrix products and plain comprehensions.  The
+module is kept only because the benchmark tracer (``perfbench/tracer.py``)
+wraps ``parallel_map`` by name; it goes with the next change to the benchmark.
 """
 
 

@@ -216,6 +216,9 @@ class OperatorCache:
     expresses the minimizing extension, read at the image of boundary vertex
     ``p`` inside cell ``i``, as a linear function of the boundary data; rows
     sum to one.
+
+    ``ops`` stacks the operators into one read-only ``(k, N, N)`` array, so
+    ``ops @ u`` gives the images of ``u`` under every cell at once.
     """
 
     def __init__(self, triple: FractalTriple, form: DirichletForm, weights):
@@ -230,15 +233,11 @@ class OperatorCache:
         ext = np.vstack(
             [np.eye(n), _solve_interior(triple, lap, free, boundary, -lap[np.ix_(free, boundary)])]
         )
-        ops = []
-        for cell in triple.cells:
-            m = ext[np.array(cell), :]
-            m.flags.writeable = False
-            ops.append(m)
-        self._ops = tuple(ops)
+        self.ops = ext[np.array(triple.cells)]
+        self.ops.flags.writeable = False
 
     def cell(self, i: int) -> np.ndarray:
-        return self._ops[i]
+        return self.ops[i]
 
     def word(self, word: Iterable[int]) -> np.ndarray:
         """Product of cell operators, first index applied last (outermost).
@@ -250,5 +249,5 @@ class OperatorCache:
         """
         out = np.eye(self.triple.N)
         for i in word:
-            out = out @ self._ops[i]
+            out = out @ self.ops[i]
         return out

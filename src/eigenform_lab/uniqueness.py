@@ -13,6 +13,12 @@ functionals are linear, so vanishing on every composite image is the same as
 vanishing on the smallest invariant subspace containing the seed.  The word
 enumeration bound survives as a test oracle.  The empty word is always
 included: the seed itself belongs to its own orbit span.
+
+Each node's functional is stored as one row vector, shift and mask folded in,
+so the rows of all nodes stack into a (nodes x N) matrix and the edges out of
+a source are one product of that matrix with the source's span basis.  Sinks
+of the condensation are read off reachability: a node lies in a sink exactly
+when every node it reaches reaches it back.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from .errors import InternalConsistencyError, NonConvergenceError
 from .forms import DirichletForm, laplacian, pair_list, support_graph
 from .fractal import FractalTriple, check_weights
 from .graphs import ComponentData, components, hat_graph
-from .parallel import parallel_map
 from .renorm import OperatorCache
 from .solver import EigenResult, find_eigenform
 from .spectral import PerronData, perron_component, perron_positive, project_g
@@ -70,9 +75,6 @@ class StabilityDigraph:
     cache: OperatorCache
     warnings: list[str] = field(default_factory=list)
 
-    def out_neighbors(self, node: Node) -> list[Node]:
-        return [dst for (src, dst) in self.edges if src == node]
-
 
 @dataclass
 class StabilityVerdict:
@@ -101,32 +103,40 @@ def orbit_span(
     """Orthonormal basis of the smallest subspace containing ``seed`` that is
     invariant under every cell operator.
 
-    Closure loop: apply each cell operator to each basis vector and adjoin any
-    direction whose residual against the current span exceeds the rank
-    threshold; the dimension stabilizes within N rounds.
+    Worklist closure: every basis vector, in the order it was adjoined, is
+    pushed through all cell operators once, and its images are taken in cell
+    order; an image whose residual against the current span exceeds the rank
+    threshold is adjoined and joins the worklist.  An image within threshold
+    stays within it as the span grows, so no vector needs a second pass.
     """
     seed = np.asarray(seed, dtype=float)
     norm = np.linalg.norm(seed)
     if norm == 0.0:
         raise ValueError("orbit seed must be nonzero")
     cache = cache or OperatorCache(triple, form, weights)
-    basis = [seed / norm]
+    n = triple.N
+    basis = np.zeros((n, n))
+    basis[0] = seed / norm
+    dim = 1
     scale = max(1.0, norm)
-    changed = True
-    while changed and len(basis) < triple.N:
-        changed = False
-        for b in list(basis):
-            for i in range(triple.k):
-                w = cache.cell(i) @ b
-                resid = w - sum((w @ e) * e for e in basis)
-                if np.linalg.norm(resid) > rank_tol * max(scale, np.linalg.norm(w)):
-                    basis.append(resid / np.linalg.norm(resid))
-                    changed = True
-                    if len(basis) == triple.N:
-                        break
-            if len(basis) == triple.N:
+    done = 0
+    while done < dim < n:
+        images = cache.ops @ basis[done]
+        done += 1
+        limit = rank_tol * np.maximum(scale, np.linalg.norm(images, axis=1))
+        while images.shape[0] and dim < n:
+            span = basis[:dim]
+            resid = images - (images @ span.T) @ span
+            size = np.linalg.norm(resid, axis=1)
+            fresh = np.flatnonzero(size > limit)
+            if not fresh.size:
                 break
-    return np.array(basis)
+            i = fresh[0]
+            basis[dim] = resid[i] / size[i]
+            dim += 1
+            # the images before ``i`` were within threshold of a smaller span
+            images, limit = images[i + 1 :], limit[i + 1 :]
+    return basis[:dim]
 
 
 def harmonicity_functional(
@@ -135,6 +145,24 @@ def harmonicity_functional(
     """Weighted difference operator at the pivot vertex of the shifted,
     component-masked data."""
     return float(laplacian(form, project_g(u, comp, s))[comp.j])
+
+
+def _node_row(v: np.ndarray, comp: ComponentData, s: int) -> np.ndarray:
+    """Row ``x`` with ``x @ u == v @ project_g(u, comp, s)`` for all ``u``."""
+    idx = list(comp.components[s])
+    x = np.zeros(len(v))
+    x[idx] = v[idx]
+    x[comp.j] -= v[idx].sum()
+    return x
+
+
+def _magnitudes(span: np.ndarray, rows: np.ndarray, max_coeff: float) -> np.ndarray:
+    """Per row, the largest ``|row @ b| / (max_coeff * sup|b|)`` over the
+    basis vectors ``b`` of ``span``; vectors with zero sup norm are skipped."""
+    sup = np.max(np.abs(span), axis=1)
+    keep = sup != 0.0
+    values = np.abs(rows @ span[keep].T) / (max_coeff * sup[keep])
+    return values.max(axis=1, initial=0.0)
 
 
 def _node_list(comp_by_j: Mapping[int, ComponentData]) -> list[Node]:
@@ -162,39 +190,26 @@ def stability_digraph(
             "graph does not match the stable boundary graph"
         )
     cache = cache or OperatorCache(triple, form, r)
-    comp_by_j = dict(
-        zip(range(triple.N), parallel_map(lambda j: components(triple, j, hat), range(triple.N)))
-    )
+    comp_by_j = {j: components(triple, j, hat) for j in range(triple.N)}
     nodes = _node_list(comp_by_j)
     payload = {
         (j, s): perron_component(triple, form, r, j, s, comp_by_j[j], cache=cache)
         for (j, s) in nodes
     }
     max_coeff = form.max_coefficient()
+    # the pivot lies outside its components, so the Laplacian row reduces to
+    # the coefficient row
+    m = form.matrix()
+    rows = np.array([_node_row(m[j], comp_by_j[j], s) for (j, s) in nodes])
 
-    def edges_from(src: Node):
-        span = orbit_span(triple, form, r, payload[src].u_tilde, cache=cache)
-        found = {}
-        for dst in nodes:
-            jd, sd = dst
-            best = 0.0
-            for b in span:
-                sup = float(np.max(np.abs(b)))
-                if sup == 0.0:
-                    continue
-                value = abs(harmonicity_functional(form, comp_by_j[jd], sd, b))
-                best = max(best, value / (max_coeff * sup))
-            found[dst] = best
-        return span, found
-
-    results = parallel_map(edges_from, nodes)
     edges = set()
     spans = {}
     magnitudes = {}
     warnings = []
-    for src, (span, found) in zip(nodes, results):
+    for src in nodes:
+        span = orbit_span(triple, form, r, payload[src].u_tilde, cache=cache)
         spans[src] = span
-        for dst, mag in found.items():
+        for dst, mag in zip(nodes, _magnitudes(span, rows, max_coeff).tolist()):
             magnitudes[(src, dst)] = mag
             if mag > phi_tol:
                 edges.add((src, dst))
@@ -214,75 +229,28 @@ def stability_digraph(
     )
 
 
-def _strongly_connected_components(
-    nodes: Sequence[Node], edges: set[tuple[Node, Node]]
-) -> list[list[Node]]:
-    """Tarjan's algorithm, iterative."""
-    succ = {n: [] for n in nodes}
-    for a, b in edges:
-        succ[a].append(b)
-    for n in succ:
-        succ[n].sort()
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-
-    def strongconnect(root):
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for offset in range(pi, len(succ[node])):
-                nxt = succ[node][offset]
-                if nxt not in index:
-                    work[-1] = (node, offset + 1)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for n in nodes:
-        if n not in index:
-            strongconnect(n)
-    return sccs
-
-
 def _sink_sccs(
     nodes: Sequence[Node], edges: set[tuple[Node, Node]]
 ) -> list[list[Node]]:
-    sccs = _strongly_connected_components(nodes, edges)
-    member = {n: i for i, scc in enumerate(sccs) for n in scc}
-    out_deg = [0] * len(sccs)
+    """Sink components of the condensation, each sorted, listed by smallest
+    member.  A node lies in a sink exactly when every node it reaches reaches
+    it back, and its sink is then the set of nodes it reaches."""
+    succ = {n: set() for n in nodes}
     for a, b in edges:
-        if member[a] != member[b]:
-            out_deg[member[a]] += 1
-    sinks = [scc for i, scc in enumerate(sccs) if out_deg[i] == 0]
-    sinks.sort(key=lambda scc: scc[0])
-    return sinks
+        succ[a].add(b)
+    reach = {}
+    for n in nodes:
+        seen = {n}
+        stack = [n]
+        while stack:
+            for y in succ[stack.pop()] - seen:
+                seen.add(y)
+                stack.append(y)
+        reach[n] = seen
+    sinks = {
+        frozenset(reach[n]) for n in nodes if all(n in reach[x] for x in reach[n])
+    }
+    return sorted((sorted(scc) for scc in sinks), key=lambda scc: scc[0])
 
 
 def _positive_case_digraph(
@@ -295,20 +263,15 @@ def _positive_case_digraph(
     """Single-vertex variant for positive eigenforms: seeds are the plain
     Perron vectors and the functional is the difference operator itself."""
     nodes = list(range(triple.N))
+    m = form.matrix()
+    rows = m - np.diag(m.sum(axis=1))
     max_coeff = form.max_coefficient()
     edges = set()
     for j in nodes:
         u_bar, _ = perron_positive(triple, form, weights, j, cache=cache)
         span = orbit_span(triple, form, weights, u_bar, cache=cache)
-        for jd in nodes:
-            best = 0.0
-            for b in span:
-                sup = float(np.max(np.abs(b)))
-                if sup == 0.0:
-                    continue
-                best = max(best, abs(laplacian(form, b)[jd]) / (max_coeff * sup))
-            if best > phi_tol:
-                edges.add((j, jd))
+        mags = _magnitudes(span, rows, max_coeff)
+        edges |= {(j, jd) for jd in nodes if mags[jd] > phi_tol}
     return nodes, edges
 
 
@@ -385,11 +348,9 @@ def penalty_form(
     cache = cache or OperatorCache(triple, form, r)
     power = cache.word((j,) * comp.periods[s])
     n = triple.N
-    ell = np.zeros(n)
-    for h in range(n):
-        basis = np.zeros(n)
-        basis[h] = 1.0
-        ell[h] = laplacian(form, power @ project_g(basis, comp, s))[j]
+    m = form.matrix()
+    lap_row = m[j] - np.eye(n)[j] * m[j].sum()
+    ell = _node_row(lap_row @ power, comp, s)
     q = np.outer(ell, ell)
 
     hat = hat_graph(triple)
@@ -460,13 +421,14 @@ def explore_nonuniqueness(
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     cache = OperatorCache(triple, form, r)
+    hat = hat_graph(triple)
     combined: dict[tuple[int, int], float] = {}
     for (j, s) in verdict.witnesses[1]:
-        comp = components(triple, j, None)
+        comp = components(triple, j, hat)
         for pair, d in penalty_form(triple, form, r, j, s, comp=comp, cache=cache).items():
             combined[pair] = combined.get(pair, 0.0) + d
 
-    hat_edges = hat_graph(triple).sorted_edges()
+    hat_edges = hat.sorted_edges()
     current = delta
     start = None
     for _ in range(max_retries + 1):

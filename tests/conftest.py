@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,3 +64,13 @@ def vicsek_eigenform(vicsek):
     result = find_eigenform(vicsek, np.ones(5))
     assert result.converged
     return result.form
+
+
+@pytest.fixture(scope="session")
+def gen():
+    """The benchmark's triple generators (``perfbench/gen.py``)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

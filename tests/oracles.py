@@ -1,9 +1,9 @@
 """Brute-force reference computations used only as test oracles.
 
 Each routine here recomputes a quantity by the most direct method available
-(entry-by-entry Laplacian assembly, single global Schur reduction, exhaustive
-word enumeration, exhaustive subset enumeration) without going through the
-production code paths it checks.
+(entry-by-entry Laplacian assembly, single global Schur reduction, round-based
+orbit closure, exhaustive word enumeration, exhaustive subset enumeration)
+without going through the production code paths it checks.
 """
 
 import itertools
@@ -77,6 +77,32 @@ def two_level_form(triple, form, weights):
         lap[np.ix_(inner, inner)], lap[np.ix_(inner, bnd)]
     )
     return DirichletForm(n, {(a, b): max(-schur[a, b], 0.0) for a, b in pair_list(n)})
+
+
+def orbit_span_rounds(triple, cache, seed, rank_tol=1e-10):
+    """Orbit span closed in rounds: each round pushes every basis vector
+    through every cell operator, one operator and one vector at a time, and
+    Gram-Schmidt adjoins any image with a residual above the rank threshold;
+    rounds repeat until one adjoins nothing."""
+    seed = np.asarray(seed, dtype=float)
+    norm = np.linalg.norm(seed)
+    basis = [seed / norm]
+    scale = max(1.0, norm)
+    changed = True
+    while changed and len(basis) < triple.N:
+        changed = False
+        for b in list(basis):
+            for i in range(triple.k):
+                w = cache.cell(i) @ b
+                resid = w - sum((w @ e) * e for e in basis)
+                if np.linalg.norm(resid) > rank_tol * max(scale, np.linalg.norm(w)):
+                    basis.append(resid / np.linalg.norm(resid))
+                    changed = True
+                    if len(basis) == triple.N:
+                        break
+            if len(basis) == triple.N:
+                break
+    return np.array(basis)
 
 
 def all_words(k, max_len):

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from eigenform_lab import builtin
 from eigenform_lab.cli import run
 from eigenform_lab.jsonio import dumps, triple_to_dict
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -169,3 +173,10 @@ def test_float_serialization_roundtrip(files, capsys):
     doc = json.loads(out)
     # 17 significant digits round-trip doubles exactly
     assert doc["rho"] == json.loads(json.dumps(doc["rho"]))
+
+
+@pytest.mark.parametrize("name", ["gasket", "tree_gasket", "vicsek"])
+def test_report_matches_golden(name, capsys):
+    # byte for byte; a deliberate output change regenerates these files
+    assert run(["report", name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"report_{name}.json").read_text(encoding="utf-8")

@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -188,18 +185,9 @@ def test_singular_interior_reports_vertex(gasket):
         assert err.value.vertex in (4, 5)
 
 
-def _perfbench_gen():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_conductance_laplacian_matches_loop_oracle():
+def test_conductance_laplacian_matches_loop_oracle(gen):
     # same additions in the same order as the entry-by-entry loop, so the
     # result must agree to the last bit, not just within round-off
-    gen = _perfbench_gen()
     triples = [builtin(name) for name in builtin_names()]
     triples += [gen.iterate(builtin(name), 3)[0] for name in builtin_names()]
     triples.append(gen.iterate(gen.simplex_gasket(4), 2)[0])

@@ -6,6 +6,7 @@ from eigenform_lab import (
     components,
     decide_uniqueness,
     explore_nonuniqueness,
+    find_eigenform,
     harmonicity_functional,
     hat_graph,
     laplacian,
@@ -17,15 +18,37 @@ from eigenform_lab import (
     verify_eigenform,
 )
 from eigenform_lab.renorm import OperatorCache
-from eigenform_lab.uniqueness import _sink_sccs
+from eigenform_lab.uniqueness import _magnitudes, _node_row, _sink_sccs
 
 from oracles import (
     closed_subsets,
     digraph_by_word_enumeration,
     has_two_disjoint_closed_subsets,
+    orbit_span_rounds,
 )
 
 R3 = np.ones(3)
+
+
+@pytest.fixture(scope="module")
+def analysed(gen, gasket, tree_gasket, vicsek, gasket_eigenform, tree_eigenform, vicsek_eigenform):
+    """Digraphs over the corpus, over level-m composites with many more cells
+    than boundary vertices, and over two wide-boundary triples."""
+    cases = [
+        (gasket, gasket_eigenform, R3),
+        (tree_gasket, tree_eigenform, R3),
+        (vicsek, vicsek_eigenform, np.ones(5)),
+    ]
+    for triple, weights in [
+        gen.iterate(gasket, 3),
+        gen.iterate(vicsek, 2),
+        (gen.simplex_gasket(12), np.ones(12)),
+        (gen.vicsek(9), np.ones(10)),
+    ]:
+        result = find_eigenform(triple, weights)
+        assert result.converged
+        cases.append((triple, result.form, np.asarray(weights)))
+    return [(triple, form, r, stability_digraph(triple, form, r)) for triple, form, r in cases]
 
 
 def in_span(vec, basis):
@@ -60,6 +83,73 @@ def test_orbit_span_invariance(tree_gasket, tree_eigenform):
     for i in range(3):
         for b in span:
             assert in_span(cache.cell(i) @ b, span)
+
+
+class _StackedOps:
+    """Bare operator stack, read the way ``OperatorCache`` is read."""
+
+    def __init__(self, ops):
+        self.ops = ops
+
+    def cell(self, i):
+        return self.ops[i]
+
+
+def test_orbit_span_matches_round_oracle(analysed):
+    cases = [
+        (triple, dg.cache, dg.payload[node].u_tilde, dg.spans[node])
+        for triple, form, r, dg in analysed
+        for node in dg.nodes
+    ]
+    # sparse operators leave many directions reachable through one image only,
+    # so an image skipped or taken out of order shows up as a missing direction
+    rng = np.random.default_rng(46)
+    shift = np.zeros((4, 5, 5))
+    for i in range(4):
+        shift[i, i + 1, 0] = 1.0
+    sparse = [(shift, np.eye(5)[0])]
+    for _ in range(60):
+        n, k = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+        ops = rng.normal(size=(k, n, n)) * (rng.random((k, n, n)) < rng.uniform(0.05, 0.3))
+        seed = rng.normal(size=n) * (rng.random(n) < 0.5)
+        seed[int(rng.integers(n))] = 1.0
+        sparse.append((ops, seed))
+    for ops, seed in sparse:
+        triple = type("Ops", (), {"N": ops.shape[1], "k": ops.shape[0]})
+        cache = _StackedOps(ops)
+        cases.append((triple, cache, seed, orbit_span(triple, None, None, seed, cache=cache)))
+    for triple, cache, seed, got in cases:
+        want = orbit_span_rounds(triple, cache, seed)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got.T @ got - want.T @ want)) <= 1e-10
+
+
+def test_node_rows_match_harmonicity_functional(analysed):
+    rng = np.random.default_rng(44)
+    for triple, form, r, dg in analysed:
+        data = rng.normal(size=(triple.N, 8))
+        max_coeff = form.max_coefficient()
+        for (j, s) in dg.nodes:
+            comp = dg.component_data[j]
+            got = _node_row(form.matrix()[j], comp, s) @ data
+            want = np.array([harmonicity_functional(form, comp, s, u) for u in data.T])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the stored magnitudes, recomputed one functional and one vector at a time
+        for (src, dst), mag in dg.magnitudes.items():
+            comp = dg.component_data[dst[0]]
+            ref = max(
+                abs(harmonicity_functional(form, comp, dst[1], b)) / (max_coeff * np.max(np.abs(b)))
+                for b in dg.spans[src]
+            )
+            assert mag == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+
+def test_magnitudes_skip_zero_vectors():
+    span = np.array([[0.0, 0.0, 0.0], [0.6, -0.8, 0.0]])
+    rows = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 2.0]])
+    got = _magnitudes(span, rows, 2.0)
+    assert got.tolist() == [0.6 / (2.0 * 0.8), 0.0]
+    assert _magnitudes(span[:1], rows, 2.0).tolist() == [0.0, 0.0]
 
 
 def test_harmonicity_functional_examples(tree_gasket, tree_eigenform):
@@ -181,18 +271,32 @@ def test_digraph_matches_word_enumeration(gasket, tree_gasket, vicsek, gasket_ei
 
 
 def test_sink_criterion_matches_subset_enumeration(gasket, tree_gasket, vicsek, gasket_eigenform, tree_eigenform, vicsek_eigenform):
+    graphs = []
     for triple, form, r in [
         (gasket, gasket_eigenform, R3),
         (tree_gasket, tree_eigenform, R3),
         (vicsek, vicsek_eigenform, np.ones(5)),
     ]:
         dg = stability_digraph(triple, form, r)
-        sinks = _sink_sccs(dg.nodes, dg.edges)
-        assert (len(sinks) == 1) == (not has_two_disjoint_closed_subsets(dg.nodes, dg.edges))
-        # every closed set contains a sink, and sinks themselves are closed
-        subsets = closed_subsets(dg.nodes, dg.edges)
+        graphs.append((dg.nodes, dg.edges))
+    rng = np.random.default_rng(45)
+    for _ in range(40):
+        nodes = [(int(a), int(b)) for a, b in rng.integers(0, 4, size=(int(rng.integers(1, 11)), 2))]
+        nodes = sorted(set(nodes))
+        density = rng.uniform(0.0, 0.35)
+        edges = {(a, b) for a in nodes for b in nodes if rng.random() < density}
+        graphs.append((nodes, edges))
+    for nodes, edges in graphs:
+        sinks = _sink_sccs(nodes, edges)
+        assert (len(sinks) == 1) == (not has_two_disjoint_closed_subsets(nodes, edges))
+        assert sinks == sorted(sinks, key=lambda scc: scc[0])
+        assert all(scc == sorted(scc) for scc in sinks)
+        # sinks are exactly the minimal closed sets: each is closed and has
+        # no closed proper subset, and every closed set contains one
+        subsets = closed_subsets(nodes, edges)
         for scc in sinks:
             assert frozenset(scc) in subsets
+            assert not any(sub < frozenset(scc) for sub in subsets)
         for subset in subsets:
             assert any(frozenset(s) <= subset for s in sinks)
 
@@ -265,8 +369,6 @@ def test_unique_case_perturbation_returns_to_multiple(gasket, gasket_eigenform):
         for pair in [(0, 1), (0, 2), (1, 2)]
     }
     assert min(coeffs.values()) > 0
-    from eigenform_lab import find_eigenform
-
     res = find_eigenform(gasket, R3, init=DirichletForm(3, coeffs))
     assert res.converged
     vec = res.form.vector()
