@@ -113,9 +113,17 @@ class DirichletForm:
         return float(self.vector().sum())
 
     def scaled(self, factor: float) -> "DirichletForm":
-        if factor < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return DirichletForm.from_matrix(self._m * factor)
+        if not (factor >= 0 and np.isfinite(factor)):
+            raise ValueError(f"scale factor must be finite and nonnegative, got {factor}")
+        m = self._m * factor
+        if not np.isfinite(m).all():
+            raise ValueError(f"scaling by {factor} overflows a coefficient")
+        # a finite nonnegative multiple of a valid matrix is valid as it
+        # stands, so it skips from_matrix's symmetry and per-entry checks
+        m.flags.writeable = False
+        out = object.__new__(DirichletForm)
+        out.N, out._m = self.N, m
+        return out
 
     def __repr__(self):
         items = ", ".join(f"({a},{b}): {c:.6g}" for a, b, c in self.coefficient_items())

@@ -8,15 +8,23 @@ common support of every eigenform.  The same lift also drives the per-vertex
 component bookkeeping (component permutation, periods, and the split of each
 component into a positive part and a vanishing part) that the uniqueness
 certificate consumes.
+
+Every operator here reads one labelling of a lifted graph: the connected
+components of its interior vertices, and the components each boundary id
+touches.  The labelling is cached per (triple, graph) and the stable graph per
+triple, since both depend on nothing else.  The operators assume a triple that
+passes :func:`~eigenform_lab.fractal.validate` (the CLI validates first); in
+particular boundary id ``j`` lies in cell ``j`` only, so no lifted edge joins
+two boundary ids.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._graphutil import adjacency, split_components, sorted_edge
+from ._graphutil import adjacency, connected_within, split_components, sorted_edge
 from .errors import InternalConsistencyError
 from .fractal import FractalTriple
 
@@ -58,8 +66,6 @@ class BoundaryGraph:
         return adjacency(self.N, self.edges)
 
     def is_connected(self) -> bool:
-        from ._graphutil import connected_within
-
         return connected_within(range(self.N), self.adjacency())
 
     def components_excluding(self, j: int) -> tuple[tuple[int, ...], ...]:
@@ -93,23 +99,38 @@ def lift_edges(
     return frozenset(lifted)
 
 
-def _interior_reach(triple: FractalTriple, adj: list[set[int]], start: int) -> set[int]:
-    """All vertices reachable from ``start`` by paths whose intermediate
-    vertices are interior.  Boundary vertices are recorded when hit but never
-    walked through; the start itself is expanded."""
-    n = triple.N
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y in seen:
-                continue
-            seen.add(y)
-            if y >= n:
-                queue.append(y)
-    seen.discard(start)
-    return seen
+def _interior_labels(triple: FractalTriple, lifted) -> tuple[list[int], list[set[int]]]:
+    """Component label of every interior vertex of a lifted graph, over the
+    subgraph its interior vertices induce (boundary ids get ``-1``), and the
+    lifted adjacency."""
+    adj = adjacency(triple.num_vertices, lifted)
+    labels = [-1] * triple.num_vertices
+    for c, comp in enumerate(split_components(triple.interior, adj)):
+        for x in comp:
+            labels[x] = c
+    return labels, adj
+
+
+def _touching(n: int, touch) -> BoundaryGraph:
+    """Graph joining the boundary ids whose label sets ``touch`` meet."""
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if touch[a] & touch[b]]
+    return BoundaryGraph(n, frozenset(edges))
+
+
+@functools.lru_cache(maxsize=8)
+def _contacts(
+    triple: FractalTriple, g: BoundaryGraph
+) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
+    """Interior-component labels of the lift of ``g`` through every cell, and
+    per boundary id the frozenset of labels it touches.
+
+    A lifted edge never joins two boundary ids, so two of them are joined by a
+    path through interior vertices exactly when they touch a common label.
+    Cached per (triple, graph); the values are immutable.
+    """
+    labels, adj = _interior_labels(triple, lift_edges(triple, g.edges))
+    touch = tuple(frozenset(labels[y] for y in adj[j]) for j in range(triple.N))
+    return tuple(labels), touch
 
 
 def lambda_graph(triple: FractalTriple, g: BoundaryGraph) -> BoundaryGraph:
@@ -119,14 +140,7 @@ def lambda_graph(triple: FractalTriple, g: BoundaryGraph) -> BoundaryGraph:
     path running through interior vertices only.  The operator is monotone in
     the edge set and preserves connectedness.
     """
-    lifted = lift_edges(triple, g.edges)
-    adj = adjacency(triple.num_vertices, lifted)
-    out = set()
-    for j in range(triple.N):
-        for t in _interior_reach(triple, adj, j):
-            if t < triple.N and t != j:
-                out.add(sorted_edge(j, t))
-    return BoundaryGraph(triple.N, frozenset(out))
+    return _touching(triple.N, _contacts(triple, g)[1])
 
 
 def tilde_graph(triple: FractalTriple) -> BoundaryGraph:
@@ -137,29 +151,18 @@ def tilde_graph(triple: FractalTriple) -> BoundaryGraph:
     non-boundary cells alone; a shared vertex counts as a zero-length path.
     """
     n = triple.N
-    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    lifted = lift_edges(triple, all_pairs, range(n, triple.k))
-    adj = adjacency(triple.num_vertices, lifted)
-    comps = split_components(range(triple.num_vertices), adj)
-    comp_id = {}
-    for ci, comp in enumerate(comps):
-        for x in comp:
-            comp_id[x] = ci
-    reach = [{comp_id[x] for x in triple.cells[j]} for j in range(n)]
-    edges = {
-        (j1, j2)
-        for j1 in range(n)
-        for j2 in range(j1 + 1, n)
-        if reach[j1] & reach[j2]
-    }
-    return BoundaryGraph(n, frozenset(edges))
+    lifted = lift_edges(triple, complete_graph(n).edges, range(n, triple.k))
+    labels, _ = _interior_labels(triple, lifted)
+    return _touching(n, [{labels[x] for x in triple.cells[j] if x != j} for j in range(n)])
 
 
+@functools.lru_cache(maxsize=8)
 def hat_graph(triple: FractalTriple) -> BoundaryGraph:
     """Least fixed point of the propagation operator above the contact graph.
 
     The edge set grows monotonically inside a finite lattice, so the loop must
     close within ``N(N-1)/2`` rounds; exceeding the cap is a hard failure.
+    Cached per triple.
     """
     g = tilde_graph(triple)
     cap = triple.N * (triple.N - 1) // 2 + 1
@@ -196,32 +199,18 @@ class ComponentData:
     def m(self) -> int:
         return len(self.components)
 
-    def index_of(self, vertex: int) -> int:
-        for s, comp in enumerate(self.components):
-            if vertex in comp:
-                return s
-        raise ValueError(f"vertex {vertex} is not in any component for j={self.j}")
 
-
-def _l_single(
-    triple: FractalTriple, adj: list[set[int]], j: int, j_prime: int
-) -> frozenset[int]:
-    """Boundary ids whose image inside cell ``j`` is reachable from ``j_prime``
-    through interior vertices of the lifted stable graph."""
-    reach = _interior_reach(triple, adj, j_prime)
-    cell = triple.cells[j]
-    return frozenset(
-        h for h in range(triple.N) if h != j and cell[h] in reach
-    )
-
-
-def _single_images(
-    triple: FractalTriple, j: int, hat: BoundaryGraph
-) -> dict[int, frozenset[int]]:
-    """``_l_single`` image of every boundary id other than ``j``, over the
-    lift of the stable graph through every cell."""
-    adj = adjacency(triple.num_vertices, lift_edges(triple, hat.edges))
-    return {jp: _l_single(triple, adj, j, jp) for jp in range(triple.N) if jp != j}
+def _single_images(triple: FractalTriple, j: int, g: BoundaryGraph) -> dict[int, frozenset[int]]:
+    """Cell-``j`` image of every boundary id ``j'`` other than ``j``: the ids
+    ``h != j`` whose copy ``cells[j][h]`` the lift of ``g`` joins to ``j'``
+    through interior vertices."""
+    labels, touch = _contacts(triple, g)
+    cell_labels = [(h, labels[triple.cells[j][h]]) for h in range(triple.N) if h != j]
+    return {
+        jp: frozenset(h for h, lab in cell_labels if lab in touch[jp])
+        for jp in range(triple.N)
+        if jp != j
+    }
 
 
 def components(
@@ -298,13 +287,7 @@ def components(
     )
 
 
-def l_j_image(
-    triple: FractalTriple,
-    j: int,
-    vertices: Iterable[int],
-    n: int = 1,
-    hat: BoundaryGraph | None = None,
-) -> frozenset[int]:
+def l_j_image(triple: FractalTriple, j: int, vertices: Iterable[int], n: int = 1) -> frozenset[int]:
     """n-fold image of a boundary vertex set under the cell-``j`` image map."""
     if not 0 <= j < triple.N:
         raise ValueError(f"j={j} is not a boundary id")
@@ -316,7 +299,7 @@ def l_j_image(
             raise ValueError(f"vertex {x} is not a boundary id distinct from j={j}")
     if n == 0 or not current:
         return current
-    singles = _single_images(triple, j, hat or hat_graph(triple))
+    singles = _single_images(triple, j, hat_graph(triple))
     for _ in range(n):
         current = frozenset(x for p in current for x in singles[p])
     return current

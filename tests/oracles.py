@@ -1,16 +1,25 @@
 """Brute-force reference computations used only as test oracles.
 
 Each routine here recomputes a quantity by the most direct method available
-(entry-by-entry Laplacian assembly, single global Schur reduction, round-based
-orbit closure, exhaustive word enumeration, exhaustive subset enumeration)
-without going through the production code paths it checks.
+(entry-by-entry Laplacian assembly, single global Schur reduction, one
+breadth-first search per boundary vertex, round-based orbit closure,
+exhaustive word enumeration, exhaustive subset enumeration) without going
+through the production code paths it checks.
 """
 
 import itertools
+from collections import deque
 
 import numpy as np
 
-from eigenform_lab import DirichletForm, harmonicity_functional, pair_list
+from eigenform_lab import (
+    BoundaryGraph,
+    DirichletForm,
+    harmonicity_functional,
+    lift_edges,
+    pair_list,
+)
+from eigenform_lab._graphutil import adjacency
 from eigenform_lab.renorm import OperatorCache
 
 
@@ -77,6 +86,50 @@ def two_level_form(triple, form, weights):
         lap[np.ix_(inner, inner)], lap[np.ix_(inner, bnd)]
     )
     return DirichletForm(n, {(a, b): max(-schur[a, b], 0.0) for a, b in pair_list(n)})
+
+
+def _interior_reach(triple, adj, start):
+    """All vertices reachable from ``start`` by paths whose intermediate
+    vertices are interior.  Boundary vertices are recorded when hit but never
+    walked through; the start itself is expanded."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y in seen:
+                continue
+            seen.add(y)
+            if y >= triple.N:
+                queue.append(y)
+    seen.discard(start)
+    return seen
+
+
+def lambda_graph_bfs(triple, g):
+    """Propagation operator by one interior-path search per boundary id over
+    the lift of ``g`` through every cell."""
+    adj = adjacency(triple.num_vertices, lift_edges(triple, g.edges))
+    edges = set()
+    for j in range(triple.N):
+        for t in _interior_reach(triple, adj, j):
+            if t < triple.N and t != j:
+                edges.add((min(j, t), max(j, t)))
+    return BoundaryGraph(triple.N, frozenset(edges))
+
+
+def single_images_bfs(triple, j, hat):
+    """Cell-``j`` image of every boundary id ``j' != j``: the ids ``h != j``
+    whose copy ``cells[j][h]`` an interior-path search from ``j'`` over the
+    lift of ``hat`` reaches."""
+    adj = adjacency(triple.num_vertices, lift_edges(triple, hat.edges))
+    cell = triple.cells[j]
+    out = {}
+    for jp in range(triple.N):
+        if jp != j:
+            reach = _interior_reach(triple, adj, jp)
+            out[jp] = frozenset(h for h in range(triple.N) if h != j and cell[h] in reach)
+    return out
 
 
 def orbit_span_rounds(triple, cache, seed, rank_tol=1e-10):

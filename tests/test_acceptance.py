@@ -272,7 +272,7 @@ def test_criterion_6_identity_suites(corpus):
                     basis[jp] = 1.0
                     numeric = cache.word([j] * m) @ basis
                     pattern = frozenset(np.flatnonzero(numeric > 1e-12 * max(numeric.max(), 1e-300)).tolist())
-                    assert pattern == l_j_image(triple, j, [jp], m, hat=hat)
+                    assert pattern == l_j_image(triple, j, [jp], m)
             # set version with random nonnegative data
             for _ in range(6):
                 rest = [x for x in range(n) if x != j]
@@ -285,7 +285,7 @@ def test_criterion_6_identity_suites(corpus):
                     numeric = cache.word([j] * m) @ u
                     top = max(float(numeric.max()), 1e-300)
                     pattern = frozenset(np.flatnonzero(numeric > 1e-12 * top).tolist())
-                    assert pattern == l_j_image(triple, j, base, m, hat=hat)
+                    assert pattern == l_j_image(triple, j, base, m)
 
         # energy splits over components, and nonconstant data activates a node
         for _ in range(110):

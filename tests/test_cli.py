@@ -180,3 +180,13 @@ def test_report_matches_golden(name, capsys):
     # byte for byte; a deliberate output change regenerates these files
     assert run(["report", name]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"report_{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["g8", "vicsek9"])
+def test_graphs_matches_golden(name, gen, tmp_path, capsys):
+    # the built-ins stop at N = 4; these cover wide-boundary component data
+    triple = gen.simplex_gasket(8) if name == "g8" else gen.vicsek(9)
+    path = tmp_path / f"{name}.json"
+    path.write_text(dumps(triple_to_dict(triple)))
+    assert run(["graphs", str(path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"graphs_{name}.json").read_text(encoding="utf-8")

@@ -123,6 +123,24 @@ def test_from_matrix_rejects_nonzero_diagonal():
         DirichletForm.from_matrix(np.array([[1.0, 0.5], [0.5, 0.0]]))
 
 
+def test_scaled_matches_validated_route():
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 5, 8, 12):
+        for _ in range(4):
+            upper = np.triu(rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.7), 1)
+            form = DirichletForm.from_matrix(upper + upper.T)
+            for factor in (0.0, 1e-8, 1.0, 1e8, rng.uniform(0.1, 10.0)):
+                got = form.scaled(factor)
+                want = DirichletForm.from_matrix(form.matrix() * factor)
+                assert got.N == want.N
+                assert got.matrix().tobytes() == want.matrix().tobytes()
+                assert not got.matrix().flags.writeable
+    form = DirichletForm.ones(3)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            form.scaled(bad)
+
+
 def test_vector_order_and_roundtrip():
     form = DirichletForm(3, {(0, 1): 1.0, (1, 2): 3.0})
     assert np.allclose(form.vector(), [1.0, 0.0, 3.0])

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from eigenform_lab import (
     BoundaryGraph,
     InternalConsistencyError,
+    builtin,
+    builtin_names,
     complete_graph,
     components,
     hat_graph,
@@ -13,6 +16,8 @@ from eigenform_lab import (
     lambda_graph,
     tilde_graph,
 )
+from eigenform_lab.graphs import _single_images
+from oracles import lambda_graph_bfs, single_images_bfs
 
 
 def edges(*pairs):
@@ -171,3 +176,63 @@ def test_boundary_graph_validation():
         BoundaryGraph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         BoundaryGraph.from_edges(3, [(0, 3)])
+
+
+def _oracle_triples(gen):
+    """The corpus and generated families, each followed by three seeded
+    relabellings of its interior ids and non-boundary cells."""
+    base = [builtin(name) for name in builtin_names()]
+    base += [gen.simplex_gasket(d) for d in (4, 5, 8, 10, 12)]
+    base += [gen.vicsek(n) for n in range(5, 10)]
+    base += [
+        gen.iterate(builtin(name), m)[0]
+        for name, m in (("gasket", 3), ("vicsek", 2), ("tree_gasket", 3))
+    ]
+    base.append(gen.iterate(gen.simplex_gasket(4), 2)[0])
+    out = []
+    for i, triple in enumerate(base):
+        out.append(triple)
+        for s in range(3):
+            out.append(gen.relabel(triple, [1.0] * triple.k, random.Random(100 * i + s))[0])
+    return out
+
+
+def test_graph_operators_match_bfs_oracle(gen):
+    rng = random.Random(11)
+    for triple in _oracle_triples(gen):
+        n = triple.N
+        hat = hat_graph(triple)
+        g = tilde_graph(triple)
+        while lambda_graph_bfs(triple, g) != g:
+            g = lambda_graph_bfs(triple, g)
+        assert g == hat, triple.name
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs = [hat]
+        for _ in range(10):
+            density = rng.random()
+            graphs.append(BoundaryGraph.from_edges(n, [p for p in pairs if rng.random() < density]))
+        for g in graphs:
+            assert lambda_graph(triple, g) == lambda_graph_bfs(triple, g), triple.name
+            for j in range(n):
+                assert _single_images(triple, j, g) == single_images_bfs(triple, j, g), triple.name
+        for j in range(n):
+            for jp, img in single_images_bfs(triple, j, hat).items():
+                assert l_j_image(triple, j, [jp]) == img
+
+
+def test_graph_caches_key_on_cells(gen):
+    # relabellings share name, N, k and vertex count with the original, and
+    # boundary ids are fixed, so their stable graph and component data agree
+    for triple in (gen.simplex_gasket(8), gen.vicsek(6), gen.iterate(builtin("tree_gasket"), 3)[0]):
+        want_hat = hat_graph(triple)
+        want = [components(triple, j) for j in range(triple.N)]
+        for s in range(3):
+            other = gen.relabel(triple, [1.0] * triple.k, random.Random(s))[0]
+            assert (other.name, other.N, other.k, other.num_vertices) == (
+                triple.name, triple.N, triple.k, triple.num_vertices
+            )
+            assert other.cells != triple.cells
+            assert hat_graph(other) == want_hat
+            assert [components(other, j) for j in range(other.N)] == want
+            assert hat_graph(triple) == want_hat
+            assert [components(triple, j) for j in range(triple.N)] == want
