@@ -7,6 +7,7 @@ Forms are immutable; all operations here are pure.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -34,6 +35,14 @@ COEFF_EPS = 1e-10
 def pair_list(n: int) -> list[tuple[int, int]]:
     """Canonical ordering of the unordered vertex pairs."""
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs in ``pair_list`` order (read-only)."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 class DirichletForm:
@@ -103,8 +112,8 @@ class DirichletForm:
         ]
 
     def vector(self) -> np.ndarray:
-        """Coefficients in canonical pair order."""
-        return np.array([self._m[a, b] for a, b in pair_list(self.N)])
+        """Coefficients in canonical pair order, as a fresh array."""
+        return self._m[_pair_index(self.N)]
 
     def max_coefficient(self) -> float:
         return float(self._m.max())

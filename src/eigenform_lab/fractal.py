@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from ._graphutil import adjacency, connected_within
+from ._graphutil import adjacency, connected_within, split_components
 
 __all__ = [
     "FractalTriple",
@@ -147,12 +147,11 @@ def connectivity_flags(triple: FractalTriple) -> ConnectivityFlags:
 
     a_conn = True
     for j in range(n):
-        allowed = set(range(k)) - {j}
         # every surviving boundary index must sit in one component of the rest
         targets = [i for i in range(n) if i != j]
         if len(targets) > 1:
-            seen = _reach_within(targets[0], allowed, adj)
-            if not all(t in seen for t in targets[1:]):
+            parts = split_components(set(range(k)) - {j}, adj)
+            if not any(set(targets) <= set(part) for part in parts):
                 a_conn = False
                 break
 
@@ -163,18 +162,6 @@ def connectivity_flags(triple: FractalTriple) -> ConnectivityFlags:
     inner = set(range(n, k))
     o_conn = disjoint and bool(inner) and connected_within(inner, adj)
     return ConnectivityFlags(a_connected=a_conn, o_connected=o_conn)
-
-
-def _reach_within(start, allowed, adj):
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y in allowed and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
 
 
 def uniform_weights(triple: FractalTriple) -> np.ndarray:

@@ -6,8 +6,9 @@ extensions of given boundary data is a linear solve against the interior block
 of the network Laplacian; reading the minimum energy back as a quadratic form
 in the boundary data is the Schur complement of that Laplacian onto the
 boundary.  The boundary-to-boundary maps obtained by restricting the minimizer
-to a single cell are small stochastic matrices and are cached per
-(form, weights) pair, since every composite map is a product of them.
+to a single cell are small stochastic matrices; ``OperatorCache`` holds the k
+of them for one (triple, form, weights) context and multiplies words on
+demand, since every composite map is a product of them.
 
 Every interior solve goes through one helper: a reachability check that names
 the offending vertex, then dense LU with partial pivoting.  The interior block
@@ -116,13 +117,14 @@ def _solve_interior(
     lap: np.ndarray,
     free: Sequence[int],
     fixed: Sequence[int],
+    block: np.ndarray,
     rhs: np.ndarray,
 ) -> np.ndarray:
-    """``solve(L_FF, rhs)`` on the free block of the network Laplacian, once
-    every free vertex is known to reach a fixed one."""
+    """``solve(block, rhs)``, ``block`` being the free block ``L_FF`` of the
+    network Laplacian, once every free vertex is known to reach a fixed one."""
     _check_reachable(triple, lap, free, fixed)
     try:
-        return np.linalg.solve(lap[np.ix_(free, free)], rhs)
+        return np.linalg.solve(block, rhs)
     except np.linalg.LinAlgError:
         # reachability held, so this is numerical breakdown rather than a
         # disconnected vertex; report the first free vertex
@@ -153,10 +155,20 @@ def _extension(
     values = np.empty(triple.num_vertices)
     values[fixed] = fixed_vals
     values[free] = _solve_interior(
-        triple, lap, free, fixed, -(lap[np.ix_(free, fixed)] @ fixed_vals)
+        triple, lap, free, fixed, lap[np.ix_(free, free)], -(lap[np.ix_(free, fixed)] @ fixed_vals)
     )
     values.flags.writeable = False
     return ExtensionResult(values, one_step_energy(triple, form, weights, values))
+
+
+def _boundary_extension(triple: FractalTriple, lap: np.ndarray) -> np.ndarray:
+    """``solve(L_FF, -L_FB)``: column ``p`` holds the interior values of the
+    minimizing extension of the unit vector at boundary vertex ``p``.  The
+    boundary ids ``0..N-1`` come first, so both blocks are slices."""
+    n = triple.N
+    return _solve_interior(
+        triple, lap, range(n, triple.num_vertices), range(n), lap[n:, n:], -lap[n:, :n]
+    )
 
 
 def harmonic_extension(
@@ -193,10 +205,7 @@ def renormalize(triple: FractalTriple, form: DirichletForm, weights) -> Dirichle
     """
     lap = conductance_laplacian(triple, form, weights)
     n = triple.N
-    boundary = list(range(n))
-    free = list(range(n, triple.num_vertices))
-    b = lap[np.ix_(free, boundary)]
-    s = lap[np.ix_(boundary, boundary)] - b.T @ _solve_interior(triple, lap, free, boundary, b)
+    s = lap[:n, :n] + lap[n:, :n].T @ _boundary_extension(triple, lap)
     coeffs = {}
     off = [-s[a_, b_] for a_, b_ in pair_list(n)]
     scale = max((abs(x) for x in off), default=0.0)
@@ -210,15 +219,18 @@ def renormalize(triple: FractalTriple, form: DirichletForm, weights) -> Dirichle
 
 
 class OperatorCache:
-    """All cell operators for one (triple, form, weights) context.
+    """The cell operators of one (triple, form, weights) context.
 
+    This is the one object every operator consumer reads (Perron data, orbit
+    spans, penalty forms): build it once per context and pass it along.
     Built once, read-only afterwards.  Row ``p`` of the cell-``i`` operator
     expresses the minimizing extension, read at the image of boundary vertex
     ``p`` inside cell ``i``, as a linear function of the boundary data; rows
     sum to one.
 
-    ``ops`` stacks the operators into one read-only ``(k, N, N)`` array, so
-    ``ops @ u`` gives the images of ``u`` under every cell at once.
+    ``ops`` stacks the k operators into one read-only ``(k, N, N)`` array, so
+    ``ops @ u`` gives the images of ``u`` under every cell at once; ``word``
+    multiplies them on demand and stores nothing.
     """
 
     def __init__(self, triple: FractalTriple, form: DirichletForm, weights):
@@ -226,13 +238,8 @@ class OperatorCache:
         self.form = form
         self.weights = check_weights(triple, weights)
         lap = conductance_laplacian(triple, form, self.weights)
-        n = triple.N
-        boundary = list(range(n))
-        free = list(range(n, triple.num_vertices))
         # boundary data to the full minimizing extension: [I; -L_FF^-1 L_FB]
-        ext = np.vstack(
-            [np.eye(n), _solve_interior(triple, lap, free, boundary, -lap[np.ix_(free, boundary)])]
-        )
+        ext = np.vstack([np.eye(triple.N), _boundary_extension(triple, lap)])
         self.ops = ext[np.array(triple.cells)]
         self.ops.flags.writeable = False
 

@@ -6,6 +6,9 @@ coordinate block; its Perron pair, the pushed-forward eigenvector on the full
 component, and the limiting projection coefficient of arbitrary data feed the
 stability analysis.
 
+Every function here reads the cell operators of one ``OperatorCache``, its
+first argument, which also carries the triple and form they belong to.
+
 Eigenvectors are normalized to sup-norm one with positive entries.  Perron
 pairs come from power iteration with a Rayleigh-quotient eigenvalue, falling
 back to a dense eigensolver on stagnation; the matrices are tiny and strictly
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, NonConvergenceError
-from .forms import COEFF_EPS, DirichletForm
-from .fractal import FractalTriple
+from .forms import COEFF_EPS
 from .graphs import ComponentData
 from .renorm import OperatorCache
 
@@ -102,54 +104,38 @@ def _positive_sup_normalized(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def perron_positive(
-    triple: FractalTriple,
-    form: DirichletForm,
-    weights,
-    j: int,
-    cache: OperatorCache | None = None,
-) -> tuple[np.ndarray, float]:
+def perron_positive(cache: OperatorCache, j: int) -> tuple[np.ndarray, float]:
     """Perron pair of the cell-``j`` operator on data vanishing at ``j``.
 
     Requires a positive form (every pair coefficient above the zero
     threshold); then the operator restricted to the complementary coordinates
     is entrywise positive and the pair is unique.
     """
-    vec = form.vector()
+    vec = cache.form.vector()
     if vec.min() <= COEFF_EPS * vec.max():
         raise ValueError("perron_positive requires a positive form")
-    cache = cache or OperatorCache(triple, form, weights)
-    others = [p for p in range(triple.N) if p != j]
+    n = cache.triple.N
+    others = [p for p in range(n) if p != j]
     block = cache.cell(j)[np.ix_(others, others)]
     if block.min() <= 0.0:
         raise InternalConsistencyError(
             f"restricted cell operator at j={j} is not entrywise positive"
         )
     small, value = _perron_pair(block)
-    u_bar = np.zeros(triple.N)
+    u_bar = np.zeros(n)
     u_bar[others] = _positive_sup_normalized(small)
     u_bar.flags.writeable = False
     return u_bar, value
 
 
-def perron_component(
-    triple: FractalTriple,
-    form: DirichletForm,
-    weights,
-    j: int,
-    s: int,
-    comp: ComponentData,
-    cache: OperatorCache | None = None,
-) -> PerronData:
-    """Perron data of component ``s`` at boundary vertex ``j``.
+def perron_component(cache: OperatorCache, comp: ComponentData, s: int) -> PerronData:
+    """Perron data of component ``s`` at the boundary vertex ``comp.j``.
 
     The operator power matching the component period, cut down to the
     surviving coordinates, must be entrywise positive; anything else is an
     internal-consistency failure.
     """
-    if comp.j != j:
-        raise ValueError(f"component data is for j={comp.j}, not j={j}")
-    cache = cache or OperatorCache(triple, form, weights)
+    j, n = comp.j, cache.triple.N
     period = comp.periods[s]
     power = cache.word((j,) * period)
     prime = list(comp.c_prime[s])
@@ -159,12 +145,12 @@ def perron_component(
             f"component-restricted operator at (j={j}, s={s}) is not entrywise positive"
         )
     small, value = _perron_pair(block)
-    u_bar = np.zeros(triple.N)
+    u_bar = np.zeros(n)
     u_bar[prime] = _positive_sup_normalized(small)
 
     u_tilde = power @ u_bar
     inside = np.array(comp.components[s])
-    outside = np.setdiff1d(np.arange(triple.N), inside)
+    outside = np.setdiff1d(np.arange(n), inside)
     stray = np.max(np.abs(u_tilde[outside])) if outside.size else 0.0
     if stray > 1e-10 * np.max(np.abs(u_tilde)):
         raise InternalConsistencyError(
@@ -201,14 +187,7 @@ def project_g_tilde(u, comp: ComponentData, s: int) -> np.ndarray:
 
 
 def pi_limit(
-    triple: FractalTriple,
-    form: DirichletForm,
-    weights,
-    pdata: PerronData,
-    u,
-    tol: float = 1e-12,
-    max_iter: int = 500,
-    cache: OperatorCache | None = None,
+    cache: OperatorCache, pdata: PerronData, u, tol: float = 1e-12, max_iter: int = 500
 ) -> float:
     """Limiting coefficient of data along the component eigenvector.
 
@@ -217,8 +196,7 @@ def pi_limit(
     against it.  The input must be supported on the component.
     """
     u = np.asarray(u, dtype=float)
-    cache = cache or OperatorCache(triple, form, weights)
-    outside = set(range(triple.N)) - set(np.flatnonzero(pdata.u_tilde > 0.0).tolist())
+    outside = set(range(cache.triple.N)) - set(np.flatnonzero(pdata.u_tilde > 0.0).tolist())
     stray = max((abs(u[v]) for v in outside), default=0.0)
     if stray > 1e-9 * max(np.max(np.abs(u)), 1e-300):
         raise ValueError("data must be supported on the component")

@@ -19,6 +19,11 @@ so the rows of all nodes stack into a (nodes x N) matrix and the edges out of
 a source are one product of that matrix with the source's span basis.  Sinks
 of the condensation are read off reachability: a node lies in a sink exactly
 when every node it reaches reaches it back.
+
+Orbit spans, Perron data and penalty forms all read one ``OperatorCache``,
+passed as their first argument: ``stability_digraph`` builds it once per
+(triple, form, weights), the positive-form cross-check reuses the digraph's,
+and ``explore_nonuniqueness`` builds one for its penalties.
 """
 
 from __future__ import annotations
@@ -92,16 +97,9 @@ class StabilityVerdict:
     diagnostics: dict = field(default_factory=dict)
 
 
-def orbit_span(
-    triple: FractalTriple,
-    form: DirichletForm,
-    weights,
-    seed,
-    rank_tol: float = RANK_TOL,
-    cache: OperatorCache | None = None,
-) -> np.ndarray:
+def orbit_span(cache: OperatorCache, seed, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the smallest subspace containing ``seed`` that is
-    invariant under every cell operator.
+    invariant under every cell operator of ``cache``.
 
     Worklist closure: every basis vector, in the order it was adjoined, is
     pushed through all cell operators once, and its images are taken in cell
@@ -113,8 +111,7 @@ def orbit_span(
     norm = np.linalg.norm(seed)
     if norm == 0.0:
         raise ValueError("orbit seed must be nonzero")
-    cache = cache or OperatorCache(triple, form, weights)
-    n = triple.N
+    n = cache.ops.shape[-1]
     basis = np.zeros((n, n))
     basis[0] = seed / norm
     dim = 1
@@ -170,17 +167,14 @@ def _node_list(comp_by_j: Mapping[int, ComponentData]) -> list[Node]:
 
 
 def stability_digraph(
-    triple: FractalTriple,
-    form: DirichletForm,
-    weights,
-    phi_tol: float = PHI_TOL,
-    cache: OperatorCache | None = None,
+    triple: FractalTriple, form: DirichletForm, weights, phi_tol: float = PHI_TOL
 ) -> StabilityDigraph:
     """Build the reachability digraph for a verified eigenform.
 
     An edge from one node to another states that the harmonicity functional
     of the target is nonzero, beyond the relative threshold, somewhere on the
-    invariant span generated by the source's eigenvector iterate.
+    invariant span generated by the source's eigenvector iterate.  The cell
+    operators are built once here and kept as ``StabilityDigraph.cache``.
     """
     r = check_weights(triple, weights)
     hat = hat_graph(triple)
@@ -189,13 +183,10 @@ def stability_digraph(
             "stability analysis requires a verified eigenform; the support "
             "graph does not match the stable boundary graph"
         )
-    cache = cache or OperatorCache(triple, form, r)
+    cache = OperatorCache(triple, form, r)
     comp_by_j = {j: components(triple, j, hat) for j in range(triple.N)}
     nodes = _node_list(comp_by_j)
-    payload = {
-        (j, s): perron_component(triple, form, r, j, s, comp_by_j[j], cache=cache)
-        for (j, s) in nodes
-    }
+    payload = {(j, s): perron_component(cache, comp_by_j[j], s) for (j, s) in nodes}
     max_coeff = form.max_coefficient()
     # the pivot lies outside its components, so the Laplacian row reduces to
     # the coefficient row
@@ -207,7 +198,7 @@ def stability_digraph(
     magnitudes = {}
     warnings = []
     for src in nodes:
-        span = orbit_span(triple, form, r, payload[src].u_tilde, cache=cache)
+        span = orbit_span(cache, payload[src].u_tilde)
         spans[src] = span
         for dst, mag in zip(nodes, _magnitudes(span, rows, max_coeff).tolist()):
             magnitudes[(src, dst)] = mag
@@ -254,22 +245,18 @@ def _sink_sccs(
 
 
 def _positive_case_digraph(
-    triple: FractalTriple,
-    form: DirichletForm,
-    weights,
-    phi_tol: float,
-    cache: OperatorCache,
+    cache: OperatorCache, phi_tol: float
 ) -> tuple[list[int], set[tuple[int, int]]]:
     """Single-vertex variant for positive eigenforms: seeds are the plain
     Perron vectors and the functional is the difference operator itself."""
-    nodes = list(range(triple.N))
-    m = form.matrix()
+    nodes = list(range(cache.triple.N))
+    m = cache.form.matrix()
     rows = m - np.diag(m.sum(axis=1))
-    max_coeff = form.max_coefficient()
+    max_coeff = cache.form.max_coefficient()
     edges = set()
     for j in nodes:
-        u_bar, _ = perron_positive(triple, form, weights, j, cache=cache)
-        span = orbit_span(triple, form, weights, u_bar, cache=cache)
+        u_bar, _ = perron_positive(cache, j)
+        span = orbit_span(cache, u_bar)
         mags = _magnitudes(span, rows, max_coeff)
         edges |= {(j, jd) for jd in nodes if mags[jd] > phi_tol}
     return nodes, edges
@@ -299,7 +286,7 @@ def decide_uniqueness(
 
     vec = form.vector()
     if vec.min() > 1e-10 * vec.max():
-        pos_nodes, pos_edges = _positive_case_digraph(triple, form, r, phi_tol, dg.cache)
+        pos_nodes, pos_edges = _positive_case_digraph(dg.cache, phi_tol)
         pos_unique = len(_sink_sccs(pos_nodes, pos_edges)) == 1
         if pos_unique != unique:
             raise InternalConsistencyError(
@@ -325,36 +312,24 @@ def decide_uniqueness(
 
 
 def penalty_form(
-    triple: FractalTriple,
-    form: DirichletForm,
-    weights,
-    j: int,
-    s: int,
-    comp: ComponentData | None = None,
-    cache: OperatorCache | None = None,
-    fit_tol: float = 1e-8,
+    cache: OperatorCache, comp: ComponentData, s: int, fit_tol: float = 1e-8
 ) -> dict[tuple[int, int], float]:
-    """Squared harmonicity functional of a node as a pair-difference table.
+    """Squared harmonicity functional of the node ``(comp.j, s)`` as a
+    pair-difference table, for the form and operators of ``cache``.
 
     The functional is linear and kills constants, so its square is a quadratic
     form representable by (possibly negative) coefficients supported on the
     stable graph's edges; the representation is checked and a residual beyond
     tolerance raises.
     """
-    r = check_weights(triple, weights)
-    comp = comp or components(triple, j, None)
-    if comp.j != j:
-        raise ValueError(f"component data is for j={comp.j}, not j={j}")
-    cache = cache or OperatorCache(triple, form, r)
+    j, n = comp.j, cache.triple.N
     power = cache.word((j,) * comp.periods[s])
-    n = triple.N
-    m = form.matrix()
+    m = cache.form.matrix()
     lap_row = m[j] - np.eye(n)[j] * m[j].sum()
     ell = _node_row(lap_row @ power, comp, s)
     q = np.outer(ell, ell)
 
-    hat = hat_graph(triple)
-    table = {(a, b): -q[a, b] for a, b in hat.sorted_edges()}
+    table = {(a, b): -q[a, b] for a, b in hat_graph(cache.triple).sorted_edges()}
     recon = np.zeros((n, n))
     for (a, b), d in table.items():
         recon[a, b] -= d
@@ -424,8 +399,7 @@ def explore_nonuniqueness(
     hat = hat_graph(triple)
     combined: dict[tuple[int, int], float] = {}
     for (j, s) in verdict.witnesses[1]:
-        comp = components(triple, j, hat)
-        for pair, d in penalty_form(triple, form, r, j, s, comp=comp, cache=cache).items():
+        for pair, d in penalty_form(cache, components(triple, j, hat), s).items():
             combined[pair] = combined.get(pair, 0.0) + d
 
     hat_edges = hat.sorted_edges()

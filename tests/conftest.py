@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,11 +67,32 @@ def vicsek_eigenform(vicsek):
     return result.form
 
 
+def _load_perfbench(name):
+    """Module ``perfbench/<name>.py``, registered as ``perfbench_<name>``."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up by name while the module executes
+        sys.modules[key] = module
+        spec.loader.exec_module(module)
+    return sys.modules[key]
+
+
 @pytest.fixture(scope="session")
 def gen():
     """The benchmark's triple generators (``perfbench/gen.py``)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_perfbench("gen")
+
+
+@pytest.fixture(scope="session")
+def tracer():
+    """The benchmark's span recorder (``perfbench/tracer.py``)."""
+    return _load_perfbench("tracer")
+
+
+@pytest.fixture(scope="session")
+def pipeline():
+    """The benchmark's pipeline and gate (``perfbench/pipeline.py``)."""
+    return _load_perfbench("pipeline")

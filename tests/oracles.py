@@ -2,9 +2,10 @@
 
 Each routine here recomputes a quantity by the most direct method available
 (entry-by-entry Laplacian assembly, single global Schur reduction, one
-breadth-first search per boundary vertex, round-based orbit closure,
-exhaustive word enumeration, exhaustive subset enumeration) without going
-through the production code paths it checks.
+breadth-first search per boundary vertex, one depth-first search per removed
+boundary cell, round-based orbit closure, exhaustive word enumeration,
+exhaustive subset enumeration) without going through the production code
+paths it checks.
 """
 
 import itertools
@@ -15,11 +16,12 @@ import numpy as np
 from eigenform_lab import (
     BoundaryGraph,
     DirichletForm,
+    cell_graph,
     harmonicity_functional,
     lift_edges,
     pair_list,
 )
-from eigenform_lab._graphutil import adjacency
+from eigenform_lab._graphutil import adjacency, connected_within
 from eigenform_lab.renorm import OperatorCache
 
 
@@ -41,6 +43,33 @@ def conductance_laplacian_loop(triple, form, weights):
             lap[p, q] -= w
             lap[q, p] -= w
     return lap
+
+
+def connectivity_flags_dfs(triple):
+    """``(a_connected, o_connected)`` with one depth-first search over the
+    cell graph per removed boundary cell, started at the first surviving
+    boundary cell and kept off the removed one."""
+    n, k = triple.N, triple.k
+    adj = adjacency(k, cell_graph(triple))
+    a_conn = True
+    for j in range(n):
+        allowed = set(range(k)) - {j}
+        targets = [i for i in range(n) if i != j]
+        if len(targets) > 1:
+            seen = {targets[0]}
+            stack = [targets[0]]
+            while stack:
+                for y in adj[stack.pop()]:
+                    if y in allowed and y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            if not all(t in seen for t in targets[1:]):
+                a_conn = False
+                break
+    sets = [set(cell) for cell in triple.cells]
+    disjoint = all(not (sets[a] & sets[b]) for a in range(n) for b in range(a + 1, n))
+    inner = set(range(n, k))
+    return a_conn, disjoint and bool(inner) and connected_within(inner, adj)
 
 
 def two_level_form(triple, form, weights):

@@ -17,6 +17,7 @@ from eigenform_lab import (
     validate,
     verify_eigenform,
 )
+from eigenform_lab.renorm import OperatorCache
 from eigenform_lab.uniqueness import _sink_sccs
 
 from oracles import digraph_by_word_enumeration, has_two_disjoint_closed_subsets
@@ -100,10 +101,11 @@ def test_tree_gasket_matched_branch_weights():
     res = find_eigenform(triple, r)
     assert res.converged
     assert res.rho == pytest.approx(10.0 / 7.0, rel=1e-9)
+    cache = OperatorCache(triple, res.form, r)
     for j in range(3):
         comp = components(triple, j)
         for s in range(comp.m):
-            pd = perron_component(triple, res.form, r, j, s, comp)
+            pd = perron_component(cache, comp, s)
             assert pd.eigenvalue == pytest.approx((res.rho / r[j]) ** pd.period, rel=1e-9)
     verdict = decide_uniqueness(triple, res.form, r)
     assert not verdict.unique

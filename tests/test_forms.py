@@ -9,6 +9,7 @@ from eigenform_lab import (
     is_harmonic_at,
     is_irreducible,
     laplacian,
+    pair_list,
     support_graph,
 )
 
@@ -147,3 +148,19 @@ def test_vector_order_and_roundtrip():
     again = DirichletForm.from_matrix(form.matrix())
     assert np.allclose(again.vector(), form.vector())
     assert form.coefficient_items() == [(0, 1, 1.0), (1, 2, 3.0)]
+
+
+def test_vector_matches_pair_list_route():
+    rng = np.random.default_rng(18)
+    for n in range(2, 13):
+        for _ in range(3):
+            upper = np.triu(rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.7), 1)
+            form = DirichletForm.from_matrix(upper + upper.T)
+            for f in (form, form.scaled(0.0), form.scaled(rng.uniform(1e-8, 1e8))):
+                want = np.array([f.matrix()[a, b] for a, b in pair_list(n)])
+                got = f.vector()
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                # callers own the result: writing to it leaves the form alone
+                got[:] = -1.0
+                assert f.vector().tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from eigenform_lab import (
     connectivity_flags,
     validate,
 )
+
+from oracles import connectivity_flags_dfs
 
 
 def test_builtin_gasket_shape(gasket):
@@ -97,6 +101,21 @@ def test_o_connected_implies_a_connected():
     for name in builtin_names():
         flags = connectivity_flags(builtin(name))
         assert not flags.o_connected or flags.a_connected
+
+
+def test_connectivity_flags_match_dfs_oracle(gen):
+    triples = [builtin(name) for name in builtin_names()]
+    triples += [gen.simplex_gasket(d) for d in (4, 8, 12)]
+    triples += [gen.vicsek(n) for n in range(5, 10)]
+    triples += [gen.iterate(builtin(name), 3)[0] for name in ("gasket", "tree_gasket")]
+    rng = random.Random(19)
+    triples += [gen.relabel(t, [1.0] * t.k, rng)[0] for t in list(triples)]
+    seen = set()
+    for triple in triples:
+        flags = connectivity_flags(triple)
+        assert flags == connectivity_flags_dfs(triple), triple.name
+        seen.add(tuple(flags))
+    assert {(True, True), (True, False), (False, False)} <= seen
 
 
 def test_check_weights(gasket):

@@ -17,14 +17,15 @@ R3 = np.ones(3)
 
 
 def test_perron_positive_gasket(gasket, gasket_eigenform):
-    u_bar, value = perron_positive(gasket, gasket_eigenform, R3, 0)
+    u_bar, value = perron_positive(OperatorCache(gasket, gasket_eigenform, R3), 0)
     assert np.allclose(u_bar, [0.0, 1.0, 1.0])
     assert value == pytest.approx(0.6)
 
 
 def test_perron_positive_symmetry(gasket, gasket_eigenform):
+    cache = OperatorCache(gasket, gasket_eigenform, R3)
     for j in range(3):
-        u_bar, _ = perron_positive(gasket, gasket_eigenform, R3, j)
+        u_bar, _ = perron_positive(cache, j)
         others = [p for p in range(3) if p != j]
         assert u_bar[others[0]] == pytest.approx(u_bar[others[1]])
         assert u_bar[j] == 0.0
@@ -39,20 +40,21 @@ def test_perron_positive_eigenvalue_relation(gasket, vicsek, gasket_eigenform, v
         (vicsek, vicsek_eigenform, np.ones(5)),
     ]:
         rho = verify_eigenform(triple, r, form).rho
+        cache = OperatorCache(triple, form, r)
         for j in range(triple.N):
-            _, value = perron_positive(triple, form, r, j)
+            _, value = perron_positive(cache, j)
             assert value == pytest.approx(rho / r[j], rel=1e-10)
             assert 0.0 < value < 1.0
 
 
 def test_perron_positive_requires_positive_form(tree_gasket, tree_eigenform):
     with pytest.raises(ValueError, match="positive"):
-        perron_positive(tree_gasket, tree_eigenform, R3, 0)
+        perron_positive(OperatorCache(tree_gasket, tree_eigenform, R3), 0)
 
 
 def test_perron_component_tree_j1(tree_gasket, tree_eigenform):
     comp = components(tree_gasket, 1)
-    pd = perron_component(tree_gasket, tree_eigenform, R3, 1, 0, comp)
+    pd = perron_component(OperatorCache(tree_gasket, tree_eigenform, R3), comp, 0)
     assert np.allclose(pd.u_bar, [1.0, 0.0, 0.0])
     assert np.allclose(pd.u_tilde, [0.5, 0.0, 0.5])
     assert pd.eigenvalue == pytest.approx(0.5)
@@ -61,7 +63,7 @@ def test_perron_component_tree_j1(tree_gasket, tree_eigenform):
 
 def test_perron_component_tree_j0(tree_gasket, tree_eigenform):
     comp = components(tree_gasket, 0)
-    pd = perron_component(tree_gasket, tree_eigenform, R3, 0, 0, comp)
+    pd = perron_component(OperatorCache(tree_gasket, tree_eigenform, R3), comp, 0)
     assert np.allclose(pd.u_bar, [0.0, 1.0, 0.0])
     assert np.allclose(pd.u_tilde, [0.0, 0.5, 0.0])
     assert pd.eigenvalue == pytest.approx(0.5)
@@ -69,8 +71,9 @@ def test_perron_component_tree_j0(tree_gasket, tree_eigenform):
 
 def test_perron_component_reduces_to_positive_case(gasket, gasket_eigenform):
     comp = components(gasket, 0)
-    pd = perron_component(gasket, gasket_eigenform, R3, 0, 0, comp)
-    u_bar, value = perron_positive(gasket, gasket_eigenform, R3, 0)
+    cache = OperatorCache(gasket, gasket_eigenform, R3)
+    pd = perron_component(cache, comp, 0)
+    u_bar, value = perron_positive(cache, 0)
     assert np.allclose(pd.u_bar, u_bar)
     assert pd.eigenvalue == pytest.approx(value)
     assert np.allclose(pd.u_tilde, value * u_bar)
@@ -86,7 +89,7 @@ def test_perron_component_is_eigenvector(gasket, tree_gasket, vicsek, gasket_eig
         for j in range(triple.N):
             comp = components(triple, j)
             for s in range(comp.m):
-                pd = perron_component(triple, form, r, j, s, comp)
+                pd = perron_component(cache, comp, s)
                 power = cache.word([j] * pd.period)
                 assert np.allclose(power @ pd.u_tilde, pd.eigenvalue * pd.u_tilde, atol=1e-12)
                 inside = list(comp.components[s])
@@ -110,28 +113,31 @@ def test_project_g_tilde(tree_gasket):
 
 def test_pi_limit_on_eigenvector(tree_gasket, tree_eigenform):
     comp = components(tree_gasket, 1)
-    pd = perron_component(tree_gasket, tree_eigenform, R3, 1, 0, comp)
-    assert pi_limit(tree_gasket, tree_eigenform, R3, pd, pd.u_tilde) == pytest.approx(1.0)
-    assert pi_limit(tree_gasket, tree_eigenform, R3, pd, 2.0 * pd.u_tilde) == pytest.approx(2.0)
+    cache = OperatorCache(tree_gasket, tree_eigenform, R3)
+    pd = perron_component(cache, comp, 0)
+    assert pi_limit(cache, pd, pd.u_tilde) == pytest.approx(1.0)
+    assert pi_limit(cache, pd, 2.0 * pd.u_tilde) == pytest.approx(2.0)
 
 
 def test_pi_limit_nonharmonic_seed_is_nonzero(gasket, gasket_eigenform):
     rng = np.random.default_rng(31)
     comp = components(gasket, 0)
-    pd = perron_component(gasket, gasket_eigenform, R3, 0, 0, comp)
+    cache = OperatorCache(gasket, gasket_eigenform, R3)
+    pd = perron_component(cache, comp, 0)
     for _ in range(20):
         u = np.zeros(3)
         u[[1, 2]] = rng.normal(size=2)
         if abs(laplacian(gasket_eigenform, u)[0]) < 1e-6:
             continue
-        assert abs(pi_limit(gasket, gasket_eigenform, R3, pd, u)) > 1e-12
+        assert abs(pi_limit(cache, pd, u)) > 1e-12
 
 
 def test_pi_limit_rejects_data_off_component(tree_gasket, tree_eigenform):
     comp = components(tree_gasket, 0)
-    pd = perron_component(tree_gasket, tree_eigenform, R3, 0, 0, comp)
+    cache = OperatorCache(tree_gasket, tree_eigenform, R3)
+    pd = perron_component(cache, comp, 0)
     with pytest.raises(ValueError, match="supported"):
-        pi_limit(tree_gasket, tree_eigenform, R3, pd, np.array([0.0, 1.0, 1.0]))
+        pi_limit(cache, pd, np.array([0.0, 1.0, 1.0]))
 
 
 def test_rescaling_identity(gasket, tree_gasket, gasket_eigenform, tree_eigenform):

@@ -1,0 +1,46 @@
+"""The benchmark tracer still finds and restores every function it wraps."""
+
+import importlib
+import pkgutil
+import sys
+
+import numpy as np
+
+import eigenform_lab
+from eigenform_lab.renorm import OperatorCache
+
+
+def _bindings():
+    """Every callable bound in the package's modules, by (module, name), and
+    the ``OperatorCache`` constructor; every submodule is imported first."""
+    for info in pkgutil.iter_modules(eigenform_lab.__path__):
+        importlib.import_module(f"eigenform_lab.{info.name}")
+    out = {("renorm.OperatorCache", "__init__"): OperatorCache.__init__}
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "eigenform_lab" or mod_name.startswith("eigenform_lab."):
+            for attr, value in vars(module).items():
+                if callable(value):
+                    out[(mod_name, attr)] = value
+    return out
+
+
+def test_tracer_wraps_pipeline_and_restores(tracer, pipeline, tree_gasket, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = _bindings()
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        wrapped = _bindings()
+        # tree_gasket is non-unique, so the pipeline reaches explore_nonuniqueness
+        outcome = pipeline.run_pipeline(tree_gasket, np.ones(3))
+    assert outcome.unique is False
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+    assert any(wrapped[key] is not before[key] for key in before)
+
+    table = tracer.summarize(recorder.spans)
+    assert table["uniqueness.orbit_span"]["calls"] > 0
+    assert table["uniqueness.orbit_span"]["count"] > 0
+    assert table["uniqueness.penalty_form"]["calls"] > 0
+    assert table["renorm.OperatorCache"]["calls"] > 0
+    assert list(tmp_path.iterdir()) == []

@@ -59,13 +59,13 @@ def in_span(vec, basis):
 
 
 def test_orbit_span_constants(gasket, gasket_eigenform):
-    span = orbit_span(gasket, gasket_eigenform, R3, np.ones(3))
+    span = orbit_span(OperatorCache(gasket, gasket_eigenform, R3), np.ones(3))
     assert span.shape[0] == 1
     assert in_span(np.ones(3) / np.sqrt(3), span)
 
 
 def test_orbit_span_tree_two_dimensional(tree_gasket, tree_eigenform):
-    span = orbit_span(tree_gasket, tree_eigenform, R3, np.array([0.0, 1.0, 0.0]))
+    span = orbit_span(OperatorCache(tree_gasket, tree_eigenform, R3), np.array([0.0, 1.0, 0.0]))
     assert span.shape[0] == 2
     assert in_span([0.0, 1.0, 0.0], span)
     assert in_span([1.0, 0.0, 1.0], span)
@@ -73,13 +73,13 @@ def test_orbit_span_tree_two_dimensional(tree_gasket, tree_eigenform):
 
 
 def test_orbit_span_gasket_full(gasket, gasket_eigenform):
-    span = orbit_span(gasket, gasket_eigenform, R3, np.array([0.0, 1.0, 1.0]))
+    span = orbit_span(OperatorCache(gasket, gasket_eigenform, R3), np.array([0.0, 1.0, 1.0]))
     assert span.shape[0] == 3
 
 
 def test_orbit_span_invariance(tree_gasket, tree_eigenform):
     cache = OperatorCache(tree_gasket, tree_eigenform, R3)
-    span = orbit_span(tree_gasket, tree_eigenform, R3, np.array([0.0, 1.0, 0.0]), cache=cache)
+    span = orbit_span(cache, np.array([0.0, 1.0, 0.0]))
     for i in range(3):
         for b in span:
             assert in_span(cache.cell(i) @ b, span)
@@ -117,7 +117,7 @@ def test_orbit_span_matches_round_oracle(analysed):
     for ops, seed in sparse:
         triple = type("Ops", (), {"N": ops.shape[1], "k": ops.shape[0]})
         cache = _StackedOps(ops)
-        cases.append((triple, cache, seed, orbit_span(triple, None, None, seed, cache=cache)))
+        cases.append((triple, cache, seed, orbit_span(cache, seed)))
     for triple, cache, seed, got in cases:
         want = orbit_span_rounds(triple, cache, seed)
         assert got.shape == want.shape
@@ -302,10 +302,11 @@ def test_sink_criterion_matches_subset_enumeration(gasket, tree_gasket, vicsek, 
 
 
 def test_penalty_form_values(tree_gasket, tree_eigenform):
-    p10 = penalty_form(tree_gasket, tree_eigenform, R3, 1, 0)
+    cache = OperatorCache(tree_gasket, tree_eigenform, R3)
+    p10 = penalty_form(cache, components(tree_gasket, 1), 0)
     assert set(p10) == {(0, 1)}
     assert p10[(0, 1)] == pytest.approx(0.25)
-    p01 = penalty_form(tree_gasket, tree_eigenform, R3, 0, 1)
+    p01 = penalty_form(cache, components(tree_gasket, 0), 1)
     assert set(p01) == {(0, 2)}
     assert p01[(0, 2)] == pytest.approx(0.25)
 
@@ -318,18 +319,18 @@ def test_penalty_form_properties(gasket, tree_gasket, vicsek, gasket_eigenform, 
         (vicsek, vicsek_eigenform, np.ones(5)),
     ]:
         hat_edges = set(hat_graph(triple).sorted_edges())
+        cache = OperatorCache(triple, form, r)
         for j in range(triple.N):
             comp = components(triple, j)
             for s in range(comp.m):
-                table = penalty_form(triple, form, r, j, s, comp=comp)
+                table = penalty_form(cache, comp, s)
                 assert set(table) <= hat_edges
                 assert pair_energy(table, np.full(triple.N, 3.3)) == pytest.approx(0.0)
-                pd = perron_component(triple, form, r, j, s, comp)
+                pd = perron_component(cache, comp, s)
                 expected = (pd.eigenvalue * laplacian(form, pd.u_tilde)[j]) ** 2
                 assert pair_energy(table, pd.u_tilde) == pytest.approx(expected, rel=1e-10)
                 assert expected > 0
                 # the table reproduces the squared functional on random data
-                cache = OperatorCache(triple, form, r)
                 from eigenform_lab import project_g
 
                 power = cache.word([j] * pd.period)
@@ -337,6 +338,35 @@ def test_penalty_form_properties(gasket, tree_gasket, vicsek, gasket_eigenform, 
                     u = rng.normal(size=triple.N)
                     direct = laplacian(form, power @ project_g(u, comp, s))[j] ** 2
                     assert pair_energy(table, u) == pytest.approx(direct, rel=1e-9, abs=1e-12)
+
+
+def test_cell_operators_built_once_per_context(monkeypatch, gasket, tree_gasket, gasket_eigenform, tree_eigenform):
+    builds = []
+    original = OperatorCache.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(OperatorCache, "__init__", counting)
+
+    def count(call):
+        builds.clear()
+        out = call()
+        return out, len(builds)
+
+    # gasket's eigenform is positive, so decide_uniqueness also runs the
+    # single-vertex cross-check, on the digraph's operators
+    for triple, form in [(gasket, gasket_eigenform), (tree_gasket, tree_eigenform)]:
+        dg, n = count(lambda: stability_digraph(triple, form, R3))
+        assert n == 1
+        verdict, n = count(lambda: decide_uniqueness(triple, form, R3, digraph=dg))
+        assert n == 0
+        _, n = count(lambda: decide_uniqueness(triple, form, R3))
+        assert n == 1
+    assert verdict.witnesses is not None
+    _, n = count(lambda: explore_nonuniqueness(tree_gasket, tree_eigenform, R3, verdict))
+    assert n == 1
 
 
 def test_explore_tree_finds_new_eigenform(tree_gasket, tree_eigenform):
@@ -363,7 +393,7 @@ def test_explore_requires_witnesses(gasket, gasket_eigenform):
 
 def test_unique_case_perturbation_returns_to_multiple(gasket, gasket_eigenform):
     # perturbing a unique eigenform by any penalty drifts back to a multiple
-    table = penalty_form(gasket, gasket_eigenform, R3, 0, 0)
+    table = penalty_form(OperatorCache(gasket, gasket_eigenform, R3), components(gasket, 0), 0)
     coeffs = {
         pair: gasket_eigenform.coefficient(*pair) - 0.05 * table.get(pair, 0.0)
         for pair in [(0, 1), (0, 2), (1, 2)]
