@@ -16,24 +16,6 @@ def adjacency(n, edges):
     return adj
 
 
-def connected_within(vertices, adj):
-    """True when every two members of ``vertices`` are joined by a path
-    staying inside ``vertices``.  Sets of size 0 or 1 count as connected."""
-    vs = set(vertices)
-    if len(vs) <= 1:
-        return True
-    start = next(iter(vs))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y in vs and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen == vs
-
-
 def split_components(vertices, adj):
     """Connected components of the subgraph induced on ``vertices``,
     each a sorted tuple, listed by smallest member."""

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .errors import InternalConsistencyError, NonConvergenceError, SingularInteriorError
-from .fractal import FractalTriple, builtin, builtin_names, validate
+from .fractal import FractalTriple, builtin, builtin_names, uniform_weights, validate
 from .graphs import components, hat_graph, tilde_graph
 from .jsonio import dumps, form_to_dict, load_form, load_fractal, triple_to_dict
 from .solver import (
@@ -77,9 +77,7 @@ def _load_triple(path: str):
     """A path to a fractal file, or the bare name of a built-in."""
     if not os.path.exists(path) and path in builtin_names():
         triple = builtin(path)
-        import numpy as np
-
-        return triple, np.ones(triple.k)
+        return triple, uniform_weights(triple)
     return load_fractal(path)
 
 
@@ -117,7 +115,7 @@ def _graphs_dict(triple: FractalTriple) -> dict:
     }
 
 
-def _verdict_dict(verdict: StabilityVerdict, rho: float, digraph) -> dict:
+def _verdict_dict(verdict: StabilityVerdict, rho: float) -> dict:
     out = {
         "unique": verdict.unique,
         "rho": rho,
@@ -126,8 +124,8 @@ def _verdict_dict(verdict: StabilityVerdict, rho: float, digraph) -> dict:
     if verdict.witnesses is not None:
         out["witnesses"] = [[list(node) for node in w] for w in verdict.witnesses]
     out["digraph"] = {
-        "nodes": [list(node) for node in digraph.nodes],
-        "edges": [[list(a), list(b)] for a, b in sorted(digraph.edges)],
+        "nodes": [list(node) for node in verdict.digraph.nodes],
+        "edges": [[list(a), list(b)] for a, b in sorted(verdict.digraph.edges)],
     }
     return out
 
@@ -158,149 +156,113 @@ def _text_lines(value, prefix: str):
     return [f"{prefix}{value}"]
 
 
+def _print(doc: dict, args, code: int = EXIT_OK) -> int:
+    print(_render(doc, args.format))
+    return code
+
+
 def _solve(triple, weights, args) -> EigenResult:
     init = load_form(args.init) if getattr(args, "init", None) else None
     tol = args.tol if args.tol is not None else DEFAULT_SOLVE_TOL
     return find_eigenform(triple, weights, init=init, tol=tol, max_iter=args.max_iter)
 
 
-def _cmd_validate(args) -> int:
-    triple, _ = _load_triple(args.fractal)
-    violations = validate(triple)
-    doc = {"name": triple.name, "valid": not violations, "violations": violations}
-    print(_render(doc, args.format))
-    return EXIT_OK if not violations else EXIT_INVALID_INPUT
+def _uniqueness(triple, weights, form, args) -> StabilityVerdict:
+    """The digraph's borderline warnings go to stderr before the verdict is
+    decided, so they precede a cross-check failure."""
+    dg = stability_digraph(triple, form, weights)
+    if not args.quiet:
+        for line in dg.warnings:
+            print(f"warning: {line}", file=sys.stderr)
+    return decide_uniqueness(triple, form, weights, digraph=dg)
 
 
-def _cmd_graphs(args) -> int:
-    triple, _ = _load_triple(args.fractal)
-    violations = validate(triple)
-    if violations:
-        print(_render({"valid": False, "violations": violations}, args.format))
-        return EXIT_INVALID_INPUT
-    doc = {"name": triple.name}
-    doc.update(_graphs_dict(triple))
-    print(_render(doc, args.format))
-    return EXIT_OK
+def _cmd_graphs(args, triple, weights) -> int:
+    return _print({"name": triple.name, **_graphs_dict(triple)}, args)
 
 
-def _cmd_solve(args) -> int:
-    triple, weights = _load_triple(args.fractal)
-    violations = validate(triple)
-    if violations:
-        print(_render({"valid": False, "violations": violations}, args.format))
-        return EXIT_INVALID_INPUT
+def _cmd_solve(args, triple, weights) -> int:
     res = _solve(triple, weights, args)
-    print(_render(_eigenresult_dict(res), args.format))
-    return EXIT_OK if res.converged else EXIT_NUMERICAL
+    return _print(_eigenresult_dict(res), args, EXIT_OK if res.converged else EXIT_NUMERICAL)
 
 
-def _cmd_verify(args) -> int:
-    triple, weights = _load_triple(args.fractal)
-    violations = validate(triple)
-    if violations:
-        print(_render({"valid": False, "violations": violations}, args.format))
-        return EXIT_INVALID_INPUT
+def _cmd_verify(args, triple, weights) -> int:
     form = load_form(args.form)
     tol = args.tol if args.tol is not None else DEFAULT_VERIFY_TOL
-    res = verify_eigenform(triple, weights, form, tol=tol)
-    print(_render(_eigenresult_dict(res), args.format))
-    return EXIT_OK
+    return _print(_eigenresult_dict(verify_eigenform(triple, weights, form, tol=tol)), args)
 
 
-def _cmd_check_uniqueness(args) -> int:
-    triple, weights = _load_triple(args.fractal)
-    violations = validate(triple)
-    if violations:
-        print(_render({"valid": False, "violations": violations}, args.format))
-        return EXIT_INVALID_INPUT
+def _cmd_check_uniqueness(args, triple, weights) -> int:
     tol = args.tol if args.tol is not None else DEFAULT_VERIFY_TOL
     if args.form:
         form = load_form(args.form)
         ver = verify_eigenform(triple, weights, form, tol=tol)
         if not ver.converged:
-            print(
-                _render(
-                    {"error": "supplied form is not a verified eigenform", "verify": _eigenresult_dict(ver)},
-                    args.format,
-                )
-            )
-            return EXIT_INVALID_INPUT
+            doc = {"error": "supplied form is not a verified eigenform", "verify": _eigenresult_dict(ver)}
+            return _print(doc, args, EXIT_INVALID_INPUT)
     else:
         solved = _solve(triple, weights, args)
         if not solved.converged:
-            print(
-                _render(
-                    {"error": "eigenform search did not converge", "solve": _eigenresult_dict(solved)},
-                    args.format,
-                )
-            )
-            return EXIT_NUMERICAL
+            doc = {"error": "eigenform search did not converge", "solve": _eigenresult_dict(solved)}
+            return _print(doc, args, EXIT_NUMERICAL)
         form = solved.form
         ver = verify_eigenform(triple, weights, form, tol=tol)
-    dg = stability_digraph(triple, form, weights)
-    if dg.warnings and not args.quiet:
-        for line in dg.warnings:
-            print(f"warning: {line}", file=sys.stderr)
-    verdict = decide_uniqueness(triple, form, weights, digraph=dg)
-    print(_render(_verdict_dict(verdict, ver.rho, dg), args.format))
-    return EXIT_OK
+    verdict = _uniqueness(triple, weights, form, args)
+    return _print(_verdict_dict(verdict, ver.rho), args)
 
 
-def _cmd_report(args) -> int:
-    triple, weights = _load_triple(args.fractal)
-    violations = validate(triple)
+def _cmd_report(args, triple, weights) -> int:
     doc: dict = {
         "name": triple.name,
-        "validation": {"valid": not violations, "violations": violations},
+        "validation": {"valid": True, "violations": []},
+        "graphs": _graphs_dict(triple),
     }
-    if violations:
-        print(_render(doc, args.format))
-        return EXIT_INVALID_INPUT
-    doc["graphs"] = _graphs_dict(triple)
     solved = _solve(triple, weights, args)
     doc["solve"] = _eigenresult_dict(solved)
     if not solved.converged:
-        print(_render(doc, args.format))
-        return EXIT_NUMERICAL
-    dg = stability_digraph(triple, solved.form, weights)
-    if dg.warnings and not args.quiet:
-        for line in dg.warnings:
-            print(f"warning: {line}", file=sys.stderr)
-    verdict = decide_uniqueness(triple, solved.form, weights, digraph=dg)
-    doc["uniqueness"] = _verdict_dict(verdict, solved.rho, dg)
+        return _print(doc, args, EXIT_NUMERICAL)
+    verdict = _uniqueness(triple, weights, solved.form, args)
+    doc["uniqueness"] = _verdict_dict(verdict, solved.rho)
+    payload = verdict.digraph.payload
     doc["perron"] = [
         {
             "j": node[0],
             "s": node[1],
-            "period": dg.payload[node].period,
-            "eigenvalue": dg.payload[node].eigenvalue,
-            "u_bar": list(dg.payload[node].u_bar),
-            "u_tilde": list(dg.payload[node].u_tilde),
+            "period": payload[node].period,
+            "eigenvalue": payload[node].eigenvalue,
+            "u_bar": list(payload[node].u_bar),
+            "u_tilde": list(payload[node].u_tilde),
         }
-        for node in dg.nodes
+        for node in verdict.digraph.nodes
     ]
-    print(_render(doc, args.format))
-    return EXIT_OK
-
-
-def _cmd_corpus(args) -> int:
-    doc = {
-        "builtins": [triple_to_dict(builtin(name)) for name in builtin_names()]
-    }
-    print(_render(doc, args.format))
-    return EXIT_OK
+    return _print(doc, args)
 
 
 _HANDLERS = {
-    "validate": _cmd_validate,
     "graphs": _cmd_graphs,
     "solve": _cmd_solve,
     "verify": _cmd_verify,
     "check-uniqueness": _cmd_check_uniqueness,
     "report": _cmd_report,
-    "corpus": _cmd_corpus,
 }
+
+
+def _dispatch(args) -> int:
+    """Load and validate the fractal once, then hand a valid triple to the
+    subcommand.  ``validate`` prints its verdict either way; an invalid
+    triple stops every other subcommand with exit 1."""
+    if args.command == "corpus":
+        return _print({"builtins": [triple_to_dict(builtin(n)) for n in builtin_names()]}, args)
+    triple, weights = _load_triple(args.fractal)
+    violations = validate(triple)
+    validation = {"valid": not violations, "violations": violations}
+    if args.command == "validate":
+        code = EXIT_INVALID_INPUT if violations else EXIT_OK
+        return _print({"name": triple.name, **validation}, args, code)
+    if violations:
+        doc = {"name": triple.name, "validation": validation} if args.command == "report" else validation
+        return _print(doc, args, EXIT_INVALID_INPUT)
+    return _HANDLERS[args.command](args, triple, weights)
 
 
 def run(argv=None) -> int:
@@ -309,7 +271,7 @@ def run(argv=None) -> int:
         print("error: --tol must be positive", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
-        return _HANDLERS[args.command](args)
+        return _dispatch(args)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from ._graphutil import adjacency, connected_within, split_components
+from ._graphutil import adjacency, split_components
 
 __all__ = [
     "FractalTriple",
@@ -117,21 +117,19 @@ def validate(triple: FractalTriple) -> list[str]:
         if x not in covered:
             v.append(f"vertex id {x} does not occur in any cell")
 
-    adj = adjacency(k, cell_graph(triple))
-    if not connected_within(range(k), adj):
+    if len(split_components(range(k), adjacency(k, cell_graph(triple)))) > 1:
         v.append("cell graph disconnected")
     return v
 
 
 def cell_graph(triple: FractalTriple) -> frozenset[tuple[int, int]]:
-    """Edges ``{i1, i2}`` between cells that share a vertex id."""
-    sets = [set(cell) for cell in triple.cells]
-    edges = set()
-    for i1 in range(len(sets)):
-        for i2 in range(i1 + 1, len(sets)):
-            if sets[i1] & sets[i2]:
-                edges.add((i1, i2))
-    return frozenset(edges)
+    """Edges ``{i1, i2}`` between cells that share a vertex id, read from the
+    vertex-to-cells incidence rather than by intersecting every cell pair."""
+    incident: dict[int, set[int]] = {}
+    for i, cell in enumerate(triple.cells):
+        for x in cell:
+            incident.setdefault(x, set()).add(i)
+    return frozenset((a, b) for cells in incident.values() for a in cells for b in cells if a < b)
 
 
 def connectivity_flags(triple: FractalTriple) -> ConnectivityFlags:
@@ -160,7 +158,7 @@ def connectivity_flags(triple: FractalTriple) -> ConnectivityFlags:
         not (sets[j1] & sets[j2]) for j1 in range(n) for j2 in range(j1 + 1, n)
     )
     inner = set(range(n, k))
-    o_conn = disjoint and bool(inner) and connected_within(inner, adj)
+    o_conn = disjoint and len(split_components(inner, adj)) == 1
     return ConnectivityFlags(a_connected=a_conn, o_connected=o_conn)
 
 

@@ -11,11 +11,11 @@ certificate consumes.
 
 Every operator here reads one labelling of a lifted graph: the connected
 components of its interior vertices, and the components each boundary id
-touches.  The labelling is cached per (triple, graph) and the stable graph per
-triple, since both depend on nothing else.  The operators assume a triple that
-passes :func:`~eigenform_lab.fractal.validate` (the CLI validates first); in
-particular boundary id ``j`` lies in cell ``j`` only, so no lifted edge joins
-two boundary ids.
+touches.  The labelling is cached per (triple, graph), and the stable graph
+and its component data per triple, since they depend on nothing else.  The
+operators assume a triple that passes :func:`~eigenform_lab.fractal.validate`
+(the CLI validates first); in particular boundary id ``j`` lies in cell ``j``
+only, so no lifted edge joins two boundary ids.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._graphutil import adjacency, connected_within, split_components, sorted_edge
+from ._graphutil import adjacency, split_components, sorted_edge
 from .errors import InternalConsistencyError
 from .fractal import FractalTriple
 
@@ -66,7 +66,7 @@ class BoundaryGraph:
         return adjacency(self.N, self.edges)
 
     def is_connected(self) -> bool:
-        return connected_within(range(self.N), self.adjacency())
+        return len(split_components(range(self.N), self.adjacency())) <= 1
 
     def components_excluding(self, j: int) -> tuple[tuple[int, ...], ...]:
         """Components of the subgraph induced on all boundary ids except ``j``."""
@@ -216,15 +216,22 @@ def _single_images(triple: FractalTriple, j: int, g: BoundaryGraph) -> dict[int,
 def components(
     triple: FractalTriple, j: int, hat: BoundaryGraph | None = None
 ) -> ComponentData:
-    """Component data at boundary vertex ``j``.
+    """Component data at boundary vertex ``j`` of the stable graph ``hat``
+    (``hat_graph(triple)`` when omitted).
 
-    Raises :class:`InternalConsistencyError` when the image map fails to
-    permute the components or some component has no surviving member; either
-    indicates a bug or an invalid triple.
+    Cached per (triple, j, graph), so both call shapes share one immutable
+    entry.  Raises :class:`InternalConsistencyError` when the image map fails
+    to permute the components or some component has no surviving member;
+    either indicates a bug or an invalid triple.
     """
     if not 0 <= j < triple.N:
         raise ValueError(f"j={j} is not a boundary id")
-    hat = hat or hat_graph(triple)
+    return _component_data(triple, j, hat or hat_graph(triple))
+
+
+# room for every vertex of two 12-vertex boundaries
+@functools.lru_cache(maxsize=32)
+def _component_data(triple: FractalTriple, j: int, hat: BoundaryGraph) -> ComponentData:
     comps = hat.components_excluding(j)
     singles = _single_images(triple, j, hat)
     for jp, img in singles.items():

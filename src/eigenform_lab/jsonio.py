@@ -7,7 +7,8 @@ inputs yield byte-identical output.
 Fractal file: ``{"name": str, "N": int, "k": int, "vertices": int,
 "cells": [[int, ...], ...], "weights": [float, ...]?}`` with weights optional
 (default all 1.0).  Form file: ``{"N": int, "coefficients": [[j1, j2, c], ...]}``
-with ``j1 < j2`` and ``c >= 0``.
+with ``j1 < j2`` and ``c >= 0``.  Ids and counts must be JSON integers, weights
+and coefficients JSON numbers; bools, strings and fractional ids are refused.
 """
 
 from __future__ import annotations
@@ -102,6 +103,20 @@ def triple_to_dict(triple: FractalTriple, weights=None) -> dict:
     return out
 
 
+def _integer(value, key: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"key {key!r} needs an integer, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"key {key!r} needs a number, got {value!r}")
+    return float(value)
+
+
 def parse_fractal(data: dict) -> tuple[FractalTriple, np.ndarray]:
     """Build a triple and its weight vector from a decoded fractal file."""
     if not isinstance(data, dict):
@@ -112,14 +127,16 @@ def parse_fractal(data: dict) -> tuple[FractalTriple, np.ndarray]:
     try:
         triple = FractalTriple(
             name=str(data.get("name", "unnamed")),
-            N=int(data["N"]),
-            k=int(data["k"]),
-            num_vertices=int(data["vertices"]),
-            cells=tuple(tuple(int(x) for x in cell) for cell in data["cells"]),
+            N=_integer(data["N"], "N"),
+            k=_integer(data["k"], "k"),
+            num_vertices=_integer(data["vertices"], "vertices"),
+            cells=tuple(tuple(_integer(x, "cells") for x in cell) for cell in data["cells"]),
         )
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed fractal file: {exc}") from exc
     raw = data.get("weights")
+    if isinstance(raw, list):
+        raw = [_number(w, "weights") for w in raw]
     weights = np.ones(triple.k) if raw is None else np.asarray(raw, dtype=float)
     return triple, check_weights(triple, weights)
 
@@ -146,12 +163,13 @@ def parse_form(data: dict) -> DirichletForm:
     for row in data["coefficients"]:
         if len(row) != 3:
             raise ValueError(f"coefficient rows must be [j1, j2, c], got {row}")
-        a, b, c = int(row[0]), int(row[1]), float(row[2])
+        a, b = _integer(row[0], "coefficients"), _integer(row[1], "coefficients")
+        c = _number(row[2], "coefficients")
         if not a < b:
             raise ValueError(f"coefficient rows need j1 < j2, got {row}")
         entries.append((a, b, c))
     try:
-        return DirichletForm(int(data["N"]), entries)
+        return DirichletForm(_integer(data["N"], "N"), entries)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed form file: {exc}") from exc
 

@@ -112,9 +112,11 @@ def find_eigenform(
     Starting from ``init`` (all-ones by default), each round renormalizes,
     records the coefficient-sum ratio as the eigenvalue estimate and rescales
     to unit coefficient sum.  The loop stops when the iterate's direction and
-    eigen-residual both settle below ``tol``; the returned flag additionally
-    demands the structural checks, so a run that drifts toward a degenerate
-    direction reports non-convergence.
+    eigen-residual both settle below ``tol``, or after ``max_iter`` rounds;
+    either way the result reports the last iterate renormalized, with its own
+    ``rho`` and ``residual``.  The returned flag additionally demands the
+    structural checks, so a run that drifts toward a degenerate direction
+    reports non-convergence.
     """
     r = check_weights(triple, weights)
     if max_iter < 1:
@@ -128,10 +130,6 @@ def find_eigenform(
         raise ValueError("initial form must be irreducible")
     current = current.scaled(1.0 / current.l1_norm())
 
-    stabilized = False
-    rho = float("nan")
-    residual = float("nan")
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         image = renormalize(triple, current, r)
         # the iterate has unit coefficient sum, so this is the pre-normalization ratio
@@ -141,8 +139,9 @@ def find_eigenform(
         delta = float(
             np.max(np.abs(step.vector() - current.vector())) / current.max_coefficient()
         )
-        if delta < tol and residual <= tol:
-            stabilized = True
+        stabilized = delta < tol and residual <= tol
+        # the returned form is the last one measured, never the unmeasured step
+        if stabilized or iterations == max_iter:
             break
         current = step
 

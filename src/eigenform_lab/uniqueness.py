@@ -22,8 +22,9 @@ when every node it reaches reaches it back.
 
 Orbit spans, Perron data and penalty forms all read one ``OperatorCache``,
 passed as their first argument: ``stability_digraph`` builds it once per
-(triple, form, weights), the positive-form cross-check reuses the digraph's,
-and ``explore_nonuniqueness`` builds one for its penalties.
+(triple, form, weights) and keeps it on the digraph.  The verdict carries
+that digraph, so the positive-form cross-check and ``explore_nonuniqueness``
+read its operators and component data instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -85,16 +86,17 @@ class StabilityDigraph:
 class StabilityVerdict:
     """Uniqueness verdict with witnesses.
 
-    ``unique`` holds exactly when the digraph condensation has one sink.  For
-    a nonunique verdict, ``witnesses`` carries two disjoint nonempty node sets
-    closed under out-edges.
+    ``unique`` holds exactly when the digraph condensation has one sink, and
+    ``sink_sccs`` lists the sinks.  For a nonunique verdict, ``witnesses``
+    carries two disjoint nonempty node sets closed under out-edges.
+    ``digraph`` is the digraph the verdict was decided on, with its
+    magnitudes, warnings, Perron data, component data and cell operators.
     """
 
     unique: bool
-    sink_scc_count: int
     sink_sccs: list[list[Node]]
     witnesses: tuple[list[Node], list[Node]] | None
-    diagnostics: dict = field(default_factory=dict)
+    digraph: StabilityDigraph
 
 
 def orbit_span(cache: OperatorCache, seed, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -271,10 +273,12 @@ def decide_uniqueness(
 ) -> StabilityVerdict:
     """Condense the digraph and count sinks.
 
-    One sink means unique; two or more yield witnesses, namely two sink
-    components themselves (each is closed under out-edges).  For a positive
-    form the single-vertex variant runs as well, on the digraph's cell
-    operators, and must agree.
+    The digraph is ``digraph`` when given (it must belong to this triple, form
+    and weights) and is built otherwise; the verdict carries it.  One sink
+    means unique; two or more yield witnesses, namely two sink components
+    themselves (each is closed under out-edges).  For a positive form the
+    single-vertex variant runs as well, on the digraph's cell operators, and
+    must agree.
     """
     r = check_weights(triple, weights)
     dg = digraph or stability_digraph(triple, form, r, phi_tol=phi_tol)
@@ -298,16 +302,11 @@ def decide_uniqueness(
                 "single-vertex and component-based digraphs differ for a positive form"
             )
 
-    diagnostics = {
-        "magnitudes": {f"{src}->{dst}": mag for (src, dst), mag in sorted(dg.magnitudes.items())},
-        "warnings": list(dg.warnings),
-    }
     return StabilityVerdict(
         unique=unique,
-        sink_scc_count=len(sinks),
         sink_sccs=[list(s) for s in sinks],
         witnesses=witnesses,
-        diagnostics=diagnostics,
+        digraph=dg,
     )
 
 
@@ -385,24 +384,29 @@ def explore_nonuniqueness(
 ) -> ExplorationOutcome:
     """Chase a second eigenform using the second witness set's penalties.
 
-    The combined penalty of the second witness set is subtracted from the
-    form, shrinking ``delta`` as needed to keep every stable-graph coefficient
-    positive, and the fixed-point search restarts from there.  Whether the
-    limit is genuinely new is reported, not guaranteed.
+    ``verdict`` must be the one decided for this triple, form and weights
+    (any other raises ``ValueError``): the penalties of its second witness set
+    read its digraph's cell operators and component data.  Their sum is
+    subtracted from the form, shrinking ``delta`` as needed to keep every
+    stable-graph coefficient positive, and the fixed-point search restarts
+    from there.  Whether the limit is genuinely new is reported, not
+    guaranteed.
     """
     r = check_weights(triple, weights)
     if verdict.witnesses is None:
         raise ValueError("exploration requires a nonunique verdict with witnesses")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    cache = OperatorCache(triple, form, r)
-    hat = hat_graph(triple)
+    dg = verdict.digraph
+    decided_for = (dg.cache.triple, dg.cache.form.matrix().tolist(), dg.cache.weights.tolist())
+    if decided_for != (triple, form.matrix().tolist(), r.tolist()):
+        raise ValueError("the verdict was decided for another triple, form or weights")
     combined: dict[tuple[int, int], float] = {}
     for (j, s) in verdict.witnesses[1]:
-        for pair, d in penalty_form(cache, components(triple, j, hat), s).items():
+        for pair, d in penalty_form(dg.cache, dg.component_data[j], s).items():
             combined[pair] = combined.get(pair, 0.0) + d
 
-    hat_edges = hat.sorted_edges()
+    hat_edges = hat_graph(triple).sorted_edges()
     current = delta
     start = None
     for _ in range(max_retries + 1):

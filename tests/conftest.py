@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenform_lab import DirichletForm, builtin, find_eigenform
+from eigenform_lab import DirichletForm, FractalTriple, builtin, find_eigenform
 
 
 def pytest_configure(config):
@@ -48,6 +48,21 @@ def tree_gasket():
 @pytest.fixture(scope="session")
 def vicsek():
     return builtin("vicsek")
+
+
+@pytest.fixture(scope="session")
+def twisted_tree_gasket():
+    """The tree gasket with its two outer cells attached crosswise: cell 1
+    hangs off cell 0's copy of vertex 2 and cell 2 off its copy of vertex 1.
+    The image map at vertex 0 swaps the two branches, so both components
+    there have period 2."""
+    return FractalTriple(
+        name="twisted_tree_gasket",
+        N=3,
+        k=3,
+        num_vertices=7,
+        cells=((0, 3, 4), (4, 1, 5), (3, 6, 2)),
+    )
 
 
 @pytest.fixture(scope="session")

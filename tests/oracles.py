@@ -2,9 +2,9 @@
 
 Each routine here recomputes a quantity by the most direct method available
 (entry-by-entry Laplacian assembly, single global Schur reduction, one
-breadth-first search per boundary vertex, one depth-first search per removed
-boundary cell, round-based orbit closure, exhaustive word enumeration,
-exhaustive subset enumeration) without going through the production code
+intersection per cell pair, one breadth-first search per boundary vertex, one
+depth-first search per removed boundary cell, round-based orbit closure,
+exhaustive word enumeration, exhaustive subset enumeration) without going through the production code
 paths it checks.
 """
 
@@ -16,12 +16,11 @@ import numpy as np
 from eigenform_lab import (
     BoundaryGraph,
     DirichletForm,
-    cell_graph,
     harmonicity_functional,
     lift_edges,
     pair_list,
 )
-from eigenform_lab._graphutil import adjacency, connected_within
+from eigenform_lab._graphutil import adjacency
 from eigenform_lab.renorm import OperatorCache
 
 
@@ -45,12 +44,43 @@ def conductance_laplacian_loop(triple, form, weights):
     return lap
 
 
+def cell_graph_pairwise(triple):
+    """Edges ``{i1, i2}`` between cells that share a vertex id, by
+    intersecting every pair of cells."""
+    sets = [set(cell) for cell in triple.cells]
+    edges = set()
+    for i1 in range(len(sets)):
+        for i2 in range(i1 + 1, len(sets)):
+            if sets[i1] & sets[i2]:
+                edges.add((i1, i2))
+    return frozenset(edges)
+
+
+def connected_within(vertices, adj):
+    """True when every two members of ``vertices`` are joined by a path
+    staying inside ``vertices``, by one breadth-first search from an
+    arbitrary member.  Sets of size 0 or 1 count as connected."""
+    vs = set(vertices)
+    if len(vs) <= 1:
+        return True
+    start = next(iter(vs))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y in vs and y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen == vs
+
+
 def connectivity_flags_dfs(triple):
     """``(a_connected, o_connected)`` with one depth-first search over the
     cell graph per removed boundary cell, started at the first surviving
     boundary cell and kept off the removed one."""
     n, k = triple.N, triple.k
-    adj = adjacency(k, cell_graph(triple))
+    adj = adjacency(k, cell_graph_pairwise(triple))
     a_conn = True
     for j in range(n):
         allowed = set(range(k)) - {j}

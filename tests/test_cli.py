@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from eigenform_lab import builtin
+from eigenform_lab import builtin, graphs
 from eigenform_lab.cli import run
 from eigenform_lab.jsonio import dumps, triple_to_dict
 
@@ -180,6 +180,24 @@ def test_report_matches_golden(name, capsys):
     # byte for byte; a deliberate output change regenerates these files
     assert run(["report", name]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"report_{name}.json").read_text(encoding="utf-8")
+
+
+def test_report_matches_golden_twisted(twisted_tree_gasket, tmp_path, capsys):
+    # the one golden input with a component period above 1
+    path = tmp_path / "twisted.json"
+    path.write_text(dumps(triple_to_dict(twisted_tree_gasket)))
+    assert run(["report", str(path)]) == 0
+    want = (GOLDEN / "report_twisted_tree_gasket.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("name", ["gasket", "vicsek"])
+def test_report_builds_component_data_once(name, capsys):
+    # the graphs block and the stability digraph share one build per vertex
+    graphs._component_data.cache_clear()
+    assert run(["report", name]) == 0
+    capsys.readouterr()
+    assert graphs._component_data.cache_info().misses == builtin(name).N
 
 
 @pytest.mark.parametrize("name", ["g8", "vicsek9"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eigenform_lab import (
+    DirichletForm,
     FractalTriple,
     builtin,
     components,
@@ -91,6 +92,30 @@ def test_snowflake_digraph_matches_word_enumeration(snowflake):
     assert dg.edges == brute
     sinks = _sink_sccs(dg.nodes, dg.edges)
     assert (len(sinks) == 1) == (not has_two_disjoint_closed_subsets(dg.nodes, dg.edges))
+
+
+def test_twisted_tree_gasket_unique_with_period_two(twisted_tree_gasket, tree_gasket):
+    t, r = twisted_tree_gasket, np.ones(3)
+    for a in (1.0, 3.0):
+        ver = verify_eigenform(t, r, DirichletForm(3, {(0, 1): a, (0, 2): a}))
+        assert ver.converged
+        assert ver.rho == pytest.approx(0.5, rel=1e-14)
+        assert ver.residual == 0.0
+    for a, b in ((1.0, 2.0), (2.0, 1.0)):
+        ver = verify_eigenform(t, r, DirichletForm(3, {(0, 1): a, (0, 2): b}))
+        assert not ver.converged
+        assert ver.rho == pytest.approx(0.4, rel=1e-14)
+    form = DirichletForm(3, {(0, 1): 1.0, (0, 2): 1.0})
+    dg = stability_digraph(t, form, r)
+    # the crosswise gluing couples the branches that the tree gasket keeps apart
+    assert decide_uniqueness(t, form, r, digraph=dg).unique
+    assert not decide_uniqueness(tree_gasket, form, r).unique
+    for (j, s), pd in dg.payload.items():
+        assert pd.period == (2 if j == 0 else 1)
+        if pd.period == 2:
+            assert pd.eigenvalue == pytest.approx(0.25, rel=1e-12)
+    brute = digraph_by_word_enumeration(t, form, r, dg.component_data, dg.payload)
+    assert dg.edges == brute
 
 
 def test_tree_gasket_matched_branch_weights():

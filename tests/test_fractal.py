@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from eigenform_lab import (
+    BoundaryGraph,
     FractalTriple,
     builtin,
     builtin_names,
     cell_graph,
     check_weights,
     connectivity_flags,
+    hat_graph,
     validate,
 )
+from eigenform_lab._graphutil import adjacency, split_components
 
-from oracles import connectivity_flags_dfs
+from oracles import cell_graph_pairwise, connected_within, connectivity_flags_dfs
 
 
 def test_builtin_gasket_shape(gasket):
@@ -116,6 +119,30 @@ def test_connectivity_flags_match_dfs_oracle(gen):
         assert flags == connectivity_flags_dfs(triple), triple.name
         seen.add(tuple(flags))
     assert {(True, True), (True, False), (False, False)} <= seen
+
+
+def test_cell_graph_and_connectivity_match_pairwise_oracles(gen):
+    triples = [builtin(name) for name in builtin_names()]
+    triples += [gen.simplex_gasket(d) for d in range(4, 13)]
+    triples += [gen.vicsek(n) for n in range(5, 10)]
+    triples += [gen.iterate(builtin(name), 3)[0] for name in ("gasket", "tree_gasket")]
+    rng = random.Random(23)
+    triples += [gen.relabel(t, [1.0] * t.k, rng)[0] for t in list(triples)]
+    for triple in triples:
+        edges = cell_graph(triple)
+        assert edges == cell_graph_pairwise(triple), triple.name
+        k, n = triple.k, triple.N
+        adj = adjacency(k, edges)
+        subsets = [range(k), range(n, k), range(n)]
+        subsets += [[i for i in range(k) if i != j] for j in range(n)]
+        subsets += [[i for i in range(k) if rng.random() < 0.5] for _ in range(10)]
+        for vs in subsets:
+            assert (len(split_components(vs, adj)) <= 1) == connected_within(vs, adj)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        graphs = [hat_graph(triple)]
+        graphs += [BoundaryGraph.from_edges(n, [p for p in pairs if rng.random() < 0.2]) for _ in range(5)]
+        for g in graphs:
+            assert g.is_connected() == connected_within(range(n), g.adjacency())
 
 
 def test_check_weights(gasket):

@@ -15,6 +15,7 @@ from eigenform_lab import (
     l_j_image,
     lambda_graph,
     tilde_graph,
+    validate,
 )
 from eigenform_lab.graphs import _single_images
 from oracles import lambda_graph_bfs, single_images_bfs
@@ -117,6 +118,29 @@ def test_components_partition(gasket, tree_gasket, vicsek):
                 assert comp.c_prime[s]
 
 
+def test_twisted_tree_gasket_swaps_branches(twisted_tree_gasket):
+    # the only test triple with a component period above 1
+    t = twisted_tree_gasket
+    assert validate(t) == []
+    assert hat_graph(t).sorted_edges() == edges((0, 1), (0, 2))
+    assert tilde_graph(t) == hat_graph(t)
+    comp = components(t, 0)
+    assert comp.components == ((1,), (2,))
+    assert comp.beta == (1, 0)
+    assert comp.periods == (2, 2)
+    assert l_j_image(t, 0, {1}, 1) == {2}
+    assert l_j_image(t, 0, {1}, 2) == {1}
+
+
+def test_components_cached_per_triple(gen):
+    # both call shapes share one entry, for every vertex of a 12-vertex boundary
+    triple = gen.simplex_gasket(12)
+    first = [components(triple, j) for j in range(triple.N)]
+    hat = hat_graph(triple)
+    assert all(components(triple, j, hat) is comp for j, comp in enumerate(first))
+    assert all(components(triple, j) is comp for j, comp in enumerate(first))
+
+
 def test_image_empty_set(tree_gasket):
     assert l_j_image(tree_gasket, 1, [], 1) == frozenset()
 
@@ -178,10 +202,11 @@ def test_boundary_graph_validation():
         BoundaryGraph.from_edges(3, [(0, 3)])
 
 
-def _oracle_triples(gen):
-    """The corpus and generated families, each followed by three seeded
-    relabellings of its interior ids and non-boundary cells."""
-    base = [builtin(name) for name in builtin_names()]
+def _oracle_triples(gen, twisted):
+    """The corpus, the twisted tree gasket and generated families, each
+    followed by three seeded relabellings of its interior ids and
+    non-boundary cells."""
+    base = [builtin(name) for name in builtin_names()] + [twisted]
     base += [gen.simplex_gasket(d) for d in (4, 5, 8, 10, 12)]
     base += [gen.vicsek(n) for n in range(5, 10)]
     base += [
@@ -197,9 +222,9 @@ def _oracle_triples(gen):
     return out
 
 
-def test_graph_operators_match_bfs_oracle(gen):
+def test_graph_operators_match_bfs_oracle(gen, twisted_tree_gasket):
     rng = random.Random(11)
-    for triple in _oracle_triples(gen):
+    for triple in _oracle_triples(gen, twisted_tree_gasket):
         n = triple.N
         hat = hat_graph(triple)
         g = tilde_graph(triple)

@@ -33,6 +33,56 @@ def test_fractal_missing_key():
         parse_fractal({"N": 3, "k": 3, "cells": []})
 
 
+_GASKET_FILE = {
+    "name": "g",
+    "N": 3,
+    "k": 3,
+    "vertices": 6,
+    "cells": [[0, 3, 4], [3, 1, 5], [4, 5, 2]],
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("vertices", 6.9),
+        ("N", True),
+        ("k", "3"),
+        ("cells", [[0, 3.7, 4], [3, 1, 5], [4, 5, 2]]),
+        ("weights", [1.0, True, 1.0]),
+        ("weights", [1.0, "1.0", 1.0]),
+    ],
+)
+def test_fractal_refuses_coerced_values(key, value):
+    data = dict(_GASKET_FILE, **{key: value})
+    with pytest.raises(ValueError, match=f"key '{key}'"):
+        parse_fractal(data)
+
+
+def test_fractal_accepts_integral_numbers():
+    triple, _ = parse_fractal(dict(_GASKET_FILE, vertices=6.0))
+    assert triple.num_vertices == 6 and isinstance(triple.num_vertices, int)
+
+
+@pytest.mark.parametrize(
+    "row, key",
+    [
+        ([0, 1.9, 1.0], "coefficients"),
+        (["0", 1, 1.0], "coefficients"),
+        ([0, 1, True], "coefficients"),
+        ([0, 1, "1.0"], "coefficients"),
+    ],
+)
+def test_form_refuses_coerced_values(row, key):
+    with pytest.raises(ValueError, match=f"key '{key}'"):
+        parse_form({"N": 3, "coefficients": [row]})
+
+
+def test_form_refuses_boolean_size():
+    with pytest.raises(ValueError, match="key 'N'"):
+        parse_form({"N": True, "coefficients": []})
+
+
 def test_form_roundtrip():
     form = DirichletForm(3, {(0, 1): 0.1, (1, 2): 2.5})
     again = parse_form(json.loads(dumps(form_to_dict(form))))

@@ -3,10 +3,12 @@ import pytest
 
 from eigenform_lab import (
     DirichletForm,
+    builtin,
     find_eigenform,
     renormalize,
     verify_eigenform,
 )
+from eigenform_lab.solver import _relative_residual
 
 R3 = np.ones(3)
 
@@ -47,6 +49,27 @@ def test_find_rejects_bad_budgets(gasket):
         find_eigenform(gasket, R3, max_iter=0)
     with pytest.raises(ValueError, match="tol"):
         find_eigenform(gasket, R3, tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "name, weights, coeffs, max_iter",
+    [
+        ("gasket", R3, {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0}, 1),
+        ("gasket", R3, {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0}, 2),
+        ("gasket", R3, {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0}, 3),
+        ("tree_gasket", np.array([1.0, 2.0, 3.0]), None, 5),
+    ],
+)
+def test_exhausted_budget_reports_the_measured_iterate(name, weights, coeffs, max_iter):
+    # the reported rho and residual belong to the returned form itself
+    triple = builtin(name)
+    init = None if coeffs is None else DirichletForm(3, coeffs)
+    res = find_eigenform(triple, weights, init=init, max_iter=max_iter)
+    assert res.iterations == max_iter
+    assert not res.converged
+    image = renormalize(triple, res.form, weights)
+    assert res.rho == image.l1_norm()
+    assert res.residual == _relative_residual(res.form, image, res.rho)
 
 
 def test_verify_scale_invariance(gasket, gasket_eigenform):

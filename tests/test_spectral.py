@@ -11,9 +11,27 @@ from eigenform_lab import (
     project_g,
     project_g_tilde,
 )
+from eigenform_lab import spectral
 from eigenform_lab.renorm import OperatorCache
 
 R3 = np.ones(3)
+
+
+def test_dense_fallback_when_power_iteration_stalls(monkeypatch):
+    # eigenvalues 1 +- sqrt(2)*1e-5 are too close for the power-iteration budget
+    calls = []
+    real = spectral._perron_dense
+
+    def spy(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(spectral, "_perron_dense", spy)
+    vec, value = spectral._perron_pair(np.array([[1.0, 1e-5], [2e-5, 1.0]]))
+    assert len(calls) == 1
+    assert value == pytest.approx(1.0 + np.sqrt(2.0) * 1e-5, rel=1e-14)
+    assert vec[0] > 0
+    assert vec[1] / vec[0] == pytest.approx(np.sqrt(2.0), rel=1e-9)
 
 
 def test_perron_positive_gasket(gasket, gasket_eigenform):

@@ -3,6 +3,7 @@ import pytest
 
 from eigenform_lab import (
     DirichletForm,
+    FractalTriple,
     components,
     decide_uniqueness,
     explore_nonuniqueness,
@@ -197,14 +198,14 @@ def test_digraph_requires_matching_support(tree_gasket):
 def test_decide_gasket_unique(gasket, gasket_eigenform):
     verdict = decide_uniqueness(gasket, gasket_eigenform, R3)
     assert verdict.unique
-    assert verdict.sink_scc_count == 1
+    assert len(verdict.sink_sccs) == 1
     assert verdict.witnesses is None
 
 
 def test_decide_tree_nonunique_with_witnesses(tree_gasket, tree_eigenform):
     verdict = decide_uniqueness(tree_gasket, tree_eigenform, R3)
     assert not verdict.unique
-    assert verdict.sink_scc_count == 2
+    assert len(verdict.sink_sccs) == 2
     got = {frozenset(w) for w in verdict.witnesses}
     assert got == {frozenset({(0, 0), (1, 0)}), frozenset({(0, 1), (2, 0)})}
 
@@ -366,7 +367,29 @@ def test_cell_operators_built_once_per_context(monkeypatch, gasket, tree_gasket,
         assert n == 1
     assert verdict.witnesses is not None
     _, n = count(lambda: explore_nonuniqueness(tree_gasket, tree_eigenform, R3, verdict))
-    assert n == 1
+    assert n == 0
+
+
+def test_verdict_carries_its_digraph(tree_gasket, tree_eigenform):
+    dg = stability_digraph(tree_gasket, tree_eigenform, R3)
+    assert decide_uniqueness(tree_gasket, tree_eigenform, R3, digraph=dg).digraph is dg
+    built = decide_uniqueness(tree_gasket, tree_eigenform, R3).digraph
+    assert (built.nodes, built.edges) == (dg.nodes, dg.edges)
+
+
+def test_explore_refuses_a_verdict_for_another_context(tree_gasket, tree_eigenform):
+    verdict = decide_uniqueness(tree_gasket, tree_eigenform, R3)
+    other_form = DirichletForm(3, {(0, 1): 1.0, (0, 2): 2.0})
+    t = tree_gasket
+    renamed = FractalTriple("renamed", t.N, t.k, t.num_vertices, t.cells)
+    for triple, form, weights in [
+        (tree_gasket, other_form, R3),
+        (tree_gasket, tree_eigenform.scaled(2.0), R3),
+        (tree_gasket, tree_eigenform, np.array([5.0, 2.0, 2.0])),
+        (renamed, tree_eigenform, R3),
+    ]:
+        with pytest.raises(ValueError, match="another triple, form or weights"):
+            explore_nonuniqueness(triple, form, weights, verdict)
 
 
 def test_explore_tree_finds_new_eigenform(tree_gasket, tree_eigenform):
