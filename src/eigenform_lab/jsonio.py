@@ -135,10 +135,11 @@ def parse_fractal(data: dict) -> tuple[FractalTriple, np.ndarray]:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed fractal file: {exc}") from exc
     raw = data.get("weights")
-    if isinstance(raw, list):
-        raw = [_number(w, "weights") for w in raw]
-    weights = np.ones(triple.k) if raw is None else np.asarray(raw, dtype=float)
-    return triple, check_weights(triple, weights)
+    if raw is None:
+        return triple, check_weights(triple, np.ones(triple.k))
+    if not isinstance(raw, list):
+        raise ValueError(f"key 'weights' needs a list of numbers, got {raw!r}")
+    return triple, check_weights(triple, np.array([_number(w, "weights") for w in raw]))
 
 
 def load_fractal(path) -> tuple[FractalTriple, np.ndarray]:
@@ -159,9 +160,12 @@ def parse_form(data: dict) -> DirichletForm:
     for key in ("N", "coefficients"):
         if key not in data:
             raise ValueError(f"form file is missing required key {key!r}")
+    rows = data["coefficients"]
+    if not isinstance(rows, list):
+        raise ValueError(f"key 'coefficients' needs a list of [j1, j2, c] rows, got {rows!r}")
     entries = []
-    for row in data["coefficients"]:
-        if len(row) != 3:
+    for row in rows:
+        if not isinstance(row, list) or len(row) != 3:
             raise ValueError(f"coefficient rows must be [j1, j2, c], got {row}")
         a, b = _integer(row[0], "coefficients"), _integer(row[1], "coefficients")
         c = _number(row[2], "coefficients")

@@ -10,11 +10,13 @@ to a single cell are small stochastic matrices; ``OperatorCache`` holds the k
 of them for one (triple, form, weights) context and multiplies words on
 demand, since every composite map is a product of them.
 
-Every interior solve goes through one helper: a reachability check that names
-the offending vertex, then dense LU with partial pivoting.  The interior block
-has a handful of vertices on the built-ins and several hundred on level-m
-composites; a dense solve at that size still costs milliseconds and keeps the
-results deterministic.
+Every interior solve goes through one helper: a check that each free vertex
+shares a connected component with a fixed one, naming the first that does not,
+then dense LU with partial pivoting.  The components depend only on which
+(cell, pair) slots carry conductance, so they are labelled once per (triple,
+pattern) and cached.  The interior block has a handful of vertices on the
+built-ins and several hundred on level-m composites; a dense solve at that
+size still costs milliseconds and keeps the results deterministic.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._graphutil import adjacency
+from ._graphutil import adjacency, split_components
 from .errors import InternalConsistencyError, SingularInteriorError
 from .forms import COEFF_EPS, DirichletForm, energy, pair_list
 from .fractal import FractalTriple, check_weights
@@ -92,24 +94,16 @@ def conductance_laplacian(
     return np.bincount(slots.ravel(), weights=terms.ravel(), minlength=nv * nv).reshape(nv, nv)
 
 
-def _check_reachable(
-    triple: FractalTriple, lap: np.ndarray, free: Sequence[int], fixed: Sequence[int]
-):
-    """Every free vertex must reach a fixed vertex through positive
-    conductances, otherwise the free block is singular."""
-    pq = _pair_images(triple)
-    adj = adjacency(lap.shape[0], pq[lap[pq[:, 0], pq[:, 1]] != 0.0].tolist())
-    seen = set(fixed)
-    stack = list(fixed)
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    for v in free:
-        if v not in seen:
-            raise SingularInteriorError(v)
+@functools.lru_cache(maxsize=32)
+def _component_labels(triple: FractalTriple, live: bytes) -> tuple[int, ...]:
+    """Component label of every network vertex when the ``_pair_images`` slots
+    flagged in the boolean mask ``live`` carry conductance.  Cached per
+    (triple, pattern): the pattern stays put while the solver iterates."""
+    nv = triple.num_vertices
+    edges = _pair_images(triple)[np.frombuffer(live, dtype=bool)].tolist()
+    comps = split_components(range(nv), adjacency(nv, edges))
+    owner = {v: c for c, comp in enumerate(comps) for v in comp}
+    return tuple(owner[v] for v in range(nv))
 
 
 def _solve_interior(
@@ -122,7 +116,12 @@ def _solve_interior(
 ) -> np.ndarray:
     """``solve(block, rhs)``, ``block`` being the free block ``L_FF`` of the
     network Laplacian, once every free vertex is known to reach a fixed one."""
-    _check_reachable(triple, lap, free, fixed)
+    pq = _pair_images(triple)
+    labels = _component_labels(triple, (lap[pq[:, 0], pq[:, 1]] != 0.0).tobytes())
+    reached = {labels[v] for v in fixed}
+    for v in free:
+        if labels[v] not in reached:
+            raise SingularInteriorError(v)
     try:
         return np.linalg.solve(block, rhs)
     except np.linalg.LinAlgError:

@@ -264,6 +264,14 @@ def _positive_case_digraph(
     return nodes, edges
 
 
+def _require_context(dg: StabilityDigraph, triple, form, r, what: str) -> None:
+    """Refuse a digraph whose cell operators belong to another triple, form or
+    checked weights, compared by value."""
+    built_for = (dg.cache.triple, dg.cache.form.matrix().tolist(), dg.cache.weights.tolist())
+    if built_for != (triple, form.matrix().tolist(), r.tolist()):
+        raise ValueError(f"the {what} for another triple, form or weights")
+
+
 def decide_uniqueness(
     triple: FractalTriple,
     form: DirichletForm,
@@ -273,14 +281,16 @@ def decide_uniqueness(
 ) -> StabilityVerdict:
     """Condense the digraph and count sinks.
 
-    The digraph is ``digraph`` when given (it must belong to this triple, form
-    and weights) and is built otherwise; the verdict carries it.  One sink
-    means unique; two or more yield witnesses, namely two sink components
-    themselves (each is closed under out-edges).  For a positive form the
-    single-vertex variant runs as well, on the digraph's cell operators, and
-    must agree.
+    The digraph is ``digraph`` when given (one built for another triple, form
+    or weights raises ``ValueError``) and is built otherwise; the verdict
+    carries it.  One sink means unique; two or more yield witnesses, namely
+    two sink components themselves (each is closed under out-edges).  For a
+    positive form the single-vertex variant runs as well, on the digraph's
+    cell operators, and must agree.
     """
     r = check_weights(triple, weights)
+    if digraph is not None:
+        _require_context(digraph, triple, form, r, "digraph was built")
     dg = digraph or stability_digraph(triple, form, r, phi_tol=phi_tol)
     sinks = _sink_sccs(dg.nodes, dg.edges)
     unique = len(sinks) == 1
@@ -398,9 +408,7 @@ def explore_nonuniqueness(
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     dg = verdict.digraph
-    decided_for = (dg.cache.triple, dg.cache.form.matrix().tolist(), dg.cache.weights.tolist())
-    if decided_for != (triple, form.matrix().tolist(), r.tolist()):
-        raise ValueError("the verdict was decided for another triple, form or weights")
+    _require_context(dg, triple, form, r, "verdict was decided")
     combined: dict[tuple[int, int], float] = {}
     for (j, s) in verdict.witnesses[1]:
         for pair, d in penalty_form(dg.cache, dg.component_data[j], s).items():

@@ -1,10 +1,11 @@
 """Brute-force reference computations used only as test oracles.
 
 Each routine here recomputes a quantity by the most direct method available
-(entry-by-entry Laplacian assembly, single global Schur reduction, one
-intersection per cell pair, one breadth-first search per boundary vertex, one
-depth-first search per removed boundary cell, round-based orbit closure,
-exhaustive word enumeration, exhaustive subset enumeration) without going through the production code
+(entry-by-entry Laplacian assembly, one reachability search per interior
+solve, single global Schur reduction, one intersection per cell pair, one
+breadth-first search per boundary vertex, one depth-first search per removed
+boundary cell, round-based orbit closure, exhaustive word enumeration,
+exhaustive subset enumeration) without going through the production code
 paths it checks.
 """
 
@@ -21,6 +22,7 @@ from eigenform_lab import (
     pair_list,
 )
 from eigenform_lab._graphutil import adjacency
+from eigenform_lab.errors import SingularInteriorError
 from eigenform_lab.renorm import OperatorCache
 
 
@@ -42,6 +44,33 @@ def conductance_laplacian_loop(triple, form, weights):
             lap[p, q] -= w
             lap[q, p] -= w
     return lap
+
+
+def check_reachable_bfs(triple, lap, free, fixed):
+    """Raise ``SingularInteriorError`` at the first vertex of ``free`` that no
+    depth-first search from the ``fixed`` vertices reaches, walking every pair
+    image ``cell[a], cell[b]`` whose Laplacian entry is nonzero; rebuilt from
+    scratch on every call."""
+    adj = adjacency(
+        triple.num_vertices,
+        [
+            (cell[a], cell[b])
+            for cell in triple.cells
+            for a, b in pair_list(triple.N)
+            if lap[cell[a], cell[b]] != 0.0
+        ],
+    )
+    seen = set(fixed)
+    stack = list(fixed)
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    for v in free:
+        if v not in seen:
+            raise SingularInteriorError(v)
 
 
 def cell_graph_pairwise(triple):

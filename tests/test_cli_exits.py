@@ -2,10 +2,11 @@
 
 Each case runs one command line and compares its exit code, stdout and
 stderr with ``golden/cli_exits.json``.  The cases cover every subcommand on a
-disconnected triple, malformed JSON, a missing path, a triple without an
-eigenform and a text rendering; ``verify``, ``check-uniqueness`` and
-``solve --init`` on verified, support-violating, reducible and malformed
-forms; and the ``--tol``, ``--max-iter`` and ``--quiet`` options.
+disconnected triple, malformed JSON, a missing path, weights that are not a
+list, a triple without an eigenform and a text rendering; ``verify``,
+``check-uniqueness`` and ``solve --init`` on verified, support-violating,
+reducible and malformed forms, including coefficients that are not a list of
+rows; and the ``--tol``, ``--max-iter`` and ``--quiet`` options.
 
 A deliberate output change regenerates the golden file with
 ``PYTHONPATH=src python tests/test_cli_exits.py``.
@@ -35,6 +36,16 @@ _FILES = {
         {"name": "split", "N": 2, "k": 2, "vertices": 4, "cells": [[0, 2], [3, 1]]}
     ),
     "malformed.json": "{not json",
+    "dict_weights.json": json.dumps(
+        {
+            "name": "g",
+            "N": 3,
+            "k": 3,
+            "vertices": 6,
+            "cells": [[0, 3, 4], [3, 1, 5], [4, 5, 2]],
+            "weights": {"a": 1},
+        }
+    ),
     "tree123.json": dumps(triple_to_dict(builtin("tree_gasket"), weights=[1.0, 2.0, 3.0])),
     "tree.json": dumps(triple_to_dict(builtin("tree_gasket"))),
     "gasket_form.json": json.dumps({"N": 3, "coefficients": [[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0]]}),
@@ -44,6 +55,8 @@ _FILES = {
     ),
     "reducible_form.json": json.dumps({"N": 3, "coefficients": [[0, 1, 1.0]]}),
     "malformed_form.json": json.dumps({"N": 3, "coefficients": [[0, 1]]}),
+    "scalar_form.json": json.dumps({"N": 3, "coefficients": 5}),
+    "flat_form.json": json.dumps({"N": 3, "coefficients": [5]}),
 }
 
 
@@ -52,6 +65,7 @@ def _cases() -> dict[str, list[str]]:
     for label, fractal in (
         ("disconnected", "{dir}/disconnected.json"),
         ("malformed", "{dir}/malformed.json"),
+        ("dict-weights", "{dir}/dict_weights.json"),
         ("missing", MISSING),
         ("tree123", "{dir}/tree123.json"),
     ):
@@ -70,7 +84,7 @@ def _cases() -> dict[str, list[str]]:
     cases["report-text"] = ["report", "gasket", *text]
     cases["corpus-text"] = ["corpus", *text]
     cases["corpus"] = ["corpus"]
-    for form in ("verified", "support", "reducible", "malformed"):
+    for form in ("verified", "support", "reducible", "malformed", "scalar", "flat"):
         path = f"{{dir}}/{form}_form.json"
         cases[f"verify-{form}-form"] = ["verify", "{dir}/tree.json", path]
         cases[f"check-uniqueness-{form}-form"] = ["check-uniqueness", "{dir}/tree.json", path]

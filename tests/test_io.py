@@ -51,6 +51,8 @@ _GASKET_FILE = {
         ("cells", [[0, 3.7, 4], [3, 1, 5], [4, 5, 2]]),
         ("weights", [1.0, True, 1.0]),
         ("weights", [1.0, "1.0", 1.0]),
+        ("weights", {"a": 1}),
+        ("weights", 5),
     ],
 )
 def test_fractal_refuses_coerced_values(key, value):
@@ -76,6 +78,20 @@ def test_fractal_accepts_integral_numbers():
 def test_form_refuses_coerced_values(row, key):
     with pytest.raises(ValueError, match=f"key '{key}'"):
         parse_form({"N": 3, "coefficients": [row]})
+
+
+@pytest.mark.parametrize(
+    "coefficients, match",
+    [
+        (5, "key 'coefficients'"),
+        ({"0": [0, 1, 1.0]}, "key 'coefficients'"),
+        ([5], "coefficient rows"),
+        ([[0, 1, 1.0], "abc"], "coefficient rows"),
+    ],
+)
+def test_form_refuses_malformed_structure(coefficients, match):
+    with pytest.raises(ValueError, match=match):
+        parse_form({"N": 3, "coefficients": coefficients})
 
 
 def test_form_refuses_boolean_size():

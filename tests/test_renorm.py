@@ -1,12 +1,16 @@
+import random
+
 import numpy as np
 import pytest
 
 from eigenform_lab import (
     DirichletForm,
+    InternalConsistencyError,
     SingularInteriorError,
     builtin,
     builtin_names,
     constrained_extension,
+    find_eigenform,
     harmonic_extension,
     lambda_graph,
     one_step_energy,
@@ -14,9 +18,14 @@ from eigenform_lab import (
     renormalize,
     support_graph,
 )
-from eigenform_lab.renorm import OperatorCache, conductance_laplacian
+from eigenform_lab.renorm import (
+    OperatorCache,
+    _component_labels,
+    _pair_images,
+    conductance_laplacian,
+)
 
-from oracles import conductance_laplacian_loop, two_level_form
+from oracles import check_reachable_bfs, conductance_laplacian_loop, two_level_form
 
 R3 = np.ones(3)
 
@@ -227,3 +236,115 @@ def test_support_functoriality(gasket, tree_gasket, vicsek):
             form = random_irreducible_form(rng, triple.N)
             lam = renormalize(triple, form, np.ones(triple.k))
             assert support_graph(lam) == lambda_graph(triple, support_graph(form))
+
+
+def _reach_outcome(call):
+    """``(vertex, message)`` of the reachability failure ``call`` raises, or
+    ``None`` when it gets past the check.  Failures after the check (a
+    numerically singular block, a negative renormalized coefficient when
+    conductances span many decades) count as getting past it."""
+    try:
+        call()
+    except SingularInteriorError as exc:
+        if str(exc) != "interior block is numerically singular":
+            return exc.vertex, str(exc)
+    except InternalConsistencyError:
+        pass
+    return None
+
+
+def _oracle_outcome(triple, form, weights, free, fixed):
+    lap = conductance_laplacian_loop(triple, form, weights)
+    return _reach_outcome(lambda: check_reachable_bfs(triple, lap, free, fixed))
+
+
+def _boundary_fixed_outcomes(triple, form, weights):
+    """Reachability outcome of every consumer that fixes the boundary."""
+    u = np.linspace(1.0, 0.0, triple.N)
+    return [
+        _reach_outcome(solve)
+        for solve in (
+            lambda: harmonic_extension(triple, form, weights, u),
+            lambda: renormalize(triple, form, weights),
+            lambda: OperatorCache(triple, form, weights),
+        )
+    ]
+
+
+def test_reachability_matches_bfs_oracle(gen, twisted_tree_gasket):
+    # seeded forms with exact zeros (the empty form and gasket's lonely
+    # (0,1)-only form among them) and weights over sixteen decades; every
+    # consumer must raise exactly where, at the vertex and with the message
+    # the per-solve search does
+    triples = [builtin(name) for name in builtin_names()] + [twisted_tree_gasket]
+    triples += [gen.iterate(builtin(name), 3)[0] for name in builtin_names()]
+    triples += [gen.simplex_gasket(d) for d in range(4, 9)]
+    rng = np.random.default_rng(19)
+    seen = set()
+    for triple in triples:
+        n, nv = triple.N, triple.num_vertices
+        pairs = pair_list(n)
+        forms = [DirichletForm(n, {}), DirichletForm(n, {(0, 1): 1.0})]
+        for _ in range(4):
+            vec = 10.0 ** rng.uniform(-8, 8, size=len(pairs))
+            vec[rng.random(len(pairs)) < 0.4] = 0.0
+            forms.append(DirichletForm(n, dict(zip(pairs, vec))))
+        for form in forms:
+            weights = 10.0 ** rng.uniform(-8, 8, size=triple.k)
+            want = _oracle_outcome(triple, form, weights, range(n, nv), range(n))
+            assert _boundary_fixed_outcomes(triple, form, weights) == [want] * 3
+            seen.add(want is None)
+            for size in (rng.integers(1, n + 1), rng.integers(1, nv + 1)):
+                fixed = sorted(rng.choice(nv, size=size, replace=False).tolist())
+                free = [v for v in range(nv) if v not in fixed]
+                values = {v: float(rng.normal()) for v in fixed}
+                got = _reach_outcome(lambda: constrained_extension(triple, form, weights, values))
+                assert got == _oracle_outcome(triple, form, weights, free, fixed)
+    assert seen == {True, False}
+
+
+def test_reachability_reads_underflowed_conductances(tree_gasket):
+    # every pair carries a coefficient, but in cell 2 the products 1e-200 *
+    # 1e-200 underflow to zero: the check reads the Laplacian's live slots,
+    # not the form's support, and finds vertex 6 cut off
+    form = DirichletForm(3, {(0, 1): 1e-200, (0, 2): 1.0, (1, 2): 1e-200})
+    weights = np.array([1.0, 1.0, 1e-200])
+    want = (6, "interior vertex 6 has no conductance path to the boundary")
+    assert _oracle_outcome(tree_gasket, form, weights, range(3, 7), range(3)) == want
+    assert _boundary_fixed_outcomes(tree_gasket, form, weights) == [want] * 3
+    boundary = {0: 1.0, 1: 0.0, 2: 0.0}
+    got = _reach_outcome(lambda: constrained_extension(tree_gasket, form, weights, boundary))
+    assert got == want
+
+
+def test_component_labels_key_on_cells(gen):
+    # relabellings share name, N, k and vertex count with the original, and
+    # uniform weights give them the same live-slot pattern, so only the cells
+    # tell the cache entries apart
+    for triple in (gen.simplex_gasket(8), gen.vicsek(6), gen.iterate(builtin("tree_gasket"), 3)[0]):
+        ones = np.ones(triple.k)
+        for s in range(3):
+            other = gen.relabel(triple, list(ones), random.Random(s))[0]
+            assert (other.name, other.N, other.k, other.num_vertices) == (
+                triple.name, triple.N, triple.k, triple.num_vertices
+            )
+            assert other.cells != triple.cells
+            for form in (DirichletForm(triple.N, {(0, 1): 1.0}), DirichletForm.ones(triple.N)):
+                for t in (triple, other, triple, other):
+                    pq = _pair_images(t)
+                    lap = conductance_laplacian(t, form, ones)
+                    live = (lap[pq[:, 0], pq[:, 1]] != 0.0).tobytes()
+                    assert _component_labels(t, live) == _component_labels.__wrapped__(t, live)
+                    got = _reach_outcome(lambda: constrained_extension(t, form, ones, {0: 1.0}))
+                    assert got == _oracle_outcome(t, form, ones, range(1, t.num_vertices), [0])
+
+
+def test_component_labels_built_once_per_search():
+    # the conductance pattern stays put while the solver iterates (here 217
+    # times, to a form off the stable support), so one search labels the
+    # network once or twice however many solves it makes
+    _component_labels.cache_clear()
+    find_eigenform(builtin("tree_gasket"), [1.0, 2.0, 3.0])
+    info = _component_labels.cache_info()
+    assert info.hits + info.misses >= 200
+    assert info.misses <= 2

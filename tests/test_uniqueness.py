@@ -392,6 +392,24 @@ def test_explore_refuses_a_verdict_for_another_context(tree_gasket, tree_eigenfo
             explore_nonuniqueness(triple, form, weights, verdict)
 
 
+def test_decide_refuses_a_digraph_for_another_context(tree_gasket, tree_eigenform):
+    w = np.array([5.0, 2.0, 2.0])
+    dg = stability_digraph(tree_gasket, tree_eigenform, w)
+    other_form = DirichletForm(3, {(0, 1): 1.0, (0, 2): 2.0})
+    t = tree_gasket
+    renamed = FractalTriple("renamed", t.N, t.k, t.num_vertices, t.cells)
+    for triple, form, weights in [
+        (tree_gasket, other_form, w),
+        (tree_gasket, tree_eigenform, R3),
+        (renamed, tree_eigenform, w),
+    ]:
+        with pytest.raises(ValueError, match="another triple, form or weights"):
+            decide_uniqueness(triple, form, weights, digraph=dg)
+    # the same context compares by value: a rebuilt form and a weight list pass
+    same = DirichletForm(3, {(0, 1): 1.0, (0, 2): 1.0})
+    assert decide_uniqueness(tree_gasket, same, [5, 2, 2], digraph=dg).digraph is dg
+
+
 def test_explore_tree_finds_new_eigenform(tree_gasket, tree_eigenform):
     verdict = decide_uniqueness(tree_gasket, tree_eigenform, R3)
     out = explore_nonuniqueness(tree_gasket, tree_eigenform, R3, verdict, delta=0.1)
