@@ -94,6 +94,25 @@ class DirichletForm:
             raise ValueError("coefficient matrix must have a zero diagonal")
         return cls(n, {(a, b): m[a, b] for a, b in pair_list(n)})
 
+    @classmethod
+    def _wrap(cls, n: int, m: np.ndarray) -> "DirichletForm":
+        """Form on ``n`` vertices over the valid coefficient matrix ``m``
+        (symmetric, zero diagonal, finite, nonnegative), taken as it stands
+        and made read-only; the caller vouches for its validity."""
+        m.flags.writeable = False
+        out = object.__new__(cls)
+        out.N, out._m = n, m
+        return out
+
+    @classmethod
+    def _from_vector(cls, n: int, vec: np.ndarray) -> "DirichletForm":
+        """Form with the finite nonnegative coefficients ``vec`` in
+        ``pair_list`` order, unchecked.  Filled as the validating constructor
+        fills its matrix, so the two give the same bits."""
+        m = np.zeros((n, n))
+        m[_pair_index(n)] = vec
+        return cls._wrap(n, m + m.T)
+
     def matrix(self) -> np.ndarray:
         """Symmetric coefficient matrix with zero diagonal (read-only view)."""
         return self._m
@@ -129,10 +148,7 @@ class DirichletForm:
             raise ValueError(f"scaling by {factor} overflows a coefficient")
         # a finite nonnegative multiple of a valid matrix is valid as it
         # stands, so it skips from_matrix's symmetry and per-entry checks
-        m.flags.writeable = False
-        out = object.__new__(DirichletForm)
-        out.N, out._m = self.N, m
-        return out
+        return DirichletForm._wrap(self.N, m)
 
     def __repr__(self):
         items = ", ".join(f"({a},{b}): {c:.6g}" for a, b, c in self.coefficient_items())

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._graphutil import adjacency, split_components
 from .errors import InternalConsistencyError, SingularInteriorError
-from .forms import COEFF_EPS, DirichletForm, energy, pair_list
+from .forms import COEFF_EPS, DirichletForm, _pair_index, energy, pair_list
 from .fractal import FractalTriple, check_weights
 
 __all__ = [
@@ -202,19 +202,42 @@ def renormalize(triple: FractalTriple, form: DirichletForm, weights) -> Dirichle
     ``[-COEFF_EPS * max, 0]`` are clamped to zero: structural zeros of the
     stable support pick up only round-off there.
     """
+    return _renormalize_extending(triple, form, weights)[0]
+
+
+def _renormalize_extending(
+    triple: FractalTriple, form: DirichletForm, weights
+) -> tuple[DirichletForm, np.ndarray]:
+    """``renormalize``'s image, together with the ``_boundary_extension`` of
+    the same interior solve: the solver reads both the image and the cell
+    operators from one solve."""
     lap = conductance_laplacian(triple, form, weights)
     n = triple.N
-    s = lap[:n, :n] + lap[n:, :n].T @ _boundary_extension(triple, lap)
-    coeffs = {}
-    off = [-s[a_, b_] for a_, b_ in pair_list(n)]
-    scale = max((abs(x) for x in off), default=0.0)
-    for (a_, b_), c in zip(pair_list(n), off):
-        if c < -COEFF_EPS * scale:
-            raise InternalConsistencyError(
-                f"renormalized coefficient for pair ({a_},{b_}) is negative: {c}"
-            )
-        coeffs[(a_, b_)] = max(c, 0.0)
-    return DirichletForm(n, coeffs)
+    ext = _boundary_extension(triple, lap)
+    s = lap[:n, :n] + lap[n:, :n].T @ ext
+    rows, cols = _pair_index(n)
+    off = -s[rows, cols]
+    bad = np.flatnonzero(off < -COEFF_EPS * np.max(np.abs(off)))
+    if bad.size:
+        i = bad[0]
+        raise InternalConsistencyError(
+            f"renormalized coefficient for pair ({rows[i]},{cols[i]}) is negative: {off[i]}"
+        )
+    bad = np.flatnonzero(~np.isfinite(off))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"coefficient for pair ({rows[i]}, {cols[i]}) must be finite and >= 0, got {off[i]}"
+        )
+    return DirichletForm._from_vector(n, np.maximum(off, 0.0)), ext
+
+
+def _cell_operators(triple: FractalTriple, ext: np.ndarray) -> np.ndarray:
+    """The k cell operators ``[I; ext][cells[i]]`` as one read-only
+    ``(k, N, N)`` array, ``ext`` being a ``_boundary_extension``."""
+    ops = np.vstack([np.eye(triple.N), ext])[np.array(triple.cells)]
+    ops.flags.writeable = False
+    return ops
 
 
 class OperatorCache:
@@ -238,9 +261,7 @@ class OperatorCache:
         self.weights = check_weights(triple, weights)
         lap = conductance_laplacian(triple, form, self.weights)
         # boundary data to the full minimizing extension: [I; -L_FF^-1 L_FB]
-        ext = np.vstack([np.eye(triple.N), _boundary_extension(triple, lap)])
-        self.ops = ext[np.array(triple.cells)]
-        self.ops.flags.writeable = False
+        self.ops = _cell_operators(triple, _boundary_extension(triple, lap))
 
     def cell(self, i: int) -> np.ndarray:
         return self.ops[i]

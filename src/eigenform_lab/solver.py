@@ -1,8 +1,13 @@
-"""Fixed-point search for eigenforms and residual-based verification.
+"""Newton search for eigenforms and residual-based verification.
 
-The search iterates the renormalization map, rescaling each image to unit
-coefficient sum; the eigenvalue estimate is the pre-normalization sum ratio.
-No convergence guarantee exists, so a run that fails to stabilize is a
+Every eigenform is supported on the stable boundary graph, so the search runs
+Newton's method for ``R(f) = rho f`` on the positive cone of stable-graph
+coefficients at unit coefficient sum; the eigenvalue estimate is the
+coefficient sum of the image.  Plain iteration of the renormalization map
+converges only linearly, at the ratio of the two largest eigenvalues of its
+Jacobian (0.8 on the gasket), so it is kept only for single steps: to fill in
+a stable-graph edge the start lacks, and when a Newton step stalls.  No
+convergence guarantee exists, so a run that fails to stabilize is a
 reported outcome rather than an exception.  A candidate counts as verified
 only when the eigen-residual is small, the eigenvalue sits below every
 boundary weight, and the support equals the stable boundary graph; structural
@@ -11,20 +16,23 @@ support mismatch rules a candidate out no matter how small its residual.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import DirichletForm, is_irreducible, support_graph
+from .forms import COEFF_EPS, DirichletForm, _pair_index, is_irreducible, pair_list, support_graph
 from .fractal import FractalTriple, check_weights
 from .graphs import hat_graph
-from .renorm import renormalize
+from .renorm import _cell_operators, _renormalize_extending, renormalize
 
 __all__ = ["EigenResult", "find_eigenform", "verify_eigenform"]
 
 DEFAULT_SOLVE_TOL = 1e-12
 DEFAULT_VERIFY_TOL = 1e-8
 DEFAULT_MAX_ITER = 100_000
+# relative singular-value cutoff of the Newton step's least-squares solve
+LSTSQ_RCOND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,87 @@ def verify_eigenform(
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _hat_index(triple: FractalTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions of the stable-graph edges in ``pair_list`` order, and their
+    end points ``a < b`` (read-only).  Cached per triple, like ``hat_graph``."""
+    hat = hat_graph(triple)
+    pos = np.array([i for i, pair in enumerate(pair_list(triple.N)) if hat.has_edge(*pair)])
+    rows, cols = (idx[pos] for idx in _pair_index(triple.N))
+    for a in (pos, rows, cols):
+        a.flags.writeable = False
+    return pos, rows, cols
+
+
+def _on_hat(triple: FractalTriple, coeffs: np.ndarray) -> DirichletForm:
+    """Form with the positive ``coeffs`` on the stable-graph edges and exact
+    zeros elsewhere."""
+    vec = np.zeros(triple.N * (triple.N - 1) // 2)
+    vec[_hat_index(triple)[0]] = coeffs
+    return DirichletForm._from_vector(triple.N, vec)
+
+
+def _hat_start(triple: FractalTriple, form: DirichletForm) -> DirichletForm | None:
+    """The restriction of ``form`` to the stable graph, scaled to unit
+    coefficient sum; None while some stable-graph edge is missing from the
+    form's support."""
+    x = form.vector()[_hat_index(triple)[0]]
+    if x.min() <= COEFF_EPS * form.max_coefficient():
+        return None
+    return _on_hat(triple, x * (1.0 / x.sum()))
+
+
+def _jacobian(triple: FractalTriple, r: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Derivative of the renormalized stable-graph coefficients with respect
+    to the form's, at the form whose cell operators are ``ops``.
+
+    The image is the minimum energy, so by the envelope theorem only the
+    explicit dependence on the form counts:
+    dc'_ab / df_pq = -sum_i r_i (A_i[p,a] - A_i[q,a]) (A_i[p,b] - A_i[q,b]).
+    The map is homogeneous of degree one, so ``J @ f`` is the image itself.
+    """
+    _, p, q = _hat_index(triple)
+    diff = ops[:, p, :] - ops[:, q, :]  # (cell, column pair pq, boundary vertex)
+    return -np.einsum("i,ijh,ijh->hj", r, diff[:, :, p], diff[:, :, q])
+
+
+def _newton_step(jac: np.ndarray, x: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
+    """Newton direction for ``R(f) = rho f`` at the unit-sum iterate ``x``
+    with image ``c``, keeping the coefficient sum: the bordered system
+    ``[[J - rho I, -x], [1, 0]] [d; drho] = [rho x - c; 0]``.
+
+    It is singular at every eigenform of a family that is not unique up to
+    scale, so it is solved by least squares, with singular values below
+    ``LSTSQ_RCOND`` of the largest cut off: at the default cutoff round-off
+    in those directions became steps of order 1e-3.
+    """
+    m = x.size
+    bordered = np.zeros((m + 1, m + 1))
+    bordered[:m, :m] = jac - rho * np.eye(m)
+    bordered[:m, m] = -x
+    bordered[m, :m] = 1.0
+    rhs = np.append(rho * x - c, 0.0)
+    return np.linalg.lstsq(bordered, rhs, rcond=LSTSQ_RCOND)[0][:m]
+
+
+def _into_cone(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``x + d``, unless that leaves some coefficient below a tenth of its
+    value; then ``x + t d``, going 0.9 of the way to zero on the first
+    coefficient to fall that far.
+
+    A step that would leave the open cone stops short of its boundary, and a
+    coefficient heading to zero (no eigenform exists) shrinks tenfold per
+    step, so the search stops at one between ``COEFF_EPS / 10`` and
+    ``COEFF_EPS`` of the largest.  A full step can overshoot far below that
+    (to 2e-18 on a relabelled tree_gasket (1, 2, 3)), where the interior
+    solve is numerically singular.
+    """
+    shrink = d < -0.9 * x
+    if not shrink.any():
+        return x + d
+    return x + (0.9 * np.min(x[shrink] / -d[shrink])) * d
+
+
 def find_eigenform(
     triple: FractalTriple,
     weights,
@@ -107,16 +196,26 @@ def find_eigenform(
     tol: float = DEFAULT_SOLVE_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> EigenResult:
-    """Normalized fixed-point iteration of the renormalization map.
+    """Newton's method for ``R(f) = rho f`` on the stable-graph cone.
 
-    Starting from ``init`` (all-ones by default), each round renormalizes,
-    records the coefficient-sum ratio as the eigenvalue estimate and rescales
-    to unit coefficient sum.  The loop stops when the iterate's direction and
-    eigen-residual both settle below ``tol``, or after ``max_iter`` rounds;
-    either way the result reports the last iterate renormalized, with its own
-    ``rho`` and ``residual``.  The returned flag additionally demands the
-    structural checks, so a run that drifts toward a degenerate direction
-    reports non-convergence.
+    Every eigenform is supported on the stable boundary graph, so the
+    unknowns are its edge coefficients, at unit sum.  The search starts from
+    the restriction of ``init`` (all-ones by default) to the stable graph;
+    while that graph has an edge outside the support of ``init``, it first
+    takes plain renormalization steps ``R(f) / sum R(f)`` on the whole form.
+
+    Each round makes one renormalization, whose interior solve also gives
+    the cell operators and with them the Jacobian.  It records the
+    coefficient-sum ratio as the eigenvalue estimate and stops when the
+    iterate's direction and eigen-residual both settle below ``tol``, or
+    after ``max_iter`` rounds; either way the result reports the last
+    iterate renormalized, with its own ``rho`` and ``residual``.  Otherwise
+    it takes a Newton step, shortened to stay inside the open cone, or, when
+    the previous Newton step did not halve the residual, one plain step.
+    Once a coefficient falls below ``COEFF_EPS`` of the largest the iterate
+    is heading out of the cone, and the search stops there.  The returned
+    flag additionally demands the structural checks, so such a run reports
+    non-convergence.
     """
     r = check_weights(triple, weights)
     if max_iter < 1:
@@ -128,10 +227,14 @@ def find_eigenform(
         raise ValueError(f"init form has N={current.N}, triple has N={triple.N}")
     if not is_irreducible(current):
         raise ValueError("initial form must be irreducible")
-    current = current.scaled(1.0 / current.l1_norm())
+    start = _hat_start(triple, current)
+    on_hat = start is not None
+    current = start if on_hat else current.scaled(1.0 / current.l1_norm())
+    hat = _hat_index(triple)[0]
+    newton_from = None  # residual where the last step, if a Newton step, began
 
     for iterations in range(1, max_iter + 1):
-        image = renormalize(triple, current, r)
+        image, ext = _renormalize_extending(triple, current, r)
         # the iterate has unit coefficient sum, so this is the pre-normalization ratio
         rho = image.l1_norm()
         residual = _relative_residual(current, image, rho)
@@ -143,7 +246,22 @@ def find_eigenform(
         # the returned form is the last one measured, never the unmeasured step
         if stabilized or iterations == max_iter:
             break
-        current = step
+        if not on_hat:
+            start = _hat_start(triple, step)
+            on_hat = start is not None
+            current = start if on_hat else step
+            continue
+        x = current.vector()[hat]
+        if x.min() < COEFF_EPS * x.max():
+            break
+        c = image.vector()[hat]
+        if newton_from is not None and residual > 0.5 * newton_from:
+            x_next, newton_from = c / rho, None
+        else:
+            jac = _jacobian(triple, r, _cell_operators(triple, ext))
+            x_next = _into_cone(x, _newton_step(jac, x, c, rho))
+            newton_from = residual
+        current = _on_hat(triple, x_next)
 
     checks = {
         "direction_stabilized": stabilized,

@@ -398,7 +398,7 @@ def explore_nonuniqueness(
     (any other raises ``ValueError``): the penalties of its second witness set
     read its digraph's cell operators and component data.  Their sum is
     subtracted from the form, shrinking ``delta`` as needed to keep every
-    stable-graph coefficient positive, and the fixed-point search restarts
+    stable-graph coefficient positive, and the eigenform search restarts
     from there.  Whether the limit is genuinely new is reported, not
     guaranteed.
     """

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,3 +211,22 @@ def test_graphs_matches_golden(name, gen, tmp_path, capsys):
     path.write_text(dumps(triple_to_dict(triple)))
     assert run(["graphs", str(path)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"graphs_{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_console_entry_pins_one_blas_thread_before_numpy(preset, want):
+    # OpenBLAS reads its thread count when numpy loads; a value the user set
+    # is kept.  A fresh interpreter, since this one has numpy loaded already.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import os, sys, eigenform_lab_main; "
+        "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS']); "
+        "sys.argv = ['eigenform-lab', 'validate', 'gasket']; eigenform_lab_main.main()"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[0].split() == ["False", want]

@@ -12,14 +12,18 @@ from eigenform_lab import (
     constrained_extension,
     find_eigenform,
     harmonic_extension,
+    hat_graph,
     lambda_graph,
     one_step_energy,
     pair_list,
     renormalize,
     support_graph,
 )
+from eigenform_lab import renorm
+from eigenform_lab.forms import COEFF_EPS
 from eigenform_lab.renorm import (
     OperatorCache,
+    _boundary_extension,
     _component_labels,
     _pair_images,
     conductance_laplacian,
@@ -340,11 +344,93 @@ def test_component_labels_key_on_cells(gen):
 
 
 def test_component_labels_built_once_per_search():
-    # the conductance pattern stays put while the solver iterates (here 217
-    # times, to a form off the stable support), so one search labels the
-    # network once or twice however many solves it makes
+    # the conductance pattern stays put while the solver iterates (here a
+    # dozen times, heading out of the cone), so one search labels the network
+    # once or twice however many solves it makes: one solve per iteration
     _component_labels.cache_clear()
-    find_eigenform(builtin("tree_gasket"), [1.0, 2.0, 3.0])
+    res = find_eigenform(builtin("tree_gasket"), [1.0, 2.0, 3.0])
     info = _component_labels.cache_info()
-    assert info.hits + info.misses >= 200
+    assert info.hits + info.misses == res.iterations
     assert info.misses <= 2
+
+
+def _schur_form_by_pairs(triple, lap):
+    """``renormalize``'s result built pair by pair through the validating
+    ``DirichletForm`` constructor, and the Schur off-diagonals it read."""
+    n = triple.N
+    s = lap[:n, :n] + lap[n:, :n].T @ _boundary_extension(triple, lap)
+    off = [-s[a, b] for a, b in pair_list(n)]
+    scale = max(abs(c) for c in off)
+    coeffs = {}
+    for (a, b), c in zip(pair_list(n), off):
+        if c < -COEFF_EPS * scale:
+            raise InternalConsistencyError(
+                f"renormalized coefficient for pair ({a},{b}) is negative: {c}"
+            )
+        coeffs[(a, b)] = max(c, 0.0)
+    return DirichletForm(n, coeffs), np.array(off)
+
+
+def test_renormalize_matches_the_validating_constructor_bit_for_bit(
+    gen, twisted_tree_gasket, monkeypatch
+):
+    # stable-graph forms leave signed zeros where the stable graph has no
+    # edge; round-off never went negative on these inputs, so a nudged
+    # Laplacian (a small positive boundary off-diagonal) makes clamped zeros
+    real = renorm.conductance_laplacian
+    nudge = []
+
+    def nudged(triple, form, weights):
+        lap = real(triple, form, weights).copy()
+        for a, b in nudge:
+            lap[a, b] += 1e-13
+            lap[b, a] += 1e-13
+        return lap
+
+    monkeypatch.setattr(renorm, "conductance_laplacian", nudged)
+    triples = [builtin(name) for name in builtin_names()] + [twisted_tree_gasket]
+    triples += [gen.simplex_gasket(4), gen.vicsek(6), gen.iterate(builtin("tree_gasket"), 2)[0]]
+    rng = np.random.default_rng(21)
+    clamped = signed_zeros = 0
+    for triple in triples:
+        hat = hat_graph(triple)
+        for _ in range(12):
+            r = rng.uniform(0.5, 2.0, size=triple.k)
+            form = random_irreducible_form(rng, triple.N)
+            if rng.random() < 0.5:
+                form = DirichletForm(
+                    triple.N,
+                    {e: rng.uniform(0.5, 2.0) for e in pair_list(triple.N) if hat.has_edge(*e)},
+                )
+            for pairs in ([], [pair_list(triple.N)[rng.integers(triple.N)]]):
+                nudge[:] = pairs
+                want, off = _schur_form_by_pairs(triple, nudged(triple, form, r))
+                clamped += int(np.sum(off < 0.0))
+                signed_zeros += int(np.sum((off == 0.0) & np.signbit(off)))
+                assert renormalize(triple, form, r).matrix().tobytes() == want.matrix().tobytes()
+    assert clamped > 0
+    assert signed_zeros > 0
+
+
+@pytest.mark.parametrize(
+    "entry, error, pair",
+    [(3.0, InternalConsistencyError, "(0,2)"), (-np.inf, ValueError, "(0, 2)")],
+)
+def test_renormalize_names_the_first_bad_pair(gasket, monkeypatch, entry, error, pair):
+    # a positive boundary off-diagonal is a negative coefficient; an infinite
+    # one is refused as DirichletForm's constructor refuses it
+    real = renorm.conductance_laplacian
+
+    def patched(triple, form, weights):
+        lap = real(triple, form, weights).copy()
+        for a, b in ((0, 2), (1, 2)):
+            lap[a, b] = lap[b, a] = entry
+        return lap
+
+    monkeypatch.setattr(renorm, "conductance_laplacian", patched)
+    with pytest.raises(error) as by_pairs:
+        _schur_form_by_pairs(gasket, patched(gasket, DirichletForm.ones(3), R3))
+    with pytest.raises(error) as got:
+        renormalize(gasket, DirichletForm.ones(3), R3)
+    assert f"pair {pair}" in str(got.value)
+    assert str(got.value) == str(by_pairs.value)
