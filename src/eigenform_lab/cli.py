@@ -196,17 +196,16 @@ def _cmd_check_uniqueness(args, triple, weights) -> int:
     tol = args.tol if args.tol is not None else DEFAULT_VERIFY_TOL
     if args.form:
         form = load_form(args.form)
-        ver = verify_eigenform(triple, weights, form, tol=tol)
-        if not ver.converged:
-            doc = {"error": "supplied form is not a verified eigenform", "verify": _eigenresult_dict(ver)}
-            return _print(doc, args, EXIT_INVALID_INPUT)
     else:
         solved = _solve(triple, weights, args)
         if not solved.converged:
             doc = {"error": "eigenform search did not converge", "solve": _eigenresult_dict(solved)}
             return _print(doc, args, EXIT_NUMERICAL)
         form = solved.form
-        ver = verify_eigenform(triple, weights, form, tol=tol)
+    ver = verify_eigenform(triple, weights, form, tol=tol)
+    if args.form and not ver.converged:
+        doc = {"error": "supplied form is not a verified eigenform", "verify": _eigenresult_dict(ver)}
+        return _print(doc, args, EXIT_INVALID_INPUT)
     verdict = _uniqueness(triple, weights, form, args)
     return _print(_verdict_dict(verdict, ver.rho), args)
 
@@ -267,7 +266,7 @@ def _dispatch(args) -> int:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol is not None and args.tol <= 0:
+    if args.tol is not None and not 0 < args.tol < float("inf"):
         print("error: --tol must be positive", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:

@@ -155,16 +155,24 @@ class DirichletForm:
         return f"DirichletForm(N={self.N}, {{{items}}})"
 
 
+def _vertex_data(u, n: int) -> np.ndarray:
+    """``u`` as floats, refused unless it holds one value per vertex of ``n``."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n,):
+        raise ValueError(f"expected data on {n} vertices, got shape {u.shape}")
+    return u
+
+
 def energy(form: DirichletForm, u) -> float:
     """Value of the form on boundary data: sum of c * (difference)^2."""
-    u = np.asarray(u, dtype=float)
+    u = _vertex_data(u, form.N)
     d = u[:, None] - u[None, :]
     return float(0.5 * np.sum(form.matrix() * d * d))
 
 
 def laplacian(form: DirichletForm, u) -> np.ndarray:
     """Weighted difference operator: entry j is sum_h c_{jh} (u_h - u_j)."""
-    u = np.asarray(u, dtype=float)
+    u = _vertex_data(u, form.N)
     m = form.matrix()
     return m @ u - m.sum(axis=1) * u
 
@@ -191,7 +199,7 @@ def is_harmonic_at(form: DirichletForm, u, j: int, tol: float = 1e-9) -> bool:
     coefficient and the oscillation of ``u``, so the answer is invariant under
     rescaling either the form or the data.  Zero scale counts as harmonic.
     """
-    u = np.asarray(u, dtype=float)
+    u = _vertex_data(u, form.N)
     scale = form.max_coefficient() * (u.max() - u.min())
     value = laplacian(form, u)[j]
     return bool(abs(value) <= tol * scale)

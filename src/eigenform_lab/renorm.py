@@ -5,18 +5,19 @@ vertex set into a conductance network.  Minimizing the network energy over all
 extensions of given boundary data is a linear solve against the interior block
 of the network Laplacian; reading the minimum energy back as a quadratic form
 in the boundary data is the Schur complement of that Laplacian onto the
-boundary.  The boundary-to-boundary maps obtained by restricting the minimizer
-to a single cell are small stochastic matrices; ``OperatorCache`` holds the k
-of them for one (triple, form, weights) context and multiplies words on
-demand, since every composite map is a product of them.
+boundary.  Restricting the minimizer to a single cell gives a small
+stochastic boundary-to-boundary map.  ``OperatorCache`` makes the one interior
+solve for boundary data of a (triple, form, weights) context and keeps the k
+cell maps and the Schur block; the eigenform search, ``renormalize`` and the
+stability analysis take it from a slot holding the context built last, so
+checking the form the search returned reuses its last solve.
 
 Every interior solve goes through one helper: a check that each free vertex
 shares a connected component with a fixed one, naming the first that does not,
 then dense LU with partial pivoting.  The components depend only on which
 (cell, pair) slots carry conductance, so they are labelled once per (triple,
-pattern) and cached.  The interior block has a handful of vertices on the
-built-ins and several hundred on level-m composites; a dense solve at that
-size still costs milliseconds and keeps the results deterministic.
+pattern) and cached.  A dense solve of several hundred interior vertices (the
+level-m composites) still costs milliseconds and is deterministic.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from ._graphutil import adjacency, split_components
 from .errors import InternalConsistencyError, SingularInteriorError
-from .forms import COEFF_EPS, DirichletForm, _pair_index, energy, pair_list
+from .forms import COEFF_EPS, DirichletForm, _pair_index, _vertex_data, energy, pair_list
 from .fractal import FractalTriple, check_weights
 
 __all__ = [
@@ -133,11 +134,7 @@ def _solve_interior(
 def one_step_energy(triple: FractalTriple, form: DirichletForm, weights, v) -> float:
     """Weighted sum of the form over all cell restrictions of first-level data."""
     r = check_weights(triple, weights)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (triple.num_vertices,):
-        raise ValueError(
-            f"expected data on {triple.num_vertices} vertices, got shape {v.shape}"
-        )
+    v = _vertex_data(v, triple.num_vertices)
     return float(
         sum(r[i] * energy(form, v[np.array(cell)]) for i, cell in enumerate(triple.cells))
     )
@@ -160,23 +157,11 @@ def _extension(
     return ExtensionResult(values, one_step_energy(triple, form, weights, values))
 
 
-def _boundary_extension(triple: FractalTriple, lap: np.ndarray) -> np.ndarray:
-    """``solve(L_FF, -L_FB)``: column ``p`` holds the interior values of the
-    minimizing extension of the unit vector at boundary vertex ``p``.  The
-    boundary ids ``0..N-1`` come first, so both blocks are slices."""
-    n = triple.N
-    return _solve_interior(
-        triple, lap, range(n, triple.num_vertices), range(n), lap[n:, n:], -lap[n:, :n]
-    )
-
-
 def harmonic_extension(
     triple: FractalTriple, form: DirichletForm, weights, u
 ) -> ExtensionResult:
     """Unique extension of boundary data minimizing the one-step energy."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (triple.N,):
-        raise ValueError(f"expected boundary data of length {triple.N}, got {u.shape}")
+    u = _vertex_data(u, triple.N)
     return _extension(triple, form, weights, list(range(triple.N)), u)
 
 
@@ -202,66 +187,64 @@ def renormalize(triple: FractalTriple, form: DirichletForm, weights) -> Dirichle
     ``[-COEFF_EPS * max, 0]`` are clamped to zero: structural zeros of the
     stable support pick up only round-off there.
     """
-    return _renormalize_extending(triple, form, weights)[0]
-
-
-def _renormalize_extending(
-    triple: FractalTriple, form: DirichletForm, weights
-) -> tuple[DirichletForm, np.ndarray]:
-    """``renormalize``'s image, together with the ``_boundary_extension`` of
-    the same interior solve: the solver reads both the image and the cell
-    operators from one solve."""
-    lap = conductance_laplacian(triple, form, weights)
-    n = triple.N
-    ext = _boundary_extension(triple, lap)
-    s = lap[:n, :n] + lap[n:, :n].T @ ext
-    rows, cols = _pair_index(n)
-    off = -s[rows, cols]
-    bad = np.flatnonzero(off < -COEFF_EPS * np.max(np.abs(off)))
-    if bad.size:
-        i = bad[0]
-        raise InternalConsistencyError(
-            f"renormalized coefficient for pair ({rows[i]},{cols[i]}) is negative: {off[i]}"
-        )
-    bad = np.flatnonzero(~np.isfinite(off))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(
-            f"coefficient for pair ({rows[i]}, {cols[i]}) must be finite and >= 0, got {off[i]}"
-        )
-    return DirichletForm._from_vector(n, np.maximum(off, 0.0)), ext
-
-
-def _cell_operators(triple: FractalTriple, ext: np.ndarray) -> np.ndarray:
-    """The k cell operators ``[I; ext][cells[i]]`` as one read-only
-    ``(k, N, N)`` array, ``ext`` being a ``_boundary_extension``."""
-    ops = np.vstack([np.eye(triple.N), ext])[np.array(triple.cells)]
-    ops.flags.writeable = False
-    return ops
+    return _context(triple, form, weights).image
 
 
 class OperatorCache:
-    """The cell operators of one (triple, form, weights) context.
+    """The interior solve of one (triple, form, weights) context, read-only.
 
-    This is the one object every operator consumer reads (Perron data, orbit
-    spans, penalty forms): build it once per context and pass it along.
-    Built once, read-only afterwards.  Row ``p`` of the cell-``i`` operator
-    expresses the minimizing extension, read at the image of boundary vertex
-    ``p`` inside cell ``i``, as a linear function of the boundary data; rows
-    sum to one.
-
-    ``ops`` stacks the k operators into one read-only ``(k, N, N)`` array, so
-    ``ops @ u`` gives the images of ``u`` under every cell at once; ``word``
-    multiplies them on demand and stores nothing.
+    ``ops`` stacks the k cell operators into one ``(k, N, N)`` array: row
+    ``p`` of operator ``i`` gives the minimizing extension at the image of
+    boundary vertex ``p`` in cell ``i`` as a function of the boundary data
+    (rows sum to one), and ``word`` multiplies them on demand.  ``schur`` is
+    the Schur complement onto the boundary, ``image`` (computed on first
+    read) the renormalized form, ``weights`` a copy of the checked weights.
     """
 
     def __init__(self, triple: FractalTriple, form: DirichletForm, weights):
         self.triple = triple
         self.form = form
-        self.weights = check_weights(triple, weights)
+        self.weights = np.array(check_weights(triple, weights))
+        self.weights.flags.writeable = False
         lap = conductance_laplacian(triple, form, self.weights)
-        # boundary data to the full minimizing extension: [I; -L_FF^-1 L_FB]
-        self.ops = _cell_operators(triple, _boundary_extension(triple, lap))
+        n = triple.N
+        # column p: interior values of the minimizing extension of the unit
+        # vector at boundary vertex p; boundary ids come first, so blocks slice
+        ext = _solve_interior(
+            triple, lap, range(n, triple.num_vertices), range(n), lap[n:, n:], -lap[n:, :n]
+        )
+        # boundary data to the full minimizing extension: [I; ext], per cell
+        self.ops = np.vstack([np.eye(n), ext])[np.array(triple.cells)]
+        self.schur = lap[:n, :n] + lap[n:, :n].T @ ext
+        self.ops.flags.writeable = self.schur.flags.writeable = False
+
+    def matches(self, triple: FractalTriple, form: DirichletForm, weights: np.ndarray) -> bool:
+        """Whether this is the context of ``triple``, ``form`` and the checked
+        ``weights``, by value."""
+        return (
+            self.triple == triple
+            and np.array_equal(self.form.matrix(), form.matrix())
+            and np.array_equal(self.weights, weights)
+        )
+
+    @functools.cached_property
+    def image(self) -> DirichletForm:
+        """The renormalized form, read off the Schur off-diagonals."""
+        rows, cols = _pair_index(self.triple.N)
+        off = -self.schur[rows, cols]
+        bad = np.flatnonzero(off < -COEFF_EPS * np.max(np.abs(off)))
+        if bad.size:
+            i = bad[0]
+            raise InternalConsistencyError(
+                f"renormalized coefficient for pair ({rows[i]},{cols[i]}) is negative: {off[i]}"
+            )
+        bad = np.flatnonzero(~np.isfinite(off))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"coefficient for pair ({rows[i]}, {cols[i]}) must be finite and >= 0, got {off[i]}"
+            )
+        return DirichletForm._from_vector(self.triple.N, np.maximum(off, 0.0))
 
     def cell(self, i: int) -> np.ndarray:
         return self.ops[i]
@@ -278,3 +261,17 @@ class OperatorCache:
         for i in word:
             out = out @ self.ops[i]
         return out
+
+
+# Search, verification and stability analysis read one final form in that
+# order, so one slot lets each stage reuse the interior solve of the one before.
+_last: OperatorCache | None = None
+
+
+def _context(triple: FractalTriple, form: DirichletForm, weights) -> OperatorCache:
+    """The slot's ``OperatorCache`` if it matches by value, else a new one."""
+    global _last
+    r = check_weights(triple, weights)
+    if _last is None or not _last.matches(triple, form, r):
+        _last = OperatorCache(triple, form, r)
+    return _last

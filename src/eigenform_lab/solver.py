@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import renorm
 from .forms import COEFF_EPS, DirichletForm, _pair_index, is_irreducible, pair_list, support_graph
 from .fractal import FractalTriple, check_weights
 from .graphs import hat_graph
-from .renorm import _cell_operators, _renormalize_extending, renormalize
 
 __all__ = ["EigenResult", "find_eigenform", "verify_eigenform"]
 
@@ -51,14 +51,6 @@ class EigenResult:
     iterations: int
     converged: bool
     checks: dict = field(default_factory=dict)
-
-
-def _fit_rho(form: DirichletForm, image: DirichletForm) -> float:
-    v, w = form.vector(), image.vector()
-    denom = float(v @ v)
-    if denom == 0.0:
-        raise ValueError("cannot fit an eigenvalue to the zero form")
-    return float(w @ v) / denom
 
 
 def _relative_residual(form: DirichletForm, image: DirichletForm, rho: float) -> float:
@@ -89,12 +81,15 @@ def verify_eigenform(
     Requires an irreducible form.
     """
     r = check_weights(triple, weights)
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if form.N != triple.N:
         raise ValueError(f"form has N={form.N}, triple has N={triple.N}")
     if not is_irreducible(form):
         raise ValueError("verification requires an irreducible form")
-    image = renormalize(triple, form, r)
-    rho = _fit_rho(form, image)
+    image = renorm.renormalize(triple, form, r)
+    v = form.vector()  # nonzero: the form is irreducible
+    rho = float(image.vector() @ v) / float(v @ v)
     residual = _relative_residual(form, image, rho)
     checks = {"residual_within_tol": bool(residual <= tol)}
     checks.update(_structural_checks(triple, r, form, rho))
@@ -204,24 +199,23 @@ def find_eigenform(
     while that graph has an edge outside the support of ``init``, it first
     takes plain renormalization steps ``R(f) / sum R(f)`` on the whole form.
 
-    Each round makes one renormalization, whose interior solve also gives
-    the cell operators and with them the Jacobian.  It records the
-    coefficient-sum ratio as the eigenvalue estimate and stops when the
-    iterate's direction and eigen-residual both settle below ``tol``, or
-    after ``max_iter`` rounds; either way the result reports the last
-    iterate renormalized, with its own ``rho`` and ``residual``.  Otherwise
-    it takes a Newton step, shortened to stay inside the open cone, or, when
-    the previous Newton step did not halve the residual, one plain step.
-    Once a coefficient falls below ``COEFF_EPS`` of the largest the iterate
-    is heading out of the cone, and the search stops there.  The returned
-    flag additionally demands the structural checks, so such a run reports
-    non-convergence.
+    Each round reads the image and the cell operators, and with them the
+    Jacobian, off one interior solve.  It records the coefficient-sum ratio
+    as the eigenvalue estimate and stops when the iterate's direction and
+    eigen-residual both settle below ``tol``, or after ``max_iter`` rounds;
+    either way the result reports the last iterate renormalized, with its
+    own ``rho`` and ``residual``.  Otherwise it takes a Newton step,
+    shortened to stay inside the open cone, or, when the previous Newton
+    step did not halve the residual, one plain step.  Once a coefficient
+    falls below ``COEFF_EPS`` of the largest the iterate is heading out of
+    the cone, and the search stops there.  The returned flag additionally
+    demands the structural checks, so such a run reports non-convergence.
     """
     r = check_weights(triple, weights)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     current = init if init is not None else DirichletForm.ones(triple.N)
     if current.N != triple.N:
         raise ValueError(f"init form has N={current.N}, triple has N={triple.N}")
@@ -234,7 +228,8 @@ def find_eigenform(
     newton_from = None  # residual where the last step, if a Newton step, began
 
     for iterations in range(1, max_iter + 1):
-        image, ext = _renormalize_extending(triple, current, r)
+        cache = renorm._context(triple, current, r)
+        image = cache.image
         # the iterate has unit coefficient sum, so this is the pre-normalization ratio
         rho = image.l1_norm()
         residual = _relative_residual(current, image, rho)
@@ -258,7 +253,7 @@ def find_eigenform(
         if newton_from is not None and residual > 0.5 * newton_from:
             x_next, newton_from = c / rho, None
         else:
-            jac = _jacobian(triple, r, _cell_operators(triple, ext))
+            jac = _jacobian(triple, r, cache.ops)
             x_next = _into_cone(x, _newton_step(jac, x, c, rho))
             newton_from = residual
         current = _on_hat(triple, x_next)

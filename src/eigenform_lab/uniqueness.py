@@ -21,10 +21,11 @@ of the condensation are read off reachability: a node lies in a sink exactly
 when every node it reaches reaches it back.
 
 Orbit spans, Perron data and penalty forms all read one ``OperatorCache``,
-passed as their first argument: ``stability_digraph`` builds it once per
-(triple, form, weights) and keeps it on the digraph.  The verdict carries
-that digraph, so the positive-form cross-check and ``explore_nonuniqueness``
-read its operators and component data instead of rebuilding them.
+passed as their first argument: ``stability_digraph`` takes the one the
+solver's last iteration built, when the form is the one it returned, and
+keeps it on the digraph.  The verdict carries that digraph, so the
+positive-form cross-check and ``explore_nonuniqueness`` read its operators
+and component data instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import InternalConsistencyError, NonConvergenceError
 from .forms import DirichletForm, laplacian, pair_list, support_graph
 from .fractal import FractalTriple, check_weights
 from .graphs import ComponentData, components, hat_graph
-from .renorm import OperatorCache
+from .renorm import OperatorCache, _context
 from .solver import EigenResult, find_eigenform
 from .spectral import PerronData, perron_component, perron_positive, project_g
 
@@ -176,16 +177,15 @@ def stability_digraph(
     An edge from one node to another states that the harmonicity functional
     of the target is nonzero, beyond the relative threshold, somewhere on the
     invariant span generated by the source's eigenvector iterate.  The cell
-    operators are built once here and kept as ``StabilityDigraph.cache``.
+    operators come from ``renorm``'s context slot and stay on the digraph.
     """
-    r = check_weights(triple, weights)
     hat = hat_graph(triple)
     if support_graph(form) != hat:
         raise ValueError(
             "stability analysis requires a verified eigenform; the support "
             "graph does not match the stable boundary graph"
         )
-    cache = OperatorCache(triple, form, r)
+    cache = _context(triple, form, weights)
     comp_by_j = {j: components(triple, j, hat) for j in range(triple.N)}
     nodes = _node_list(comp_by_j)
     payload = {(j, s): perron_component(cache, comp_by_j[j], s) for (j, s) in nodes}
@@ -267,8 +267,7 @@ def _positive_case_digraph(
 def _require_context(dg: StabilityDigraph, triple, form, r, what: str) -> None:
     """Refuse a digraph whose cell operators belong to another triple, form or
     checked weights, compared by value."""
-    built_for = (dg.cache.triple, dg.cache.form.matrix().tolist(), dg.cache.weights.tolist())
-    if built_for != (triple, form.matrix().tolist(), r.tolist()):
+    if not dg.cache.matches(triple, form, r):
         raise ValueError(f"the {what} for another triple, form or weights")
 
 
@@ -405,7 +404,7 @@ def explore_nonuniqueness(
     r = check_weights(triple, weights)
     if verdict.witnesses is None:
         raise ValueError("exploration requires a nonunique verdict with witnesses")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     dg = verdict.digraph
     _require_context(dg, triple, form, r, "verdict was decided")

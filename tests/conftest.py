@@ -82,11 +82,14 @@ def vicsek_eigenform(vicsek):
     return result.form
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
 def _load_perfbench(name):
     """Module ``perfbench/<name>.py``, registered as ``perfbench_<name>``."""
     key = f"perfbench_{name}"
     if key not in sys.modules:
-        path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+        path = PERFBENCH / f"{name}.py"
         spec = importlib.util.spec_from_file_location(key, path)
         module = importlib.util.module_from_spec(spec)
         # dataclasses look their module up by name while the module executes
@@ -111,3 +114,14 @@ def tracer():
 def pipeline():
     """The benchmark's pipeline and gate (``perfbench/pipeline.py``)."""
     return _load_perfbench("pipeline")
+
+
+@pytest.fixture(scope="session")
+def harness():
+    """The benchmark's workloads (``perfbench/harness.py``).  It imports its
+    sibling modules by bare name, as a script run from ``perfbench/`` does."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return _load_perfbench("harness")
+    finally:
+        sys.path.remove(str(PERFBENCH))

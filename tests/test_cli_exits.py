@@ -92,6 +92,10 @@ def _cases() -> dict[str, list[str]]:
     cases["verify-missing-form"] = ["verify", "{dir}/tree.json", MISSING]
     for command in ("validate", "solve", "report"):
         cases[f"{command}-tol-0"] = [command, "gasket", "--tol", "0"]
+    for tol in ("nan", "inf"):
+        cases[f"solve-tol-{tol}"] = ["solve", "gasket", "--tol", tol]
+        cases[f"verify-tol-{tol}"] = ["verify", "gasket", "{dir}/gasket_form.json", "--tol", tol]
+        cases[f"report-tol-{tol}"] = ["report", "gasket", "--tol", tol]
     for command in ("solve", "check-uniqueness", "report"):
         cases[f"{command}-max-iter-0"] = [command, "gasket", "--max-iter", "0"]
     cases["report-quiet"] = ["report", "vicsek", "--quiet"]

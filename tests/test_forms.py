@@ -77,6 +77,16 @@ def test_laplacian_extrema_signs_positive_form():
         assert lap[np.argmax(u)] < 0
 
 
+@pytest.mark.parametrize(
+    "evaluate", [energy, laplacian, lambda form, u: is_harmonic_at(form, u, 0)]
+)
+@pytest.mark.parametrize("u", [[5.0], [1.0, 2.0, 3.0, 4.0], np.ones((3, 1))])
+def test_data_of_the_wrong_length_is_refused(evaluate, u):
+    # [5.0] and the column would broadcast against the 3x3 matrix
+    with pytest.raises(ValueError, match=r"expected data on 3 vertices, got shape"):
+        evaluate(DirichletForm.ones(3), u)
+
+
 def test_support_graph_and_irreducibility(gasket_eigenform, tree_eigenform):
     assert support_graph(gasket_eigenform).sorted_edges() == [(0, 1), (0, 2), (1, 2)]
     assert is_irreducible(gasket_eigenform)

@@ -10,6 +10,7 @@ from eigenform_lab import (
     builtin,
     builtin_names,
     constrained_extension,
+    decide_uniqueness,
     find_eigenform,
     harmonic_extension,
     hat_graph,
@@ -17,13 +18,14 @@ from eigenform_lab import (
     one_step_energy,
     pair_list,
     renormalize,
+    stability_digraph,
     support_graph,
+    verify_eigenform,
 )
 from eigenform_lab import renorm
 from eigenform_lab.forms import COEFF_EPS
 from eigenform_lab.renorm import (
     OperatorCache,
-    _boundary_extension,
     _component_labels,
     _pair_images,
     conductance_laplacian,
@@ -358,7 +360,7 @@ def _schur_form_by_pairs(triple, lap):
     """``renormalize``'s result built pair by pair through the validating
     ``DirichletForm`` constructor, and the Schur off-diagonals it read."""
     n = triple.N
-    s = lap[:n, :n] + lap[n:, :n].T @ _boundary_extension(triple, lap)
+    s = lap[:n, :n] + lap[n:, :n].T @ np.linalg.solve(lap[n:, n:], -lap[n:, :n])
     off = [-s[a, b] for a, b in pair_list(n)]
     scale = max(abs(c) for c in off)
     coeffs = {}
@@ -404,6 +406,8 @@ def test_renormalize_matches_the_validating_constructor_bit_for_bit(
                 )
             for pairs in ([], [pair_list(triple.N)[rng.integers(triple.N)]]):
                 nudge[:] = pairs
+                # the nudge changed, the (triple, form, weights) key did not
+                monkeypatch.setattr(renorm, "_last", None)
                 want, off = _schur_form_by_pairs(triple, nudged(triple, form, r))
                 clamped += int(np.sum(off < 0.0))
                 signed_zeros += int(np.sum((off == 0.0) & np.signbit(off)))
@@ -428,9 +432,75 @@ def test_renormalize_names_the_first_bad_pair(gasket, monkeypatch, entry, error,
         return lap
 
     monkeypatch.setattr(renorm, "conductance_laplacian", patched)
+    monkeypatch.setattr(renorm, "_last", None)
     with pytest.raises(error) as by_pairs:
         _schur_form_by_pairs(gasket, patched(gasket, DirichletForm.ones(3), R3))
     with pytest.raises(error) as got:
         renormalize(gasket, DirichletForm.ones(3), R3)
     assert f"pair {pair}" in str(got.value)
     assert str(got.value) == str(by_pairs.value)
+
+
+def test_one_interior_solve_per_iteration_through_the_pipeline(gen, twisted_tree_gasket, monkeypatch):
+    # verifying the returned form and building its stability digraph reuse
+    # the solver's last interior solve, and the verdict reuses the digraph's
+    real = renorm.conductance_laplacian
+    calls = []
+
+    def counting(triple, form, weights):
+        calls.append(triple)
+        return real(triple, form, weights)
+
+    monkeypatch.setattr(renorm, "conductance_laplacian", counting)
+    monkeypatch.setattr(renorm, "_last", None)
+    tree = builtin("tree_gasket")
+    for triple, weights in [
+        (builtin("gasket"), R3),
+        (tree, R3),
+        (builtin("vicsek"), np.ones(5)),
+        (twisted_tree_gasket, R3),
+        (tree, np.array([5.0, 2.0, 2.0])),
+        gen.iterate(builtin("gasket"), 3),
+    ]:
+        calls.clear()
+        res = find_eigenform(triple, weights)
+        assert verify_eigenform(triple, weights, res.form).converged
+        dg = stability_digraph(triple, res.form, weights)
+        decide_uniqueness(triple, res.form, weights, digraph=dg)
+        assert len(calls) == res.iterations
+
+
+def _assert_same_context(got, want):
+    assert got.triple == want.triple
+    for a, b in [
+        (got.form.matrix(), want.form.matrix()),
+        (got.weights, want.weights),
+        (got.ops, want.ops),
+        (got.schur, want.schur),
+        (got.image.matrix(), want.image.matrix()),
+    ]:
+        assert a.tobytes() == b.tobytes()
+
+
+def test_context_lookup_keys_on_value(gen, monkeypatch):
+    # relabellings share name, N, k and vertex count with the original; the
+    # scaled form and the reversed weights share everything but the one key
+    monkeypatch.setattr(renorm, "_last", None)
+    rng = random.Random(5)
+    for triple in (builtin("tree_gasket"), gen.iterate(builtin("vicsek"), 2)[0], gen.simplex_gasket(5)):
+        others = [gen.relabel(triple, np.ones(triple.k), rng)[0] for _ in range(2)]
+        form = gen.random_form(triple.N, rng)
+        weights = np.array([rng.uniform(0.5, 2.0) for _ in range(triple.k)])
+        for t in (triple, *others, triple, others[0]):
+            for f in (form, form.scaled(2.0), form):
+                for w in (weights, weights[::-1].copy(), list(weights)):
+                    got = renorm._context(t, f, w)
+                    _assert_same_context(got, OperatorCache(t, f, w))
+                    assert renorm._context(t, f, w) is got
+        # a caller that edits its weight array after the call
+        mutable = weights.copy()
+        first = renorm._context(triple, form, mutable)
+        mutable[-1] *= 3.0
+        assert first.weights.tobytes() == weights.tobytes()
+        assert not first.weights.flags.writeable
+        _assert_same_context(renorm._context(triple, form, mutable), OperatorCache(triple, form, mutable))

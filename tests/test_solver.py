@@ -56,6 +56,14 @@ def test_find_rejects_bad_budgets(gasket):
         find_eigenform(gasket, R3, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_tolerances_must_be_positive_and_finite(gasket, gasket_eigenform, tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        find_eigenform(gasket, R3, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        verify_eigenform(gasket, R3, gasket_eigenform, tol=tol)
+
+
 @pytest.mark.parametrize(
     "name, weights, coeffs, max_iter",
     [

@@ -18,6 +18,7 @@ from eigenform_lab import (
     stability_digraph,
     verify_eigenform,
 )
+from eigenform_lab import renorm
 from eigenform_lab.renorm import OperatorCache
 from eigenform_lab.uniqueness import _magnitudes, _node_row, _sink_sccs
 
@@ -342,31 +343,46 @@ def test_penalty_form_properties(gasket, tree_gasket, vicsek, gasket_eigenform, 
 
 
 def test_cell_operators_built_once_per_context(monkeypatch, gasket, tree_gasket, gasket_eigenform, tree_eigenform):
+    # every build, keyed by value; the context slot may only save builds, so
+    # no (triple, form, weights) is built twice within one measurement
     builds = []
     original = OperatorCache.__init__
 
-    def counting(self, *args, **kwargs):
-        builds.append(self)
-        original(self, *args, **kwargs)
+    def counting(self, triple, form, weights):
+        builds.append((triple, form.matrix().tobytes(), np.asarray(weights, float).tobytes()))
+        original(self, triple, form, weights)
 
     monkeypatch.setattr(OperatorCache, "__init__", counting)
 
-    def count(call):
+    def count(key, *calls):
+        """Run ``calls`` in turn from an empty slot; builds of ``key``."""
+        monkeypatch.setattr(renorm, "_last", None)
         builds.clear()
-        out = call()
-        return out, len(builds)
+        out = [call() for call in calls]
+        assert len(builds) == len(set(builds))
+        return out[-1], builds.count(key)
 
     # gasket's eigenform is positive, so decide_uniqueness also runs the
     # single-vertex cross-check, on the digraph's operators
     for triple, form in [(gasket, gasket_eigenform), (tree_gasket, tree_eigenform)]:
-        dg, n = count(lambda: stability_digraph(triple, form, R3))
-        assert n == 1
-        verdict, n = count(lambda: decide_uniqueness(triple, form, R3, digraph=dg))
-        assert n == 0
-        _, n = count(lambda: decide_uniqueness(triple, form, R3))
-        assert n == 1
+        key = (triple, form.matrix().tobytes(), R3.tobytes())
+        dg, n = count(key, lambda: stability_digraph(triple, form, R3))
+        assert n == len(builds) == 1
+        verdict, n = count(key, lambda: decide_uniqueness(triple, form, R3, digraph=dg))
+        assert n == len(builds) == 0
+        _, n = count(key, lambda: decide_uniqueness(triple, form, R3))
+        assert n == len(builds) == 1
+        _, n = count(
+            key,
+            lambda: stability_digraph(triple, form, R3),
+            lambda: decide_uniqueness(triple, form, R3, digraph=dg),
+            lambda: decide_uniqueness(triple, form, R3),
+        )
+        assert n == len(builds) == 1
     assert verdict.witnesses is not None
-    _, n = count(lambda: explore_nonuniqueness(tree_gasket, tree_eigenform, R3, verdict))
+    # the exploration's own search builds one context per iterate, none of
+    # them the verdict's
+    _, n = count(key, lambda: explore_nonuniqueness(tree_gasket, tree_eigenform, R3, verdict))
     assert n == 0
 
 
@@ -424,6 +440,13 @@ def test_explore_delta_zero_returns_multiple(tree_gasket, tree_eigenform):
     out = explore_nonuniqueness(tree_gasket, tree_eigenform, R3, verdict, delta=0.0)
     assert out.result.converged
     assert out.proportional
+
+
+@pytest.mark.parametrize("delta", [-0.1, np.nan])
+def test_explore_rejects_a_negative_or_nan_delta(tree_gasket, tree_eigenform, delta):
+    verdict = decide_uniqueness(tree_gasket, tree_eigenform, R3)
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        explore_nonuniqueness(tree_gasket, tree_eigenform, R3, verdict, delta=delta)
 
 
 def test_explore_requires_witnesses(gasket, gasket_eigenform):
