@@ -267,7 +267,7 @@ def _dispatch(args) -> int:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.tol is not None and not 0 < args.tol < float("inf"):
-        print("error: --tol must be positive", file=sys.stderr)
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
         return _dispatch(args)

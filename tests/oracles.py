@@ -1,12 +1,12 @@
 """Brute-force reference computations used only as test oracles.
 
 Each routine here recomputes a quantity by the most direct method available
-(entry-by-entry Laplacian assembly, one reachability search per interior
-solve, single global Schur reduction, one intersection per cell pair, one
-breadth-first search per boundary vertex, one depth-first search per removed
-boundary cell, round-based orbit closure, exhaustive word enumeration,
-exhaustive subset enumeration) without going through the production code
-paths it checks.
+(entry-by-entry Laplacian assembly, one dense LU solve of the whole interior
+block, one reachability search per interior solve, single global Schur
+reduction, one intersection per cell pair, one breadth-first search per
+boundary vertex, one depth-first search per removed boundary cell,
+round-based orbit closure, exhaustive word enumeration, exhaustive subset
+enumeration) without going through the production code paths it checks.
 """
 
 import itertools
@@ -44,6 +44,30 @@ def conductance_laplacian_loop(triple, form, weights):
             lap[p, q] -= w
             lap[q, p] -= w
     return lap
+
+
+def operators_by_lu(triple, form, weights):
+    """Cell operators and Schur block of the first-level network, as
+    ``OperatorCache`` lays them out, from one dense LU solve of the whole
+    interior block of the entry-by-entry Laplacian."""
+    n = triple.N
+    lap = conductance_laplacian_loop(triple, form, weights)
+    ext = np.linalg.solve(lap[n:, n:], -lap[n:, :n])
+    ops = np.vstack([np.eye(n), ext])[np.array(triple.cells)]
+    return ops, lap[:n, :n] + lap[n:, :n].T @ ext
+
+
+def extension_by_lu(triple, form, weights, fixed, values):
+    """Minimizing extension taking ``values`` on the sorted vertex ids
+    ``fixed``, from one dense LU solve of the free block of the
+    entry-by-entry Laplacian."""
+    lap = conductance_laplacian_loop(triple, form, weights)
+    pinned = set(fixed)
+    free = [v for v in range(triple.num_vertices) if v not in pinned]
+    out = np.empty(triple.num_vertices)
+    out[fixed] = values
+    out[free] = np.linalg.solve(lap[np.ix_(free, free)], -lap[np.ix_(free, fixed)] @ values)
+    return out
 
 
 def check_reachable_bfs(triple, lap, free, fixed):

@@ -24,14 +24,15 @@ from eigenform_lab import (
 )
 from eigenform_lab import renorm
 from eigenform_lab.forms import COEFF_EPS
-from eigenform_lab.renorm import (
-    OperatorCache,
-    _component_labels,
-    _pair_images,
-    conductance_laplacian,
-)
+from eigenform_lab.renorm import OperatorCache, _schedule, conductance_laplacian
 
-from oracles import check_reachable_bfs, conductance_laplacian_loop, two_level_form
+from oracles import (
+    check_reachable_bfs,
+    conductance_laplacian_loop,
+    extension_by_lu,
+    operators_by_lu,
+    two_level_form,
+)
 
 R3 = np.ones(3)
 
@@ -323,11 +324,34 @@ def test_reachability_reads_underflowed_conductances(tree_gasket):
     assert got == want
 
 
-def test_component_labels_key_on_cells(gen):
+def _live(triple, form, weights):
+    """The live-slot mask ``OperatorCache`` keys its schedule on."""
+    return (np.asarray(weights)[:, None] * form.vector() != 0.0).ravel().tobytes()
+
+
+def _schedule_outcome(build):
+    """Every field of the schedule ``build`` returns, or the vertex and
+    message of the reachability failure it raises."""
+    try:
+        sched = build()
+    except SingularInteriorError as exc:
+        return exc.vertex, str(exc)
+    out = []
+    for field in (*sched, *[a for rnd in sched.rounds for a in rnd]):
+        if isinstance(field, np.ndarray):
+            out.append((field.dtype, field.shape, field.tobytes()))
+        elif not isinstance(field, tuple):
+            out.append(field)
+    return out
+
+
+def test_schedule_keys_on_cells(gen):
     # relabellings share name, N, k and vertex count with the original, and
     # uniform weights give them the same live-slot pattern, so only the cells
-    # tell the cache entries apart
-    for triple in (gen.simplex_gasket(8), gen.vicsek(6), gen.iterate(builtin("tree_gasket"), 3)[0]):
+    # tell the cache entries apart; tree_gasket^4 is large enough for rounds
+    triples = [gen.simplex_gasket(8), gen.vicsek(6)]
+    triples += [gen.iterate(builtin("tree_gasket"), m)[0] for m in (3, 4)]
+    for triple in triples:
         ones = np.ones(triple.k)
         for s in range(3):
             other = gen.relabel(triple, list(ones), random.Random(s))[0]
@@ -336,32 +360,123 @@ def test_component_labels_key_on_cells(gen):
             )
             assert other.cells != triple.cells
             for form in (DirichletForm(triple.N, {(0, 1): 1.0}), DirichletForm.ones(triple.N)):
+                live = _live(triple, form, ones)
                 for t in (triple, other, triple, other):
-                    pq = _pair_images(t)
-                    lap = conductance_laplacian(t, form, ones)
-                    live = (lap[pq[:, 0], pq[:, 1]] != 0.0).tobytes()
-                    assert _component_labels(t, live) == _component_labels.__wrapped__(t, live)
+                    for fixed in ((0,), tuple(range(t.N))):
+                        got = _schedule_outcome(lambda: _schedule(t, live, fixed))
+                        assert got == _schedule_outcome(lambda: _schedule.__wrapped__(t, live, fixed))
                     got = _reach_outcome(lambda: constrained_extension(t, form, ones, {0: 1.0}))
                     assert got == _oracle_outcome(t, form, ones, range(1, t.num_vertices), [0])
 
 
 def test_component_labels_built_once_per_search():
     # the conductance pattern stays put while the solver iterates (here a
-    # dozen times, heading out of the cone), so one search labels the network
-    # once or twice however many solves it makes: one solve per iteration
-    _component_labels.cache_clear()
+    # dozen times, heading out of the cone), so one search schedules the
+    # network once or twice however many solves it makes: one per iteration
+    _schedule.cache_clear()
     res = find_eigenform(builtin("tree_gasket"), [1.0, 2.0, 3.0])
-    info = _component_labels.cache_info()
+    info = _schedule.cache_info()
     assert info.hits + info.misses == res.iterations
     assert info.misses <= 2
 
 
-def _schur_form_by_pairs(triple, lap):
+def test_operators_match_dense_lu(harness, gen, twisted_tree_gasket):
+    # the built-ins and every benchmark library input, plain and relabelled,
+    # under seeded forms with exact zeros; the weights take one scale from
+    # 10^U(-4, 4) and spread over two decades between cells, where dense LU
+    # on the whole interior block still keeps the digits compared here
+    triples = [builtin(name) for name in builtin_names()] + [twisted_tree_gasket]
+    cases = harness.solve_large_cases() + harness.wide_boundary_cases()
+    triples += [case.triple for case in cases]
+    rng = np.random.default_rng(22)
+    relabel_rng = random.Random(22)
+    compared = eliminated = 0
+    for base in triples:
+        for triple in (base, gen.relabel(base, np.ones(base.k), relabel_rng)[0]):
+            n, pairs = triple.N, pair_list(triple.N)
+            for _ in range(2):
+                vec = rng.uniform(0.5, 2.0, size=len(pairs))
+                vec[rng.random(len(pairs)) < 0.3] = 0.0
+                form = DirichletForm(n, dict(zip(pairs, vec)))
+                weights = 10.0 ** (rng.uniform(-4, 4) + rng.uniform(-1, 1, size=triple.k))
+                try:
+                    cache = OperatorCache(triple, form, weights)
+                except SingularInteriorError:
+                    continue
+                ops, schur = operators_by_lu(triple, form, weights)
+                assert np.max(np.abs(cache.ops - ops)) <= 1e-12
+                assert np.max(np.abs(cache.schur - schur)) <= 1e-12 * np.max(np.abs(schur))
+                assert np.max(np.abs(cache.ops.sum(axis=2) - 1.0)) <= 1e-13
+                # the rows the rounds eliminated are convex combinations
+                w = (weights[:, None] * form.vector()).ravel()
+                sched = _schedule(triple, _live(triple, form, weights), tuple(range(n)))
+                x, _ = renorm._reduce(sched, w)
+                assert x[np.array(triple.cells)].tobytes() == cache.ops.tobytes()
+                for rnd in sched.rounds:
+                    assert np.all(x[rnd.vertices] >= 0.0)
+                    eliminated += rnd.vertices.size
+                compared += 1
+    assert compared >= 40
+    assert eliminated > 0
+
+
+def test_rounds_run_on_large_interiors_only(gen, tree_eigenform):
+    # tree_gasket^4 has 160 free vertices, g8 28; on the composite the
+    # rounds also bring rho to the closed form from a random start
+    tree4 = gen.iterate(builtin("tree_gasket"), 4)[0]
+    g8 = gen.simplex_gasket(8)
+    for triple, form, rounds in [(tree4, tree_eigenform, True), (g8, DirichletForm.ones(8), False)]:
+        sched = _schedule(triple, _live(triple, form, np.ones(triple.k)), tuple(range(triple.N)))
+        assert bool(sched.rounds) == rounds
+    rng = random.Random(23)
+    for m in (4, 5):
+        triple, weights = gen.relabel(*gen.iterate(builtin("tree_gasket"), m), rng)
+        res = find_eigenform(triple, weights, init=gen.random_form(3, rng))
+        assert res.converged
+        assert abs(res.rho / 0.5**m - 1.0) <= 2e-15
+
+
+def test_extensions_match_dense_lu(gen):
+    # harmonic and constrained extensions share the schedule; on these
+    # composites any fixed set leaves enough free vertices for rounds
+    rng = np.random.default_rng(24)
+    for base in ("gasket", "vicsek"):
+        triple, weights = gen.iterate(builtin(base), 3 if base == "vicsek" else 5)
+        form = DirichletForm.ones(triple.N)
+        nv = triple.num_vertices
+        u = rng.normal(size=triple.N)
+        want = extension_by_lu(triple, form, weights, list(range(triple.N)), u)
+        got = harmonic_extension(triple, form, weights, u).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(u))
+        for size in (1, 5, 40):
+            fixed = sorted(rng.choice(nv, size=size, replace=False).tolist())
+            values = rng.normal(size=size)
+            want = extension_by_lu(triple, form, weights, fixed, values)
+            got = constrained_extension(triple, form, weights, dict(zip(fixed, values))).values
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(values))
+
+
+def test_zero_pivot_names_its_vertex(gen, tree_eigenform):
+    # a pivot is zero only when the conductances at its vertex underflowed;
+    # zeroing the first eliminated vertex's edges behind the schedule's back
+    # shows which vertex the error names
+    triple = gen.iterate(builtin("tree_gasket"), 4)[0]
+    w = np.tile(tree_eigenform.vector(), triple.k)
+    sched = _schedule(triple, (w != 0.0).tobytes(), (0, 1, 2))
+    first = sched.rounds[0]
+    w[sched.slots[np.isin(sched.slot_edge, first.edges[first.owner == 0])]] = 0.0
+    with pytest.raises(SingularInteriorError) as err:
+        renorm._reduce(sched, w)
+    assert err.value.vertex == first.vertices[0]
+    assert str(err.value) == "interior block is numerically singular"
+
+
+def _schur_form_by_pairs(triple, schur):
     """``renormalize``'s result built pair by pair through the validating
-    ``DirichletForm`` constructor, and the Schur off-diagonals it read."""
+    ``DirichletForm`` constructor from the Schur block ``schur``, and the
+    Schur off-diagonals it read."""
     n = triple.N
-    s = lap[:n, :n] + lap[n:, :n].T @ np.linalg.solve(lap[n:, n:], -lap[n:, :n])
-    off = [-s[a, b] for a, b in pair_list(n)]
+    off = [-schur[a, b] for a, b in pair_list(n)]
     scale = max(abs(c) for c in off)
     coeffs = {}
     for (a, b), c in zip(pair_list(n), off):
@@ -377,19 +492,21 @@ def test_renormalize_matches_the_validating_constructor_bit_for_bit(
     gen, twisted_tree_gasket, monkeypatch
 ):
     # stable-graph forms leave signed zeros where the stable graph has no
-    # edge; round-off never went negative on these inputs, so a nudged
-    # Laplacian (a small positive boundary off-diagonal) makes clamped zeros
-    real = renorm.conductance_laplacian
-    nudge = []
+    # edge; round-off never went negative on these inputs, so a nudged Schur
+    # block (a small positive boundary off-diagonal) makes clamped zeros
+    real = renorm._reduce
+    nudge, blocks = [], []
 
-    def nudged(triple, form, weights):
-        lap = real(triple, form, weights).copy()
+    def nudged(sched, w):
+        x, schur = real(sched, w)
+        schur = schur.copy()
         for a, b in nudge:
-            lap[a, b] += 1e-13
-            lap[b, a] += 1e-13
-        return lap
+            schur[a, b] += 1e-13
+            schur[b, a] += 1e-13
+        blocks.append(schur)
+        return x, schur
 
-    monkeypatch.setattr(renorm, "conductance_laplacian", nudged)
+    monkeypatch.setattr(renorm, "_reduce", nudged)
     triples = [builtin(name) for name in builtin_names()] + [twisted_tree_gasket]
     triples += [gen.simplex_gasket(4), gen.vicsek(6), gen.iterate(builtin("tree_gasket"), 2)[0]]
     rng = np.random.default_rng(21)
@@ -408,10 +525,11 @@ def test_renormalize_matches_the_validating_constructor_bit_for_bit(
                 nudge[:] = pairs
                 # the nudge changed, the (triple, form, weights) key did not
                 monkeypatch.setattr(renorm, "_last", None)
-                want, off = _schur_form_by_pairs(triple, nudged(triple, form, r))
+                got = renormalize(triple, form, r)
+                want, off = _schur_form_by_pairs(triple, blocks[-1])
                 clamped += int(np.sum(off < 0.0))
                 signed_zeros += int(np.sum((off == 0.0) & np.signbit(off)))
-                assert renormalize(triple, form, r).matrix().tobytes() == want.matrix().tobytes()
+                assert got.matrix().tobytes() == want.matrix().tobytes()
     assert clamped > 0
     assert signed_zeros > 0
 
@@ -423,18 +541,19 @@ def test_renormalize_matches_the_validating_constructor_bit_for_bit(
 def test_renormalize_names_the_first_bad_pair(gasket, monkeypatch, entry, error, pair):
     # a positive boundary off-diagonal is a negative coefficient; an infinite
     # one is refused as DirichletForm's constructor refuses it
-    real = renorm.conductance_laplacian
+    real = renorm._reduce
 
-    def patched(triple, form, weights):
-        lap = real(triple, form, weights).copy()
+    def patched(sched, w):
+        x, schur = real(sched, w)
+        schur = schur.copy()
         for a, b in ((0, 2), (1, 2)):
-            lap[a, b] = lap[b, a] = entry
-        return lap
+            schur[a, b] = schur[b, a] = entry
+        return x, schur
 
-    monkeypatch.setattr(renorm, "conductance_laplacian", patched)
+    monkeypatch.setattr(renorm, "_reduce", patched)
     monkeypatch.setattr(renorm, "_last", None)
     with pytest.raises(error) as by_pairs:
-        _schur_form_by_pairs(gasket, patched(gasket, DirichletForm.ones(3), R3))
+        _schur_form_by_pairs(gasket, OperatorCache(gasket, DirichletForm.ones(3), R3).schur)
     with pytest.raises(error) as got:
         renormalize(gasket, DirichletForm.ones(3), R3)
     assert f"pair {pair}" in str(got.value)
@@ -444,14 +563,14 @@ def test_renormalize_names_the_first_bad_pair(gasket, monkeypatch, entry, error,
 def test_one_interior_solve_per_iteration_through_the_pipeline(gen, twisted_tree_gasket, monkeypatch):
     # verifying the returned form and building its stability digraph reuse
     # the solver's last interior solve, and the verdict reuses the digraph's
-    real = renorm.conductance_laplacian
+    real = renorm._reduce
     calls = []
 
-    def counting(triple, form, weights):
-        calls.append(triple)
-        return real(triple, form, weights)
+    def counting(sched, w):
+        calls.append(sched)
+        return real(sched, w)
 
-    monkeypatch.setattr(renorm, "conductance_laplacian", counting)
+    monkeypatch.setattr(renorm, "_reduce", counting)
     monkeypatch.setattr(renorm, "_last", None)
     tree = builtin("tree_gasket")
     for triple, weights in [
