@@ -177,9 +177,10 @@ def laplacian(form: DirichletForm, u) -> np.ndarray:
     return m @ u - m.sum(axis=1) * u
 
 
-def support_graph(form: DirichletForm, rel_eps: float = COEFF_EPS) -> BoundaryGraph:
-    """Graph of the pairs whose coefficient is positive beyond round-off."""
-    cut = rel_eps * form.max_coefficient()
+def support_graph(form: DirichletForm) -> BoundaryGraph:
+    """Graph of the pairs whose coefficient exceeds ``COEFF_EPS`` times the
+    largest."""
+    cut = COEFF_EPS * form.max_coefficient()
     edges = [
         (a, b) for a, b in pair_list(form.N) if form.matrix()[a, b] > cut
     ]
@@ -192,14 +193,15 @@ def is_irreducible(form: DirichletForm) -> bool:
     return support_graph(form).is_connected()
 
 
-def is_harmonic_at(form: DirichletForm, u, j: int, tol: float = 1e-9) -> bool:
+def is_harmonic_at(form: DirichletForm, u, j: int) -> bool:
     """Whether the weighted difference operator vanishes at vertex ``j``.
 
-    The comparison is relative: the threshold scales with the largest
-    coefficient and the oscillation of ``u``, so the answer is invariant under
-    rescaling either the form or the data.  Zero scale counts as harmonic.
+    The comparison is relative: the threshold is 1e-9 times the largest
+    coefficient times the oscillation of ``u``, so the answer is invariant
+    under rescaling either the form or the data.  Zero scale counts as
+    harmonic.
     """
     u = _vertex_data(u, form.N)
     scale = form.max_coefficient() * (u.max() - u.min())
     value = laplacian(form, u)[j]
-    return bool(abs(value) <= tol * scale)
+    return bool(abs(value) <= 1e-9 * scale)

@@ -51,15 +51,8 @@ class FractalTriple:
         )
 
     @property
-    def boundary(self) -> range:
-        return range(self.N)
-
-    @property
     def interior(self) -> range:
         return range(self.N, self.num_vertices)
-
-    def cell_vertex(self, i: int, p: int) -> int:
-        return self.cells[i][p]
 
 
 class ConnectivityFlags(NamedTuple):

@@ -37,6 +37,8 @@ __all__ = [
 
 POWER_TOL = 1e-13
 _POWER_MAX_ITER = 20000
+PI_TOL = 1e-12
+_PI_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -186,14 +188,13 @@ def project_g_tilde(u, comp: ComponentData, s: int) -> np.ndarray:
     return out
 
 
-def pi_limit(
-    cache: OperatorCache, pdata: PerronData, u, tol: float = 1e-12, max_iter: int = 500
-) -> float:
+def pi_limit(cache: OperatorCache, pdata: PerronData, u) -> float:
     """Limiting coefficient of data along the component eigenvector.
 
     Repeatedly applies the period-th operator power divided by its eigenvalue
-    until the iterate stabilizes along ``u_tilde`` and returns the coefficient
-    against it.  The input must be supported on the component.
+    until the iterate stabilizes along ``u_tilde`` to within ``PI_TOL``, at
+    most ``_PI_MAX_ITER`` times, and returns the coefficient against it.  The
+    input must be supported on the component.
     """
     u = np.asarray(u, dtype=float)
     outside = set(range(cache.triple.N)) - set(np.flatnonzero(pdata.u_tilde > 0.0).tolist())
@@ -206,14 +207,14 @@ def pi_limit(
     scale = max(float(np.max(np.abs(u))), 1e-300)
     w = u.astype(float)
     prev = None
-    for _ in range(max_iter):
+    for _ in range(_PI_MAX_ITER):
         w = (power @ w) / pdata.eigenvalue
         coeff = float(w @ tilde) / denom
         resid = float(np.max(np.abs(w - coeff * tilde)))
-        close = resid <= tol * max(abs(coeff) * np.max(tilde), scale)
-        if prev is not None and close and abs(coeff - prev) <= tol * max(1.0, abs(coeff)):
+        close = resid <= PI_TOL * max(abs(coeff) * np.max(tilde), scale)
+        if prev is not None and close and abs(coeff - prev) <= PI_TOL * max(1.0, abs(coeff)):
             return coeff
         prev = coeff
     raise NonConvergenceError(
-        f"projection coefficient did not stabilize within {max_iter} iterations"
+        f"projection coefficient did not stabilize within {_PI_MAX_ITER} iterations"
     )

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InternalConsistencyError, NonConvergenceError
-from .forms import DirichletForm, laplacian, pair_list, support_graph
+from .forms import COEFF_EPS, DirichletForm, laplacian, pair_list, support_graph
 from .fractal import FractalTriple, check_weights
 from .graphs import ComponentData, components, hat_graph
 from .renorm import OperatorCache, _context
@@ -100,15 +100,16 @@ class StabilityVerdict:
     digraph: StabilityDigraph
 
 
-def orbit_span(cache: OperatorCache, seed, rank_tol: float = RANK_TOL) -> np.ndarray:
+def orbit_span(cache: OperatorCache, seed) -> np.ndarray:
     """Orthonormal basis of the smallest subspace containing ``seed`` that is
     invariant under every cell operator of ``cache``.
 
     Worklist closure: every basis vector, in the order it was adjoined, is
     pushed through all cell operators once, and its images are taken in cell
-    order; an image whose residual against the current span exceeds the rank
-    threshold is adjoined and joins the worklist.  An image within threshold
-    stays within it as the span grows, so no vector needs a second pass.
+    order; an image whose residual against the current span exceeds
+    ``RANK_TOL`` times the largest of its norm, the seed's norm and one is
+    adjoined and joins the worklist.  An image within threshold stays within
+    it as the span grows, so no vector needs a second pass.
     """
     seed = np.asarray(seed, dtype=float)
     norm = np.linalg.norm(seed)
@@ -123,7 +124,7 @@ def orbit_span(cache: OperatorCache, seed, rank_tol: float = RANK_TOL) -> np.nda
     while done < dim < n:
         images = cache.ops @ basis[done]
         done += 1
-        limit = rank_tol * np.maximum(scale, np.linalg.norm(images, axis=1))
+        limit = RANK_TOL * np.maximum(scale, np.linalg.norm(images, axis=1))
         while images.shape[0] and dim < n:
             span = basis[:dim]
             resid = images - (images @ span.T) @ span
@@ -170,14 +171,15 @@ def _node_list(comp_by_j: Mapping[int, ComponentData]) -> list[Node]:
 
 
 def stability_digraph(
-    triple: FractalTriple, form: DirichletForm, weights, phi_tol: float = PHI_TOL
+    triple: FractalTriple, form: DirichletForm, weights
 ) -> StabilityDigraph:
     """Build the reachability digraph for a verified eigenform.
 
     An edge from one node to another states that the harmonicity functional
-    of the target is nonzero, beyond the relative threshold, somewhere on the
-    invariant span generated by the source's eigenvector iterate.  The cell
-    operators come from ``renorm``'s context slot and stay on the digraph.
+    of the target is nonzero, beyond the relative threshold ``PHI_TOL``,
+    somewhere on the invariant span generated by the source's eigenvector
+    iterate.  The cell operators come from ``renorm``'s context slot and stay
+    on the digraph.
     """
     hat = hat_graph(triple)
     if support_graph(form) != hat:
@@ -204,9 +206,9 @@ def stability_digraph(
         spans[src] = span
         for dst, mag in zip(nodes, _magnitudes(span, rows, max_coeff).tolist()):
             magnitudes[(src, dst)] = mag
-            if mag > phi_tol:
+            if mag > PHI_TOL:
                 edges.add((src, dst))
-                if mag <= PHI_WARN_FACTOR * phi_tol:
+                if mag <= PHI_WARN_FACTOR * PHI_TOL:
                     warnings.append(
                         f"borderline functional magnitude {mag:.3e} on edge {src}->{dst}"
                     )
@@ -246,9 +248,7 @@ def _sink_sccs(
     return sorted((sorted(scc) for scc in sinks), key=lambda scc: scc[0])
 
 
-def _positive_case_digraph(
-    cache: OperatorCache, phi_tol: float
-) -> tuple[list[int], set[tuple[int, int]]]:
+def _positive_case_digraph(cache: OperatorCache) -> tuple[list[int], set[tuple[int, int]]]:
     """Single-vertex variant for positive eigenforms: seeds are the plain
     Perron vectors and the functional is the difference operator itself."""
     nodes = list(range(cache.triple.N))
@@ -260,7 +260,7 @@ def _positive_case_digraph(
         u_bar, _ = perron_positive(cache, j)
         span = orbit_span(cache, u_bar)
         mags = _magnitudes(span, rows, max_coeff)
-        edges |= {(j, jd) for jd in nodes if mags[jd] > phi_tol}
+        edges |= {(j, jd) for jd in nodes if mags[jd] > PHI_TOL}
     return nodes, edges
 
 
@@ -275,7 +275,7 @@ def decide_uniqueness(
     triple: FractalTriple,
     form: DirichletForm,
     weights,
-    phi_tol: float = PHI_TOL,
+    *,
     digraph: StabilityDigraph | None = None,
 ) -> StabilityVerdict:
     """Condense the digraph and count sinks.
@@ -284,13 +284,14 @@ def decide_uniqueness(
     or weights raises ``ValueError``) and is built otherwise; the verdict
     carries it.  One sink means unique; two or more yield witnesses, namely
     two sink components themselves (each is closed under out-edges).  For a
-    positive form the single-vertex variant runs as well, on the digraph's
-    cell operators, and must agree.
+    positive form (every coefficient above ``COEFF_EPS`` times the largest,
+    as ``perron_positive`` requires) the single-vertex variant runs as well,
+    on the digraph's cell operators, and must agree.
     """
     r = check_weights(triple, weights)
     if digraph is not None:
         _require_context(digraph, triple, form, r, "digraph was built")
-    dg = digraph or stability_digraph(triple, form, r, phi_tol=phi_tol)
+    dg = digraph or stability_digraph(triple, form, r)
     sinks = _sink_sccs(dg.nodes, dg.edges)
     unique = len(sinks) == 1
     witnesses = None
@@ -298,8 +299,8 @@ def decide_uniqueness(
         witnesses = (list(sinks[0]), list(sinks[1]))
 
     vec = form.vector()
-    if vec.min() > 1e-10 * vec.max():
-        pos_nodes, pos_edges = _positive_case_digraph(dg.cache, phi_tol)
+    if vec.min() > COEFF_EPS * vec.max():
+        pos_nodes, pos_edges = _positive_case_digraph(dg.cache)
         pos_unique = len(_sink_sccs(pos_nodes, pos_edges)) == 1
         if pos_unique != unique:
             raise InternalConsistencyError(
@@ -320,15 +321,15 @@ def decide_uniqueness(
 
 
 def penalty_form(
-    cache: OperatorCache, comp: ComponentData, s: int, fit_tol: float = 1e-8
+    cache: OperatorCache, comp: ComponentData, s: int
 ) -> dict[tuple[int, int], float]:
     """Squared harmonicity functional of the node ``(comp.j, s)`` as a
     pair-difference table, for the form and operators of ``cache``.
 
     The functional is linear and kills constants, so its square is a quadratic
     form representable by (possibly negative) coefficients supported on the
-    stable graph's edges; the representation is checked and a residual beyond
-    tolerance raises.
+    stable graph's edges; the representation is checked, and a residual
+    beyond 1e-8 of the largest entry of the square raises.
     """
     j, n = comp.j, cache.triple.N
     power = cache.word((j,) * comp.periods[s])
@@ -346,7 +347,7 @@ def penalty_form(
         recon[b, b] += d
     scale = max(float(np.max(np.abs(q))), 1e-300)
     err = float(np.max(np.abs(recon - q)))
-    if err > fit_tol * scale:
+    if err > 1e-8 * scale:
         raise InternalConsistencyError(
             f"pair-difference fit of the penalty at (j={j}, s={s}) fails by {err:.3e}"
         )
@@ -372,13 +373,13 @@ class ExplorationOutcome:
     delta: float
 
 
-def _proportional(a: DirichletForm, b: DirichletForm, tol: float = 1e-6) -> bool:
+def _proportional(a: DirichletForm, b: DirichletForm) -> bool:
     va, vb = a.vector(), b.vector()
     denom = float(vb @ vb)
     if denom == 0.0:
         return False
     t = float(va @ vb) / denom
-    return bool(np.max(np.abs(va - t * vb)) <= tol * np.max(np.abs(va)))
+    return bool(np.max(np.abs(va - t * vb)) <= 1e-6 * np.max(np.abs(va)))
 
 
 def explore_nonuniqueness(
@@ -387,25 +388,22 @@ def explore_nonuniqueness(
     weights,
     verdict: StabilityVerdict,
     delta: float = 0.1,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-    max_retries: int = 60,
 ) -> ExplorationOutcome:
     """Chase a second eigenform using the second witness set's penalties.
 
     ``verdict`` must be the one decided for this triple, form and weights
     (any other raises ``ValueError``): the penalties of its second witness set
     read its digraph's cell operators and component data.  Their sum is
-    subtracted from the form, shrinking ``delta`` as needed to keep every
-    stable-graph coefficient positive, and the eigenform search restarts
-    from there.  Whether the limit is genuinely new is reported, not
-    guaranteed.
+    subtracted from the form, halving ``delta`` up to 60 times as needed to
+    keep every stable-graph coefficient positive, and ``find_eigenform``
+    restarts from there with its own defaults.  Whether the limit is
+    genuinely new is reported, not guaranteed.
     """
     r = check_weights(triple, weights)
     if verdict.witnesses is None:
         raise ValueError("exploration requires a nonunique verdict with witnesses")
-    if not delta >= 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("delta must be nonnegative and finite")
     dg = verdict.digraph
     _require_context(dg, triple, form, r, "verdict was decided")
     combined: dict[tuple[int, int], float] = {}
@@ -416,7 +414,7 @@ def explore_nonuniqueness(
     hat_edges = hat_graph(triple).sorted_edges()
     current = delta
     start = None
-    for _ in range(max_retries + 1):
+    for _ in range(61):
         coeffs = {
             pair: form.coefficient(*pair) - current * combined.get(pair, 0.0)
             for pair in pair_list(triple.N)
@@ -431,7 +429,7 @@ def explore_nonuniqueness(
         raise NonConvergenceError(
             "perturbed start kept leaving the admissible cone after retries"
         )
-    result = find_eigenform(triple, r, init=start, tol=tol, max_iter=max_iter)
+    result = find_eigenform(triple, r, init=start)
     return ExplorationOutcome(
         result=result,
         proportional=_proportional(result.form, form),

@@ -1,0 +1,36 @@
+"""The public API carries no tolerance or iteration option beyond the ones
+the CLI sets: every other threshold is a module constant, read when the
+function runs, so two analyses of one input can never use different values."""
+
+import importlib
+import inspect
+import re
+
+MODULES = ("forms", "fractal", "graphs", "renorm", "solver", "spectral", "uniqueness")
+OPTION = re.compile(r"tol|eps|max_iter|max_retries")
+# set by the CLI's --tol and --max-iter
+ALLOWED = {"find_eigenform.tol", "find_eigenform.max_iter", "verify_eigenform.tol"}
+
+
+def _public_callables(module):
+    """Every callable in ``__all__``, and the public methods of its classes."""
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if not callable(obj):
+            continue
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                if inspect.isfunction(member) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", member
+
+
+def test_no_tolerance_options_beyond_the_cli_settings():
+    found = set()
+    for mod in MODULES:
+        for name, obj in _public_callables(importlib.import_module(f"eigenform_lab.{mod}")):
+            found |= {f"{name}.{p}" for p in inspect.signature(obj).parameters if OPTION.search(p)}
+    assert sorted(found - ALLOWED) == []
+    assert ALLOWED <= found

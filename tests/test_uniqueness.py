@@ -18,7 +18,7 @@ from eigenform_lab import (
     stability_digraph,
     verify_eigenform,
 )
-from eigenform_lab import renorm
+from eigenform_lab import renorm, uniqueness
 from eigenform_lab.renorm import OperatorCache
 from eigenform_lab.uniqueness import _magnitudes, _node_row, _sink_sccs
 
@@ -188,6 +188,16 @@ def test_digraph_tree_two_branches(tree_gasket, tree_eigenform):
     # each branch is mutually reachable
     assert ((0, 0), (1, 0)) in dg.edges and ((1, 0), (0, 0)) in dg.edges
     assert ((0, 1), (2, 0)) in dg.edges and ((2, 0), (0, 1)) in dg.edges
+
+
+def test_edge_threshold_has_one_source(monkeypatch, gasket, gasket_eigenform):
+    # the gasket's edge magnitudes are 2.0, 2.667 and 3.333: the digraph and
+    # the positive-form cross-check both read PHI_TOL when called, so they
+    # keep the same three edges and agree
+    monkeypatch.setattr(uniqueness, "PHI_TOL", 3.0)
+    verdict = decide_uniqueness(gasket, gasket_eigenform, R3)
+    assert verdict.unique
+    assert verdict.digraph.edges == {((0, 0), (1, 0)), ((1, 0), (0, 0)), ((2, 0), (0, 0))}
 
 
 def test_digraph_requires_matching_support(tree_gasket):
@@ -442,7 +452,7 @@ def test_explore_delta_zero_returns_multiple(tree_gasket, tree_eigenform):
     assert out.proportional
 
 
-@pytest.mark.parametrize("delta", [-0.1, np.nan])
+@pytest.mark.parametrize("delta", [-0.1, np.nan, np.inf])
 def test_explore_rejects_a_negative_or_nan_delta(tree_gasket, tree_eigenform, delta):
     verdict = decide_uniqueness(tree_gasket, tree_eigenform, R3)
     with pytest.raises(ValueError, match="delta must be nonnegative"):
