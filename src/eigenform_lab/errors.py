@@ -21,7 +21,11 @@ class SingularInteriorError(EigenformLabError):
 
 
 class NonConvergenceError(EigenformLabError):
-    """An iterative estimate failed to stabilize within its iteration budget."""
+    """An iterative estimate failed to stabilize within its iteration budget.
+
+    No library function raises it: ``find_eigenform`` reports a spent budget
+    on its result instead.  The CLI maps it to its numerical-failure exit.
+    """
 
 
 class InternalConsistencyError(EigenformLabError):

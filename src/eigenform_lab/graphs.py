@@ -11,11 +11,12 @@ certificate consumes.
 
 Every operator here reads one labelling of a lifted graph: the connected
 components of its interior vertices, and the components each boundary id
-touches.  The labelling is cached per (triple, graph), and the stable graph
-and its component data per triple, since they depend on nothing else.  The
-operators assume a triple that passes :func:`~eigenform_lab.fractal.validate`
-(the CLI validates first); in particular boundary id ``j`` lies in cell ``j``
-only, so no lifted edge joins two boundary ids.
+touches.  The labelling is cached per (triple, graph), and the contact
+graph, the stable graph and its component data per triple, since they depend
+on nothing else.  The operators assume a triple that passes
+:func:`~eigenform_lab.fractal.validate` (the CLI validates first); in
+particular boundary id ``j`` lies in cell ``j`` only, so no lifted edge joins
+two boundary ids.
 """
 
 from __future__ import annotations
@@ -143,12 +144,14 @@ def lambda_graph(triple: FractalTriple, g: BoundaryGraph) -> BoundaryGraph:
     return _touching(triple.N, _contacts(triple, g)[1])
 
 
+@functools.lru_cache(maxsize=8)
 def tilde_graph(triple: FractalTriple) -> BoundaryGraph:
     """Contact graph of the boundary cells.
 
     Boundary ids ``j1`` and ``j2`` are adjacent when their cells hold vertices
     joined inside the lift of the complete boundary graph through the
     non-boundary cells alone; a shared vertex counts as a zero-length path.
+    Cached per triple, like ``hat_graph``, which starts from it.
     """
     n = triple.N
     lifted = lift_edges(triple, complete_graph(n).edges, range(n, triple.k))
@@ -160,13 +163,12 @@ def tilde_graph(triple: FractalTriple) -> BoundaryGraph:
 def hat_graph(triple: FractalTriple) -> BoundaryGraph:
     """Least fixed point of the propagation operator above the contact graph.
 
-    The edge set grows monotonically inside a finite lattice, so the loop must
-    close within ``N(N-1)/2`` rounds; exceeding the cap is a hard failure.
-    Cached per triple.
+    Each pass either raises on a lost edge, returns at a fixed point, or adds
+    an edge, so the loop ends within ``N(N-1)/2 + 1`` passes.  Cached per
+    triple.
     """
     g = tilde_graph(triple)
-    cap = triple.N * (triple.N - 1) // 2 + 1
-    for _ in range(cap):
+    while True:
         nxt = lambda_graph(triple, g)
         if not nxt.edges >= g.edges:
             raise InternalConsistencyError(
@@ -175,7 +177,6 @@ def hat_graph(triple: FractalTriple) -> BoundaryGraph:
         if nxt.edges == g.edges:
             return nxt
         g = nxt
-    raise InternalConsistencyError("edge propagation failed to reach a fixed point")
 
 
 @dataclass(frozen=True)

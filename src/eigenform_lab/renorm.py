@@ -66,19 +66,12 @@ class ExtensionResult:
 _SLOT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-@functools.lru_cache(maxsize=32)
 def _pair_images(triple: FractalTriple) -> np.ndarray:
     """Vertex ids ``[p, q]`` of every pair image inside every cell, one row
     per (cell, pair), cell by cell and in ``pair_list`` order within a cell.
-    These are the only vertex pairs that can carry conductance.
-
-    Cached per triple (read-only): the solver renormalizes the same triple
-    hundreds of times, and on small networks building this array again
-    would cost as much as the Laplacian itself."""
+    These are the only vertex pairs that can carry conductance."""
     pairs = np.array(pair_list(triple.N))
-    out = np.array(triple.cells)[:, pairs].reshape(-1, 2)
-    out.flags.writeable = False
-    return out
+    return np.array(triple.cells)[:, pairs].reshape(-1, 2)
 
 
 def conductance_laplacian(

@@ -12,7 +12,9 @@ first argument, which also carries the triple and form they belong to.
 Eigenvectors are normalized to sup-norm one with positive entries.  Perron
 pairs come from power iteration with a Rayleigh-quotient eigenvalue, falling
 back to a dense eigensolver on stagnation; the matrices are tiny and strictly
-positive on the relevant block, so convergence is geometric.
+positive on the relevant block, so convergence is geometric.  The limiting
+projection coefficient is a linear functional of the data, the left Perron
+vector, and comes from one linear solve.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, NonConvergenceError
+from .errors import InternalConsistencyError
 from .forms import COEFF_EPS
 from .graphs import ComponentData
 from .renorm import OperatorCache
@@ -37,8 +39,6 @@ __all__ = [
 
 POWER_TOL = 1e-13
 _POWER_MAX_ITER = 20000
-PI_TOL = 1e-12
-_PI_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -151,14 +151,14 @@ def perron_component(cache: OperatorCache, comp: ComponentData, s: int) -> Perro
     u_bar[prime] = _positive_sup_normalized(small)
 
     u_tilde = power @ u_bar
-    inside = np.array(comp.components[s])
-    outside = np.setdiff1d(np.arange(n), inside)
-    stray = np.max(np.abs(u_tilde[outside])) if outside.size else 0.0
+    inside = np.zeros(n, dtype=bool)
+    inside[list(comp.components[s])] = True
+    stray = np.max(np.abs(u_tilde[~inside]), initial=0.0)
     if stray > 1e-10 * np.max(np.abs(u_tilde)):
         raise InternalConsistencyError(
             f"iterate at (j={j}, s={s}) leaks outside its component by {stray}"
         )
-    u_tilde[outside] = 0.0
+    u_tilde[~inside] = 0.0
     if u_tilde[inside].min() <= 0.0:
         raise InternalConsistencyError(
             f"iterate at (j={j}, s={s}) is not positive on its component"
@@ -191,30 +191,22 @@ def project_g_tilde(u, comp: ComponentData, s: int) -> np.ndarray:
 def pi_limit(cache: OperatorCache, pdata: PerronData, u) -> float:
     """Limiting coefficient of data along the component eigenvector.
 
-    Repeatedly applies the period-th operator power divided by its eigenvalue
-    until the iterate stabilizes along ``u_tilde`` to within ``PI_TOL``, at
-    most ``_PI_MAX_ITER`` times, and returns the coefficient against it.  The
-    input must be supported on the component.
+    The period-th operator power divided by its eigenvalue, applied over and
+    over, carries data on the component ``C`` (the support of ``u_tilde``)
+    towards a multiple of ``u_tilde``; the multiple is ``l @ u[C]``, with
+    ``l`` the left Perron vector of the power restricted to ``C``, scaled so
+    that ``l @ u_tilde[C] == 1``.  It solves the bordered system
+    ``[P_CC^T - lambda I ; u_tilde[C]^T] l = [0 ; 1]`` by least squares.
+    The input must be supported on the component.
     """
     u = np.asarray(u, dtype=float)
-    outside = set(range(cache.triple.N)) - set(np.flatnonzero(pdata.u_tilde > 0.0).tolist())
-    stray = max((abs(u[v]) for v in outside), default=0.0)
+    inside = pdata.u_tilde > 0.0
+    stray = np.max(np.abs(u[~inside]), initial=0.0)
     if stray > 1e-9 * max(np.max(np.abs(u)), 1e-300):
         raise ValueError("data must be supported on the component")
-    power = cache.word((pdata.j,) * pdata.period)
-    tilde = pdata.u_tilde
-    denom = float(tilde @ tilde)
-    scale = max(float(np.max(np.abs(u))), 1e-300)
-    w = u.astype(float)
-    prev = None
-    for _ in range(_PI_MAX_ITER):
-        w = (power @ w) / pdata.eigenvalue
-        coeff = float(w @ tilde) / denom
-        resid = float(np.max(np.abs(w - coeff * tilde)))
-        close = resid <= PI_TOL * max(abs(coeff) * np.max(tilde), scale)
-        if prev is not None and close and abs(coeff - prev) <= PI_TOL * max(1.0, abs(coeff)):
-            return coeff
-        prev = coeff
-    raise NonConvergenceError(
-        f"projection coefficient did not stabilize within {_PI_MAX_ITER} iterations"
-    )
+    block = cache.word((pdata.j,) * pdata.period)[np.ix_(inside, inside)]
+    tilde = pdata.u_tilde[inside]
+    m = tilde.size
+    bordered = np.vstack([block.T - pdata.eigenvalue * np.eye(m), tilde])
+    left = np.linalg.lstsq(bordered, np.append(np.zeros(m), 1.0))[0]
+    return float(left @ u[inside])

@@ -35,12 +35,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InternalConsistencyError, NonConvergenceError
-from .forms import COEFF_EPS, DirichletForm, laplacian, pair_list, support_graph
+from .errors import InternalConsistencyError
+from .forms import COEFF_EPS, DirichletForm, laplacian, support_graph
 from .fractal import FractalTriple, check_weights
 from .graphs import ComponentData, components, hat_graph
 from .renorm import OperatorCache, _context
-from .solver import EigenResult, find_eigenform
+from .solver import EigenResult, _hat_index, find_eigenform
 from .spectral import PerronData, perron_component, perron_positive, project_g
 
 __all__ = [
@@ -338,20 +338,22 @@ def penalty_form(
     ell = _node_row(lap_row @ power, comp, s)
     q = np.outer(ell, ell)
 
-    table = {(a, b): -q[a, b] for a, b in hat_graph(cache.triple).sorted_edges()}
+    _, rows, cols = _hat_index(cache.triple)
+    table = -q[rows, cols]
     recon = np.zeros((n, n))
-    for (a, b), d in table.items():
-        recon[a, b] -= d
-        recon[b, a] -= d
-        recon[a, a] += d
-        recon[b, b] += d
+    recon[rows, cols] = recon[cols, rows] = -table
+    np.fill_diagonal(recon, -recon.sum(axis=1))
     scale = max(float(np.max(np.abs(q))), 1e-300)
     err = float(np.max(np.abs(recon - q)))
     if err > 1e-8 * scale:
         raise InternalConsistencyError(
             f"pair-difference fit of the penalty at (j={j}, s={s}) fails by {err:.3e}"
         )
-    return {pair: d for pair, d in table.items() if d != 0.0}
+    return {
+        (a, b): d
+        for a, b, d in zip(rows.tolist(), cols.tolist(), table.tolist())
+        if d != 0.0
+    }
 
 
 def pair_energy(table: Mapping[tuple[int, int], float], u) -> float:
@@ -393,11 +395,14 @@ def explore_nonuniqueness(
 
     ``verdict`` must be the one decided for this triple, form and weights
     (any other raises ``ValueError``): the penalties of its second witness set
-    read its digraph's cell operators and component data.  Their sum is
-    subtracted from the form, halving ``delta`` up to 60 times as needed to
-    keep every stable-graph coefficient positive, and ``find_eigenform``
-    restarts from there with its own defaults.  Whether the limit is
-    genuinely new is reported, not guaranteed.
+    read its digraph's cell operators and component data.  Their sum, times
+    ``delta``, is subtracted from the form's stable-graph coefficients,
+    halving ``delta`` until every one of them is positive and finite, and
+    ``find_eigenform`` restarts from there with its own defaults.  At
+    ``delta == 0`` the start is the form itself, which lies in that cone for
+    every verdict this module decides; a start outside it even there raises
+    ``ValueError``.  Whether the limit is genuinely new is reported, not
+    guaranteed.
     """
     r = check_weights(triple, weights)
     if verdict.witnesses is None:
@@ -406,30 +411,26 @@ def explore_nonuniqueness(
         raise ValueError("delta must be nonnegative and finite")
     dg = verdict.digraph
     _require_context(dg, triple, form, r, "verdict was decided")
-    combined: dict[tuple[int, int], float] = {}
-    for (j, s) in verdict.witnesses[1]:
-        for pair, d in penalty_form(dg.cache, dg.component_data[j], s).items():
-            combined[pair] = combined.get(pair, 0.0) + d
-
+    tables = [
+        penalty_form(dg.cache, dg.component_data[j], s) for (j, s) in verdict.witnesses[1]
+    ]
     hat_edges = hat_graph(triple).sorted_edges()
+    # one entry per stable-graph edge, summed in witness order
+    penalty = sum(np.array([t.get(pair, 0.0) for pair in hat_edges]) for t in tables)
+
+    pos = _hat_index(triple)[0]
+    coeffs = form.vector()
     current = delta
-    start = None
-    for _ in range(61):
-        coeffs = {
-            pair: form.coefficient(*pair) - current * combined.get(pair, 0.0)
-            for pair in pair_list(triple.N)
-        }
-        if all(coeffs[pair] > 0.0 for pair in hat_edges) and all(
-            c >= 0.0 for c in coeffs.values()
-        ):
-            start = DirichletForm(triple.N, coeffs)
+    while True:
+        with np.errstate(over="ignore"):  # an entry that overflows is refused
+            trial = coeffs[pos] - current * penalty
+        if trial.min() > 0.0 and np.isfinite(trial).all():
             break
+        if current == 0.0:
+            raise ValueError("the form lies outside the admissible cone")
         current /= 2.0
-    if start is None:
-        raise NonConvergenceError(
-            "perturbed start kept leaving the admissible cone after retries"
-        )
-    result = find_eigenform(triple, r, init=start)
+    coeffs[pos] = trial
+    result = find_eigenform(triple, r, init=DirichletForm._from_vector(triple.N, coeffs))
     return ExplorationOutcome(
         result=result,
         proportional=_proportional(result.form, form),

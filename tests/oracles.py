@@ -5,8 +5,9 @@ Each routine here recomputes a quantity by the most direct method available
 block, one reachability search per interior solve, single global Schur
 reduction, one intersection per cell pair, one breadth-first search per
 boundary vertex, one depth-first search per removed boundary cell,
-round-based orbit closure, exhaustive word enumeration, exhaustive subset
-enumeration) without going through the production code paths it checks.
+round-based orbit closure, power iteration for projection limits,
+exhaustive word enumeration, exhaustive subset enumeration) without going
+through the production code paths it checks.
 """
 
 import itertools
@@ -268,6 +269,28 @@ def orbit_span_rounds(triple, cache, seed, rank_tol=1e-10):
             if len(basis) == triple.N:
                 break
     return np.array(basis)
+
+
+def pi_limit_by_iteration(cache, pdata, u, tol=1e-12, max_iter=500):
+    """Limiting coefficient of component data along ``pdata.u_tilde`` by
+    iteration: apply the period-th operator power divided by its eigenvalue
+    until the iterate lies along ``u_tilde`` to within ``tol`` and its
+    coefficient against it stops moving; ``None`` after ``max_iter`` steps."""
+    power = cache.word((pdata.j,) * pdata.period)
+    tilde = pdata.u_tilde
+    denom = float(tilde @ tilde)
+    w = np.asarray(u, dtype=float)
+    scale = max(float(np.max(np.abs(w))), 1e-300)
+    prev = None
+    for _ in range(max_iter):
+        w = (power @ w) / pdata.eigenvalue
+        coeff = float(w @ tilde) / denom
+        resid = float(np.max(np.abs(w - coeff * tilde)))
+        close = resid <= tol * max(abs(coeff) * np.max(tilde), scale)
+        if prev is not None and close and abs(coeff - prev) <= tol * max(1.0, abs(coeff)):
+            return coeff
+        prev = coeff
+    return None
 
 
 def all_words(k, max_len):

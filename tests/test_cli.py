@@ -203,6 +203,29 @@ def test_report_builds_component_data_once(name, capsys):
     assert graphs._component_data.cache_info().misses == builtin(name).N
 
 
+@pytest.mark.parametrize("name", ["gasket", "vicsek"])
+def test_report_labels_the_contact_graph_once(name, monkeypatch, capsys):
+    # the stable graph starts from the contact graph, and the graphs block
+    # prints it: one lift and labelling serves both
+    triple = builtin(name)
+    contact = graphs.lift_edges(
+        triple, graphs.complete_graph(triple.N).edges, range(triple.N, triple.k)
+    )
+    labelled = []
+    real = graphs._interior_labels
+
+    def spy(t, lifted):
+        labelled.append(lifted)
+        return real(t, lifted)
+
+    monkeypatch.setattr(graphs, "_interior_labels", spy)
+    graphs.tilde_graph.cache_clear()
+    graphs.hat_graph.cache_clear()
+    assert run(["report", name]) == 0
+    capsys.readouterr()
+    assert labelled.count(contact) == 1
+
+
 @pytest.mark.parametrize("name", ["g8", "vicsek9"])
 def test_graphs_matches_golden(name, gen, tmp_path, capsys):
     # the built-ins stop at N = 4; these cover wide-boundary component data

@@ -3,7 +3,9 @@ import pytest
 
 from eigenform_lab import (
     DirichletForm,
+    builtin,
     components,
+    find_eigenform,
     laplacian,
     perron_component,
     perron_positive,
@@ -13,6 +15,7 @@ from eigenform_lab import (
 )
 from eigenform_lab import spectral
 from eigenform_lab.renorm import OperatorCache
+from oracles import pi_limit_by_iteration
 
 R3 = np.ones(3)
 
@@ -191,3 +194,38 @@ def test_classification_matches_operator_positivity(tree_gasket, tree_eigenform)
                 assert np.allclose(col[outside], 0.0)
             for jp in comp.c_second[s]:
                 assert np.allclose(power[:, jp], 0.0)
+
+
+def _pi_limit_cases(gen, twisted):
+    tg, vk = builtin("tree_gasket"), builtin("vicsek")
+    plain = [builtin("gasket"), tg, vk, twisted, gen.vicsek(6), gen.vicsek(8), gen.vicsek(9)]
+    plain += [gen.simplex_gasket(4), gen.simplex_gasket(8)]
+    cases = [(t, [1.0] * t.k) for t in plain]
+    return cases + [(tg, [5.0, 2.0, 2.0]), gen.iterate(tg, 3), gen.iterate(vk, 2)]
+
+
+def test_pi_limit_matches_iteration(gen, twisted_tree_gasket):
+    # the left-eigenvector functional against the limit of the iteration it
+    # replaces, on every node and on random data supported on the component.
+    # The left Perron vector is nonnegative, so the limit of |u| bounds the
+    # terms that cancel in the limit of u, and the error is relative to it.
+    rng = np.random.default_rng(12)
+    worst, compared = 0.0, 0
+    for triple, weights in _pi_limit_cases(gen, twisted_tree_gasket):
+        form = find_eigenform(triple, weights).form
+        cache = OperatorCache(triple, form, weights)
+        for j in range(triple.N):
+            comp = components(triple, j)
+            for s in range(comp.m):
+                pd = perron_component(cache, comp, s)
+                for _ in range(5):
+                    u = np.zeros(triple.N)
+                    u[list(comp.components[s])] = rng.normal(size=len(comp.components[s]))
+                    want = pi_limit_by_iteration(cache, pd, u)
+                    scale = pi_limit_by_iteration(cache, pd, np.abs(u))
+                    assert want is not None and scale > 0.0
+                    got = pi_limit(cache, pd, u)
+                    worst = max(worst, abs(got - want) / scale)
+                    compared += 1
+    assert compared == 310
+    assert worst <= 1e-12

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -450,6 +452,50 @@ def test_explore_delta_zero_returns_multiple(tree_gasket, tree_eigenform):
     out = explore_nonuniqueness(tree_gasket, tree_eigenform, R3, verdict, delta=0.0)
     assert out.result.converged
     assert out.proportional
+
+
+@pytest.mark.parametrize("delta", [1e19, 1e30, 1.7e308])
+@pytest.mark.parametrize("name", ["tree_gasket", "vicsek"])
+def test_explore_halves_any_finite_delta_into_the_cone(name, delta, request):
+    # halving stops by delta = 0, where the start is the verified form
+    triple = request.getfixturevalue(name)
+    weights = np.ones(triple.k)
+    form = find_eigenform(triple, weights).form
+    verdict = decide_uniqueness(triple, form, weights)
+    out = explore_nonuniqueness(triple, form, weights, verdict, delta=delta)
+    assert out.result.converged
+    assert 0.0 < out.delta < delta
+
+
+def test_explore_halves_a_start_that_overflows(monkeypatch, tree_gasket, tree_eigenform):
+    # a negative penalty raises a coefficient; at the largest delta it
+    # overflows to inf, which is no form, so the start is halved once
+    verdict = decide_uniqueness(tree_gasket, tree_eigenform, R3)
+    # both nodes of the second witness set read this table: -2 in all
+    monkeypatch.setattr(uniqueness, "penalty_form", lambda *args: {(0, 1): -1.0})
+    starts = []
+    real = uniqueness.find_eigenform
+
+    def spy(triple, weights, init):
+        starts.append(init.vector())
+        return real(triple, weights)
+
+    monkeypatch.setattr(uniqueness, "find_eigenform", spy)
+    out = explore_nonuniqueness(tree_gasket, tree_eigenform, R3, verdict, delta=1.7e308)
+    assert out.delta == 1.7e308 / 2
+    assert starts[0].tolist() == [1.0 + 1.7e308, 1.0, 0.0]
+
+
+def test_explore_refuses_a_form_outside_the_cone(monkeypatch, tree_gasket, tree_eigenform):
+    # only a hand-built verdict can carry a form with a zero stable-graph
+    # coefficient; halving down to delta = 0 cannot admit it
+    form = DirichletForm(3, {(0, 1): 1.0, (1, 2): 1.0})
+    verdict = decide_uniqueness(tree_gasket, tree_eigenform, R3)
+    digraph = dataclasses.replace(verdict.digraph, cache=OperatorCache(tree_gasket, form, R3))
+    verdict = dataclasses.replace(verdict, digraph=digraph)
+    monkeypatch.setattr(uniqueness, "penalty_form", lambda *args: {(0, 1): 1.0})
+    with pytest.raises(ValueError, match="outside the admissible cone"):
+        explore_nonuniqueness(tree_gasket, form, R3, verdict)
 
 
 @pytest.mark.parametrize("delta", [-0.1, np.nan, np.inf])
