@@ -25,6 +25,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from ._graphutil import adjacency, split_components, sorted_edge
 from .errors import InternalConsistencyError
 from .fractal import FractalTriple
@@ -177,6 +179,18 @@ def hat_graph(triple: FractalTriple) -> BoundaryGraph:
         if nxt.edges == g.edges:
             return nxt
         g = nxt
+
+
+@functools.lru_cache(maxsize=8)
+def _hat_index(triple: FractalTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions in ``pair_list`` order and ends ``a < b`` of the stable-graph edges."""
+    rows, cols = np.triu_indices(triple.N, 1)
+    hat = hat_graph(triple)
+    pos = np.flatnonzero([hat.has_edge(a, b) for a, b in zip(rows.tolist(), cols.tolist())])
+    rows, cols = rows[pos], cols[pos]
+    for a in (pos, rows, cols):
+        a.flags.writeable = False
+    return pos, rows, cols
 
 
 @dataclass(frozen=True)

@@ -431,9 +431,6 @@ class OperatorCache:
             )
         return DirichletForm._from_vector(self.triple.N, np.maximum(off, 0.0))
 
-    def cell(self, i: int) -> np.ndarray:
-        return self.ops[i]
-
     def word(self, word: Iterable[int]) -> np.ndarray:
         """Product of cell operators, first index applied last (outermost).
 

@@ -16,15 +16,14 @@ support mismatch rules a candidate out no matter how small its residual.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import renorm
-from .forms import COEFF_EPS, DirichletForm, _pair_index, is_irreducible, pair_list, support_graph
+from .forms import COEFF_EPS, DirichletForm, is_irreducible, support_graph
 from .fractal import FractalTriple, check_weights
-from .graphs import hat_graph
+from .graphs import _hat_index, hat_graph
 
 __all__ = ["EigenResult", "find_eigenform", "verify_eigenform"]
 
@@ -103,24 +102,19 @@ def verify_eigenform(
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _hat_index(triple: FractalTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions of the stable-graph edges in ``pair_list`` order, and their
-    end points ``a < b`` (read-only).  Cached per triple, like ``hat_graph``."""
-    hat = hat_graph(triple)
-    pos = np.array([i for i, pair in enumerate(pair_list(triple.N)) if hat.has_edge(*pair)])
-    rows, cols = (idx[pos] for idx in _pair_index(triple.N))
-    for a in (pos, rows, cols):
-        a.flags.writeable = False
-    return pos, rows, cols
-
-
 def _on_hat(triple: FractalTriple, coeffs: np.ndarray) -> DirichletForm:
     """Form with the positive ``coeffs`` on the stable-graph edges and exact
     zeros elsewhere."""
     vec = np.zeros(triple.N * (triple.N - 1) // 2)
     vec[_hat_index(triple)[0]] = coeffs
     return DirichletForm._from_vector(triple.N, vec)
+
+
+def _unit_sum(x: np.ndarray) -> np.ndarray:
+    """Nonnegative ``x`` at unit sum.  Prescaling by a power of two keeps the sum
+    finite and changes no bit wherever the sum and its reciprocal are normal."""
+    x = np.ldexp(x, -np.frexp(x.max())[1])
+    return x * (1.0 / x.sum())
 
 
 def _hat_start(triple: FractalTriple, form: DirichletForm) -> DirichletForm | None:
@@ -130,7 +124,7 @@ def _hat_start(triple: FractalTriple, form: DirichletForm) -> DirichletForm | No
     x = form.vector()[_hat_index(triple)[0]]
     if x.min() <= COEFF_EPS * form.max_coefficient():
         return None
-    return _on_hat(triple, x * (1.0 / x.sum()))
+    return _on_hat(triple, _unit_sum(x))
 
 
 def _jacobian(triple: FractalTriple, r: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -223,7 +217,7 @@ def find_eigenform(
         raise ValueError("initial form must be irreducible")
     start = _hat_start(triple, current)
     on_hat = start is not None
-    current = start if on_hat else current.scaled(1.0 / current.l1_norm())
+    current = start if on_hat else DirichletForm._from_vector(triple.N, _unit_sum(current.vector()))
     hat = _hat_index(triple)[0]
     newton_from = None  # residual where the last step, if a Newton step, began
 
@@ -233,21 +227,19 @@ def find_eigenform(
         # the iterate has unit coefficient sum, so this is the pre-normalization ratio
         rho = image.l1_norm()
         residual = _relative_residual(current, image, rho)
-        step = image.scaled(1.0 / rho)
-        delta = float(
-            np.max(np.abs(step.vector() - current.vector())) / current.max_coefficient()
-        )
-        stabilized = delta < tol and residual <= tol
+        # the plain step moves the iterate's direction by residual / rho
+        stabilized = residual < tol * rho and residual <= tol
         # the returned form is the last one measured, never the unmeasured step
         if stabilized or iterations == max_iter:
             break
         if not on_hat:
+            step = image.scaled(1.0 / rho)
             start = _hat_start(triple, step)
             on_hat = start is not None
             current = start if on_hat else step
             continue
         x = current.vector()[hat]
-        if x.min() < COEFF_EPS * x.max():
+        if x.min() <= COEFF_EPS * x.max():
             break
         c = image.vector()[hat]
         if newton_from is not None and residual > 0.5 * newton_from:

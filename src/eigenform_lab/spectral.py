@@ -94,16 +94,24 @@ def _perron_dense(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return vec / np.linalg.norm(vec), float(value.real)
 
 
-def _positive_sup_normalized(vec: np.ndarray) -> np.ndarray:
-    top = np.max(np.abs(vec))
+def _perron_on(matrix: np.ndarray, idx: list[int], where: str) -> tuple[np.ndarray, float]:
+    """Perron pair of the block of ``matrix`` on ``idx``, sup-normalized on ``idx``."""
+    block = matrix[np.ix_(idx, idx)]
+    if block.min() <= 0.0:
+        raise InternalConsistencyError(f"{where} is not entrywise positive")
+    small, value = _perron_pair(block)
+    top = np.max(np.abs(small))
     if top == 0.0:
         raise InternalConsistencyError("Perron vector vanished")
-    out = vec / top
-    if out.min() <= 1e-12:
+    small = small / top
+    if small.min() <= 1e-12:
         raise InternalConsistencyError(
-            f"Perron vector is not strictly positive: {out}"
+            f"Perron vector is not strictly positive: {small}"
         )
-    return out
+    vec = np.zeros(matrix.shape[0])
+    vec[idx] = small
+    vec.flags.writeable = False
+    return vec, value
 
 
 def perron_positive(cache: OperatorCache, j: int) -> tuple[np.ndarray, float]:
@@ -116,18 +124,8 @@ def perron_positive(cache: OperatorCache, j: int) -> tuple[np.ndarray, float]:
     vec = cache.form.vector()
     if vec.min() <= COEFF_EPS * vec.max():
         raise ValueError("perron_positive requires a positive form")
-    n = cache.triple.N
-    others = [p for p in range(n) if p != j]
-    block = cache.cell(j)[np.ix_(others, others)]
-    if block.min() <= 0.0:
-        raise InternalConsistencyError(
-            f"restricted cell operator at j={j} is not entrywise positive"
-        )
-    small, value = _perron_pair(block)
-    u_bar = np.zeros(n)
-    u_bar[others] = _positive_sup_normalized(small)
-    u_bar.flags.writeable = False
-    return u_bar, value
+    others = [p for p in range(cache.triple.N) if p != j]
+    return _perron_on(cache.ops[j], others, f"restricted cell operator at j={j}")
 
 
 def perron_component(cache: OperatorCache, comp: ComponentData, s: int) -> PerronData:
@@ -140,15 +138,8 @@ def perron_component(cache: OperatorCache, comp: ComponentData, s: int) -> Perro
     j, n = comp.j, cache.triple.N
     period = comp.periods[s]
     power = cache.word((j,) * period)
-    prime = list(comp.c_prime[s])
-    block = power[np.ix_(prime, prime)]
-    if block.min() <= 0.0:
-        raise InternalConsistencyError(
-            f"component-restricted operator at (j={j}, s={s}) is not entrywise positive"
-        )
-    small, value = _perron_pair(block)
-    u_bar = np.zeros(n)
-    u_bar[prime] = _positive_sup_normalized(small)
+    where = f"component-restricted operator at (j={j}, s={s})"
+    u_bar, value = _perron_on(power, list(comp.c_prime[s]), where)
 
     u_tilde = power @ u_bar
     inside = np.zeros(n, dtype=bool)
@@ -163,7 +154,6 @@ def perron_component(cache: OperatorCache, comp: ComponentData, s: int) -> Perro
         raise InternalConsistencyError(
             f"iterate at (j={j}, s={s}) is not positive on its component"
         )
-    u_bar.flags.writeable = False
     u_tilde.flags.writeable = False
     return PerronData(
         j=j, s=s, period=period, u_bar=u_bar, u_tilde=u_tilde, eigenvalue=value

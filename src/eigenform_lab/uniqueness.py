@@ -38,9 +38,9 @@ import numpy as np
 from .errors import InternalConsistencyError
 from .forms import COEFF_EPS, DirichletForm, laplacian, support_graph
 from .fractal import FractalTriple, check_weights
-from .graphs import ComponentData, components, hat_graph
+from .graphs import ComponentData, _hat_index, components, hat_graph
 from .renorm import OperatorCache, _context
-from .solver import EigenResult, _hat_index, find_eigenform
+from .solver import EigenResult, find_eigenform
 from .spectral import PerronData, perron_component, perron_positive, project_g
 
 __all__ = [
@@ -166,10 +166,6 @@ def _magnitudes(span: np.ndarray, rows: np.ndarray, max_coeff: float) -> np.ndar
     return values.max(axis=1, initial=0.0)
 
 
-def _node_list(comp_by_j: Mapping[int, ComponentData]) -> list[Node]:
-    return sorted((j, s) for j, comp in comp_by_j.items() for s in range(comp.m))
-
-
 def stability_digraph(
     triple: FractalTriple, form: DirichletForm, weights
 ) -> StabilityDigraph:
@@ -189,7 +185,7 @@ def stability_digraph(
         )
     cache = _context(triple, form, weights)
     comp_by_j = {j: components(triple, j, hat) for j in range(triple.N)}
-    nodes = _node_list(comp_by_j)
+    nodes = sorted((j, s) for j, comp in comp_by_j.items() for s in range(comp.m))
     payload = {(j, s): perron_component(cache, comp_by_j[j], s) for (j, s) in nodes}
     max_coeff = form.max_coefficient()
     # the pivot lies outside its components, so the Laplacian row reduces to
@@ -248,10 +244,10 @@ def _sink_sccs(
     return sorted((sorted(scc) for scc in sinks), key=lambda scc: scc[0])
 
 
-def _positive_case_digraph(cache: OperatorCache) -> tuple[list[int], set[tuple[int, int]]]:
-    """Single-vertex variant for positive eigenforms: seeds are the plain
-    Perron vectors and the functional is the difference operator itself."""
-    nodes = list(range(cache.triple.N))
+def _positive_case_edges(cache: OperatorCache) -> set[tuple[Node, Node]]:
+    """Single-vertex variant for positive eigenforms, as edges on the nodes
+    ``(j, 0)``: Perron vectors as seeds, the difference operator as functional."""
+    nodes = range(cache.triple.N)
     m = cache.form.matrix()
     rows = m - np.diag(m.sum(axis=1))
     max_coeff = cache.form.max_coefficient()
@@ -260,8 +256,8 @@ def _positive_case_digraph(cache: OperatorCache) -> tuple[list[int], set[tuple[i
         u_bar, _ = perron_positive(cache, j)
         span = orbit_span(cache, u_bar)
         mags = _magnitudes(span, rows, max_coeff)
-        edges |= {(j, jd) for jd in nodes if mags[jd] > PHI_TOL}
-    return nodes, edges
+        edges |= {((j, 0), (jd, 0)) for jd in nodes if mags[jd] > PHI_TOL}
+    return edges
 
 
 def _require_context(dg: StabilityDigraph, triple, form, r, what: str) -> None:
@@ -286,7 +282,8 @@ def decide_uniqueness(
     two sink components themselves (each is closed under out-edges).  For a
     positive form (every coefficient above ``COEFF_EPS`` times the largest,
     as ``perron_positive`` requires) the single-vertex variant runs as well,
-    on the digraph's cell operators, and must agree.
+    on the digraph's cell operators, and must give the same edges; its stable
+    graph is complete, so equal edges on the nodes ``(j, 0)`` imply an equal verdict.
     """
     r = check_weights(triple, weights)
     if digraph is not None:
@@ -300,14 +297,7 @@ def decide_uniqueness(
 
     vec = form.vector()
     if vec.min() > COEFF_EPS * vec.max():
-        pos_nodes, pos_edges = _positive_case_digraph(dg.cache)
-        pos_unique = len(_sink_sccs(pos_nodes, pos_edges)) == 1
-        if pos_unique != unique:
-            raise InternalConsistencyError(
-                "single-vertex and component-based stability analyses disagree"
-            )
-        expected = {((a, 0), (b, 0)) for a, b in pos_edges}
-        if expected != dg.edges:
+        if _positive_case_edges(dg.cache) != dg.edges:
             raise InternalConsistencyError(
                 "single-vertex and component-based digraphs differ for a positive form"
             )
@@ -376,11 +366,8 @@ class ExplorationOutcome:
 
 
 def _proportional(a: DirichletForm, b: DirichletForm) -> bool:
-    va, vb = a.vector(), b.vector()
-    denom = float(vb @ vb)
-    if denom == 0.0:
-        return False
-    t = float(va @ vb) / denom
+    va, vb = a.vector(), b.vector() / b.max_coefficient()
+    t = float(va @ vb) / float(vb @ vb)
     return bool(np.max(np.abs(va - t * vb)) <= 1e-6 * np.max(np.abs(va)))
 
 
@@ -414,11 +401,11 @@ def explore_nonuniqueness(
     tables = [
         penalty_form(dg.cache, dg.component_data[j], s) for (j, s) in verdict.witnesses[1]
     ]
-    hat_edges = hat_graph(triple).sorted_edges()
+    pos, rows, cols = _hat_index(triple)
+    ends = list(zip(rows.tolist(), cols.tolist()))
     # one entry per stable-graph edge, summed in witness order
-    penalty = sum(np.array([t.get(pair, 0.0) for pair in hat_edges]) for t in tables)
+    penalty = sum(np.array([t.get(pair, 0.0) for pair in ends]) for t in tables)
 
-    pos = _hat_index(triple)[0]
     coeffs = form.vector()
     current = delta
     while True:

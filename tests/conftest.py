@@ -66,6 +66,27 @@ def twisted_tree_gasket():
 
 
 @pytest.fixture(scope="session")
+def five_vertex_triple():
+    """A drawn triple whose stable graph is neither the contact graph
+    {03, 04, 12, 14, 24} nor complete: one more propagation pass adds 01 and
+    02.  At vertex 3 only vertex 0 survives, so 1, 2 and 4 vanish."""
+    return FractalTriple(
+        name="five_vertex",
+        N=5,
+        k=6,
+        num_vertices=22,
+        cells=(
+            (0, 8, 5, 19, 15),
+            (6, 1, 9, 11, 17),
+            (11, 21, 2, 6, 18),
+            (10, 19, 20, 3, 13),
+            (5, 15, 16, 17, 4),
+            (14, 21, 17, 7, 12),
+        ),
+    )
+
+
+@pytest.fixture(scope="session")
 def gasket_eigenform():
     return DirichletForm.ones(3)
 

@@ -7,10 +7,12 @@ reduction, one intersection per cell pair, one breadth-first search per
 boundary vertex, one depth-first search per removed boundary cell,
 round-based orbit closure, power iteration for projection limits,
 exhaustive word enumeration, exhaustive subset enumeration) without going
-through the production code paths it checks.
+through the production code paths it checks.  ``random_valid_triples`` draws
+the seeded inputs that some of them are checked on.
 """
 
 import itertools
+import random
 from collections import deque
 
 import numpy as np
@@ -18,9 +20,11 @@ import numpy as np
 from eigenform_lab import (
     BoundaryGraph,
     DirichletForm,
+    FractalTriple,
     harmonicity_functional,
     lift_edges,
     pair_list,
+    validate,
 )
 from eigenform_lab._graphutil import adjacency
 from eigenform_lab.errors import SingularInteriorError
@@ -259,7 +263,7 @@ def orbit_span_rounds(triple, cache, seed, rank_tol=1e-10):
         changed = False
         for b in list(basis):
             for i in range(triple.k):
-                w = cache.cell(i) @ b
+                w = cache.ops[i] @ b
                 resid = w - sum((w @ e) * e for e in basis)
                 if np.linalg.norm(resid) > rank_tol * max(scale, np.linalg.norm(w)):
                     basis.append(resid / np.linalg.norm(resid))
@@ -337,3 +341,33 @@ def has_two_disjoint_closed_subsets(nodes, edges):
     return any(
         not (a & b) for a, b in itertools.combinations(subsets, 2)
     )
+
+
+def random_valid_triples(seed, n_max=4, k_max=5):
+    """Endless stream of seeded valid triples, each with its cell weights.
+
+    A draw takes N from 2 to ``n_max``, k from N to ``k_max`` and the vertex
+    count from N + 1 to N + k(N - 1).  Cell j holds j in slot j and N - 1
+    distinct random interior ids in the others; every other cell holds N
+    distinct random interior ids.  Each weight is 10^U(-1, 1).  Draws whose
+    interior is too small for their cells, and draws that ``validate``
+    refuses (about 63 % at the defaults), are skipped.
+    """
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(2, n_max)
+        k = rng.randint(n, k_max)
+        nv = rng.randint(n + 1, n + k * (n - 1))
+        interior = range(n, nv)
+        if len(interior) < (n if k > n else n - 1):
+            continue
+        cells = []
+        for i in range(k):
+            ids = rng.sample(interior, n - 1 if i < n else n)
+            if i < n:
+                ids.insert(i, i)
+            cells.append(tuple(ids))
+        weights = [10 ** rng.uniform(-1, 1) for _ in range(k)]
+        triple = FractalTriple(name="drawn", N=n, k=k, num_vertices=nv, cells=tuple(cells))
+        if not validate(triple):
+            yield triple, weights

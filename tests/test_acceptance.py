@@ -206,7 +206,7 @@ def test_criterion_6_identity_suites(corpus):
                 assert vals.min() - 1e-10 <= ext.values[q] <= vals.max() + 1e-10
 
             shifted = u - u.min()
-            assert np.all(cache.cell(j) @ shifted >= -1e-12)
+            assert np.all(cache.ops[j] @ shifted >= -1e-12)
 
             # maximum principle over a random connected cell subset
             subset = _random_connected_cell_subset(triple, rng)

@@ -131,6 +131,25 @@ def test_report_pipeline(files, capsys):
     assert doc["perron"][0]["period"] == 1
 
 
+def test_report_stable_graph_beyond_the_contact_graph(five_vertex_triple, tmp_path, capsys):
+    path = tmp_path / "five.json"
+    path.write_text(dumps(triple_to_dict(five_vertex_triple)))
+    assert run(["report", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["solve"]["converged"] is True
+    assert doc["uniqueness"]["unique"] is True
+
+
+def test_solve_from_a_start_whose_sum_overflows(files, capsys, tmp_path):
+    init = tmp_path / "big.json"
+    big = [[0, 1, 8e307], [0, 2, 8e307], [1, 2, 8e307]]
+    init.write_text(json.dumps({"N": 3, "coefficients": big}))
+    assert run(["solve", files["gasket"], "--init", str(init)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] is True
+    assert abs(doc["rho"] - 0.6) < 1e-12
+
+
 def test_corpus_lists_builtins(capsys):
     assert run(["corpus"]) == 0
     doc = json.loads(capsys.readouterr().out)

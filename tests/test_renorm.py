@@ -130,12 +130,12 @@ def test_renormalize_homogeneous(gasket):
 
 
 def test_cell_operator_gasket_rows(gasket, gasket_eigenform):
-    m = OperatorCache(gasket, gasket_eigenform, R3).cell(0)
+    m = OperatorCache(gasket, gasket_eigenform, R3).ops[0]
     assert np.allclose(m, [[1, 0, 0], [0.4, 0.4, 0.2], [0.4, 0.2, 0.4]])
 
 
 def test_cell_operator_tree(tree_gasket, tree_eigenform):
-    m = OperatorCache(tree_gasket, tree_eigenform, R3).cell(1)
+    m = OperatorCache(tree_gasket, tree_eigenform, R3).ops[1]
     u = np.array([1.0, 0.0, 0.0])
     assert np.allclose(m @ u, [0.5, 0.0, 0.5])
 
@@ -148,7 +148,7 @@ def test_cell_operator_rows(gasket, vicsek, gasket_eigenform, vicsek_eigenform):
     ]:
         cache = OperatorCache(triple, form, r)
         for i in range(triple.k):
-            m = cache.cell(i)
+            m = cache.ops[i]
             assert np.allclose(m.sum(axis=1), 1.0)
             for p in range(triple.N):
                 v = triple.cells[i][p]
@@ -161,7 +161,7 @@ def test_cell_operator_rows(gasket, vicsek, gasket_eigenform, vicsek_eigenform):
 def test_word_operator_identity_and_products(gasket, gasket_eigenform):
     cache = OperatorCache(gasket, gasket_eigenform, R3)
     assert np.allclose(cache.word([]), np.eye(3))
-    manual = cache.cell(0) @ cache.cell(2) @ cache.cell(1)
+    manual = cache.ops[0] @ cache.ops[2] @ cache.ops[1]
     assert np.allclose(cache.word([0, 2, 1]), manual)
     assert np.allclose(manual.sum(axis=1), 1.0)
 
@@ -173,7 +173,7 @@ def test_extension_positivity(gasket, tree_gasket, gasket_eigenform, tree_eigenf
         for _ in range(40):
             u = rng.uniform(0.0, 3.0, size=triple.N)
             for i in range(triple.k):
-                assert np.all(cache.cell(i) @ u >= -1e-14)
+                assert np.all(cache.ops[i] @ u >= -1e-14)
 
 
 def test_extension_bounds_through_interior(gasket, gasket_eigenform):

@@ -13,7 +13,7 @@ from eigenform_lab import (
     renormalize,
     verify_eigenform,
 )
-from eigenform_lab.solver import _hat_index, _jacobian, _relative_residual
+from eigenform_lab.solver import _hat_index, _jacobian, _relative_residual, _unit_sum
 
 R3 = np.ones(3)
 
@@ -260,6 +260,31 @@ def test_start_missing_a_stable_edge_takes_plain_steps_first(name, coeffs, rho):
     assert res.converged
     assert res.iterations >= 2
     assert res.rho == pytest.approx(rho, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, coeffs, scale, rho",
+    [
+        ("gasket", {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}, 8e307, 0.6),
+        ("gasket", {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}, 1.7e308, 0.6),
+        ("tree_gasket", {(0, 1): 1.0, (1, 2): 1.0}, 1.7e308, 0.5),
+    ],
+)
+def test_start_whose_coefficient_sum_overflows(name, coeffs, scale, rho):
+    # the first on the stable graph, the last off it
+    res = find_eigenform(builtin(name), R3, init=DirichletForm(3, coeffs).scaled(scale))
+    assert res.converged
+    assert res.rho == pytest.approx(rho, rel=1e-12)
+
+
+def test_unit_sum_keeps_the_bits_of_the_plain_formula():
+    # the power-of-two prescaling is exact while the sum and its reciprocal
+    # are normal
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        x = 10.0 ** rng.uniform(-4, 4, size=rng.integers(1, 12))
+        x *= 10.0 ** rng.uniform(-290, 290)
+        assert np.array_equal(_unit_sum(x), x * (1.0 / x.sum()))
 
 
 def test_boundary_heading_vicsek3_start_converges(gen, pipeline):

@@ -1,3 +1,6 @@
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from eigenform_lab import (
     project_g,
     project_g_tilde,
 )
-from eigenform_lab import spectral
+from eigenform_lab import InternalConsistencyError, spectral
 from eigenform_lab.renorm import OperatorCache
 from oracles import pi_limit_by_iteration
 
@@ -80,6 +83,28 @@ def test_perron_component_tree_j1(tree_gasket, tree_eigenform):
     assert np.allclose(pd.u_tilde, [0.5, 0.0, 0.5])
     assert pd.eigenvalue == pytest.approx(0.5)
     assert pd.period == 1
+
+
+def test_perron_component_refuses_a_vanishing_vertex(tree_gasket, tree_eigenform):
+    # at j = 1 vertex 2 vanishes; counting it as surviving puts a zero row
+    # in the restricted block
+    comp = dataclasses.replace(components(tree_gasket, 1), c_prime=((0, 2),), c_second=((),))
+    cache = OperatorCache(tree_gasket, tree_eigenform, R3)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"component-restricted operator at \(j=1, s=0\) is not entrywise positive",
+    ):
+        perron_component(cache, comp, 0)
+
+
+def test_perron_positive_refuses_a_zero_in_its_block(gasket, gasket_eigenform):
+    ops = OperatorCache(gasket, gasket_eigenform, R3).ops.copy()
+    ops[0, 1, 2] = 0.0
+    stub = types.SimpleNamespace(triple=gasket, form=gasket_eigenform, ops=ops)
+    with pytest.raises(
+        InternalConsistencyError, match=r"restricted cell operator at j=0 is not entrywise positive"
+    ):
+        perron_positive(stub, 0)
 
 
 def test_perron_component_tree_j0(tree_gasket, tree_eigenform):

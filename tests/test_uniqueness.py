@@ -6,6 +6,7 @@ import pytest
 from eigenform_lab import (
     DirichletForm,
     FractalTriple,
+    InternalConsistencyError,
     components,
     decide_uniqueness,
     explore_nonuniqueness,
@@ -86,7 +87,7 @@ def test_orbit_span_invariance(tree_gasket, tree_eigenform):
     span = orbit_span(cache, np.array([0.0, 1.0, 0.0]))
     for i in range(3):
         for b in span:
-            assert in_span(cache.cell(i) @ b, span)
+            assert in_span(cache.ops[i] @ b, span)
 
 
 class _StackedOps:
@@ -94,9 +95,6 @@ class _StackedOps:
 
     def __init__(self, ops):
         self.ops = ops
-
-    def cell(self, i):
-        return self.ops[i]
 
 
 def test_orbit_span_matches_round_oracle(analysed):
@@ -452,6 +450,27 @@ def test_explore_delta_zero_returns_multiple(tree_gasket, tree_eigenform):
     out = explore_nonuniqueness(tree_gasket, tree_eigenform, R3, verdict, delta=0.0)
     assert out.result.converged
     assert out.proportional
+
+
+def test_explore_tiny_form_is_proportional(tree_gasket, tree_eigenform):
+    # the form's squared norm underflows to zero at this scale
+    tiny = tree_eigenform.scaled(1e-170)
+    verdict = decide_uniqueness(tree_gasket, tiny, R3)
+    out = explore_nonuniqueness(tree_gasket, tiny, R3, verdict, delta=0.0)
+    assert out.proportional
+
+
+def test_cross_check_refuses_a_digraph_with_dropped_edges(gasket, gasket_eigenform):
+    dg = stability_digraph(gasket, gasket_eigenform, R3)
+    kept = set(sorted(dg.edges)[::2])
+    assert kept != dg.edges
+    with pytest.raises(
+        InternalConsistencyError,
+        match="single-vertex and component-based digraphs differ for a positive form",
+    ):
+        decide_uniqueness(
+            gasket, gasket_eigenform, R3, digraph=dataclasses.replace(dg, edges=kept)
+        )
 
 
 @pytest.mark.parametrize("delta", [1e19, 1e30, 1.7e308])
