@@ -229,8 +229,8 @@ def _cmd_report(args, triple, weights) -> int:
             "s": node[1],
             "period": payload[node].period,
             "eigenvalue": payload[node].eigenvalue,
-            "u_bar": list(payload[node].u_bar),
-            "u_tilde": list(payload[node].u_tilde),
+            "u_bar": payload[node].u_bar.tolist(),
+            "u_tilde": payload[node].u_tilde.tolist(),
         }
         for node in verdict.digraph.nodes
     ]

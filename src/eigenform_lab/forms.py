@@ -170,21 +170,30 @@ def energy(form: DirichletForm, u) -> float:
     return float(0.5 * np.sum(form.matrix() * d * d))
 
 
+def _laplacian_matrix(form: DirichletForm) -> np.ndarray:
+    """Matrix of the weighted difference operator: the coefficients off the
+    diagonal, minus each row sum on it."""
+    m = form.matrix()
+    return m - np.diag(m.sum(axis=1))
+
+
 def laplacian(form: DirichletForm, u) -> np.ndarray:
     """Weighted difference operator: entry j is sum_h c_{jh} (u_h - u_j)."""
-    u = _vertex_data(u, form.N)
-    m = form.matrix()
-    return m @ u - m.sum(axis=1) * u
+    return _laplacian_matrix(form) @ _vertex_data(u, form.N)
+
+
+def _support_mask(form: DirichletForm) -> np.ndarray:
+    """Which coefficients, in ``pair_list`` order, exceed ``COEFF_EPS`` times
+    the largest: the one test of a coefficient against zero."""
+    return form.vector() > COEFF_EPS * form.max_coefficient()
 
 
 def support_graph(form: DirichletForm) -> BoundaryGraph:
     """Graph of the pairs whose coefficient exceeds ``COEFF_EPS`` times the
     largest."""
-    cut = COEFF_EPS * form.max_coefficient()
-    edges = [
-        (a, b) for a, b in pair_list(form.N) if form.matrix()[a, b] > cut
-    ]
-    return BoundaryGraph.from_edges(form.N, edges)
+    rows, cols = _pair_index(form.N)
+    keep = _support_mask(form)
+    return BoundaryGraph(form.N, frozenset(zip(rows[keep].tolist(), cols[keep].tolist())))
 
 
 def is_irreducible(form: DirichletForm) -> bool:

@@ -236,8 +236,7 @@ def components(
 
     Cached per (triple, j, graph), so both call shapes share one immutable
     entry.  Raises :class:`InternalConsistencyError` when the image map fails
-    to permute the components or some component has no surviving member;
-    either indicates a bug or an invalid triple.
+    to permute the components, which indicates a bug or an invalid triple.
     """
     if not 0 <= j < triple.N:
         raise ValueError(f"j={j} is not a boundary id")
@@ -278,24 +277,11 @@ def _component_data(triple: FractalTriple, j: int, hat: BoundaryGraph) -> Compon
         periods.append(n)
 
     c_prime, c_second = [], []
-    for s, comp in enumerate(comps):
+    for comp in comps:
+        # by both checks above, a member survives exactly when its one-step image is nonempty
         prime, second = [], []
         for jp in comp:
-            img = frozenset({jp})
-            for _ in range(periods[s]):
-                img = frozenset(x for p in img for x in singles[p])
-            if not img:
-                second.append(jp)
-            elif img == frozenset(comp):
-                prime.append(jp)
-            else:
-                raise InternalConsistencyError(
-                    f"iterated image of vertex {jp} at j={j} is partial: {sorted(img)}"
-                )
-        if not prime:
-            raise InternalConsistencyError(
-                f"component {comp} at j={j} has no surviving member"
-            )
+            (prime if singles[jp] else second).append(jp)
         c_prime.append(tuple(prime))
         c_second.append(tuple(second))
 

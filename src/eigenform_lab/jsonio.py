@@ -32,9 +32,9 @@ __all__ = [
 ]
 
 
-def _emit(value, parts, indent, level):
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _emit(value, parts, level):
+    pad = "  " * level
+    inner = "  " * (level + 1)
     if isinstance(value, dict):
         if not value:
             parts.append("{}")
@@ -44,7 +44,7 @@ def _emit(value, parts, indent, level):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
             parts.append(f"{inner}{json.dumps(key)}: ")
-            _emit(item, parts, indent, level + 1)
+            _emit(item, parts, level + 1)
             parts.append(",\n" if i < len(value) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(value, (list, tuple, np.ndarray)):
@@ -56,7 +56,7 @@ def _emit(value, parts, indent, level):
         if flat:
             parts.append("[")
             for i, item in enumerate(seq):
-                _emit(item, parts, indent, level + 1)
+                _emit(item, parts, level + 1)
                 if i < len(seq) - 1:
                     parts.append(", ")
             parts.append("]")
@@ -64,7 +64,7 @@ def _emit(value, parts, indent, level):
             parts.append("[\n")
             for i, item in enumerate(seq):
                 parts.append(inner)
-                _emit(item, parts, indent, level + 1)
+                _emit(item, parts, level + 1)
                 parts.append(",\n" if i < len(seq) - 1 else "\n")
             parts.append(pad + "]")
     elif isinstance(value, (bool, np.bool_)):
@@ -84,9 +84,10 @@ def _emit(value, parts, indent, level):
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps(value, indent: int = 2) -> str:
+def dumps(value) -> str:
+    """``value`` as JSON text, indented by two spaces per level."""
     parts: list[str] = []
-    _emit(value, parts, indent, 0)
+    _emit(value, parts, 0)
     return "".join(parts)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import renorm
-from .forms import COEFF_EPS, DirichletForm, is_irreducible, support_graph
+from .forms import DirichletForm, _support_mask, is_irreducible, support_graph
 from .fractal import FractalTriple, check_weights
 from .graphs import _hat_index, hat_graph
 
@@ -121,10 +121,10 @@ def _hat_start(triple: FractalTriple, form: DirichletForm) -> DirichletForm | No
     """The restriction of ``form`` to the stable graph, scaled to unit
     coefficient sum; None while some stable-graph edge is missing from the
     form's support."""
-    x = form.vector()[_hat_index(triple)[0]]
-    if x.min() <= COEFF_EPS * form.max_coefficient():
+    hat = _hat_index(triple)[0]
+    if not _support_mask(form)[hat].all():
         return None
-    return _on_hat(triple, _unit_sum(x))
+    return _on_hat(triple, _unit_sum(form.vector()[hat]))
 
 
 def _jacobian(triple: FractalTriple, r: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -238,9 +238,9 @@ def find_eigenform(
             on_hat = start is not None
             current = start if on_hat else step
             continue
-        x = current.vector()[hat]
-        if x.min() <= COEFF_EPS * x.max():
+        if not _support_mask(current)[hat].all():
             break
+        x = current.vector()[hat]
         c = image.vector()[hat]
         if newton_from is not None and residual > 0.5 * newton_from:
             x_next, newton_from = c / rho, None

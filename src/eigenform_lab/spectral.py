@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .forms import COEFF_EPS
+from .forms import _support_mask
 from .graphs import ComponentData
 from .renorm import OperatorCache
 
@@ -60,7 +60,8 @@ class PerronData:
 
 
 def _perron_pair(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Dominant eigenpair of an entrywise positive matrix."""
+    """Dominant eigenpair of an entrywise positive matrix, the vector at unit
+    length."""
     n = matrix.shape[0]
     if n == 1:
         return np.ones(1), float(matrix[0, 0])
@@ -100,10 +101,7 @@ def _perron_on(matrix: np.ndarray, idx: list[int], where: str) -> tuple[np.ndarr
     if block.min() <= 0.0:
         raise InternalConsistencyError(f"{where} is not entrywise positive")
     small, value = _perron_pair(block)
-    top = np.max(np.abs(small))
-    if top == 0.0:
-        raise InternalConsistencyError("Perron vector vanished")
-    small = small / top
+    small = small / np.max(np.abs(small))
     if small.min() <= 1e-12:
         raise InternalConsistencyError(
             f"Perron vector is not strictly positive: {small}"
@@ -121,8 +119,7 @@ def perron_positive(cache: OperatorCache, j: int) -> tuple[np.ndarray, float]:
     threshold); then the operator restricted to the complementary coordinates
     is entrywise positive and the pair is unique.
     """
-    vec = cache.form.vector()
-    if vec.min() <= COEFF_EPS * vec.max():
+    if not _support_mask(cache.form).all():
         raise ValueError("perron_positive requires a positive form")
     others = [p for p in range(cache.triple.N) if p != j]
     return _perron_on(cache.ops[j], others, f"restricted cell operator at j={j}")

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .forms import COEFF_EPS, DirichletForm, laplacian, support_graph
+from .forms import DirichletForm, _laplacian_matrix, _support_mask, laplacian, support_graph
 from .fractal import FractalTriple, check_weights
 from .graphs import ComponentData, _hat_index, components, hat_graph
 from .renorm import OperatorCache, _context
@@ -188,10 +188,8 @@ def stability_digraph(
     nodes = sorted((j, s) for j, comp in comp_by_j.items() for s in range(comp.m))
     payload = {(j, s): perron_component(cache, comp_by_j[j], s) for (j, s) in nodes}
     max_coeff = form.max_coefficient()
-    # the pivot lies outside its components, so the Laplacian row reduces to
-    # the coefficient row
-    m = form.matrix()
-    rows = np.array([_node_row(m[j], comp_by_j[j], s) for (j, s) in nodes])
+    lap = _laplacian_matrix(form)
+    rows = np.array([_node_row(lap[j], comp_by_j[j], s) for (j, s) in nodes])
 
     edges = set()
     spans = {}
@@ -248,8 +246,7 @@ def _positive_case_edges(cache: OperatorCache) -> set[tuple[Node, Node]]:
     """Single-vertex variant for positive eigenforms, as edges on the nodes
     ``(j, 0)``: Perron vectors as seeds, the difference operator as functional."""
     nodes = range(cache.triple.N)
-    m = cache.form.matrix()
-    rows = m - np.diag(m.sum(axis=1))
+    rows = _laplacian_matrix(cache.form)
     max_coeff = cache.form.max_coefficient()
     edges = set()
     for j in nodes:
@@ -295,8 +292,7 @@ def decide_uniqueness(
     if not unique:
         witnesses = (list(sinks[0]), list(sinks[1]))
 
-    vec = form.vector()
-    if vec.min() > COEFF_EPS * vec.max():
+    if _support_mask(form).all():
         if _positive_case_edges(dg.cache) != dg.edges:
             raise InternalConsistencyError(
                 "single-vertex and component-based digraphs differ for a positive form"
@@ -323,9 +319,7 @@ def penalty_form(
     """
     j, n = comp.j, cache.triple.N
     power = cache.word((j,) * comp.periods[s])
-    m = cache.form.matrix()
-    lap_row = m[j] - np.eye(n)[j] * m[j].sum()
-    ell = _node_row(lap_row @ power, comp, s)
+    ell = _node_row(_laplacian_matrix(cache.form)[j] @ power, comp, s)
     q = np.outer(ell, ell)
 
     _, rows, cols = _hat_index(cache.triple)

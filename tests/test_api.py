@@ -34,3 +34,9 @@ def test_no_tolerance_options_beyond_the_cli_settings():
             found |= {f"{name}.{p}" for p in inspect.signature(obj).parameters if OPTION.search(p)}
     assert sorted(found - ALLOWED) == []
     assert ALLOWED <= found
+
+
+def test_only_forms_and_renorm_bind_the_zero_threshold():
+    # every other module tests coefficients against zero through forms
+    bound = [m for m in MODULES if hasattr(importlib.import_module(f"eigenform_lab.{m}"), "COEFF_EPS")]
+    assert bound == ["forms", "renorm"]

@@ -176,6 +176,10 @@ def test_text_format(files, capsys):
     assert run(["solve", files["gasket"], "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "converged: True" in out
+    for name in ("gasket", "tree_gasket", "vicsek"):
+        assert run(["report", files[name], "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        assert "u_bar:" in out and "np." not in out
 
 
 def test_missing_file_exits_1(capsys):

@@ -12,6 +12,9 @@ from eigenform_lab import (
     pair_list,
     support_graph,
 )
+from eigenform_lab import forms, solver
+from eigenform_lab.renorm import OperatorCache
+from eigenform_lab.spectral import perron_positive
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -102,6 +105,16 @@ def test_support_graph_and_irreducibility(gasket_eigenform, tree_eigenform):
 def test_support_graph_clamps_roundoff():
     form = DirichletForm(3, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1e-14})
     assert support_graph(form).sorted_edges() == [(0, 1), (0, 2)]
+
+
+def test_every_zero_test_reads_the_forms_threshold(monkeypatch, gasket):
+    # support, positivity and the solver's start all follow forms.COEFF_EPS
+    monkeypatch.setattr(forms, "COEFF_EPS", 0.5)
+    form = DirichletForm(3, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 0.4})
+    assert support_graph(form).sorted_edges() == [(0, 1), (0, 2)]
+    with pytest.raises(ValueError, match="positive form"):
+        perron_positive(OperatorCache(gasket, form, np.ones(3)), 0)
+    assert solver._hat_start(gasket, form) is None
 
 
 def test_is_harmonic_at(gasket_eigenform):

@@ -263,6 +263,22 @@ def test_stable_graph_matches_bfs_oracle_on_drawn_triples():
     assert beyond_contact >= 1
 
 
+def test_survivors_are_the_members_whose_iterated_image_fills_the_component(
+    gen, twisted_tree_gasket
+):
+    # c' and c'' by their definition: the periods[s]-fold image of a member is
+    # its whole component or empty
+    drawn = [t for t, _ in itertools.islice(random_valid_triples(1, n_max=5, k_max=6), 1000)]
+    fixed = [builtin(name) for name in builtin_names()] + [twisted_tree_gasket, gen.simplex_gasket(8)]
+    for triple in drawn + fixed:
+        for j in range(triple.N):
+            comp = components(triple, j)
+            for s, members in enumerate(comp.components):
+                image = {jp: l_j_image(triple, j, [jp], comp.periods[s]) for jp in members}
+                assert comp.c_prime[s] == tuple(jp for jp in members if image[jp] == set(members))
+                assert comp.c_second[s] == tuple(jp for jp in members if not image[jp])
+
+
 def test_stable_graph_beyond_the_contact_graph(five_vertex_triple):
     t = five_vertex_triple
     assert tilde_graph(t).sorted_edges() == edges((0, 3), (0, 4), (1, 2), (1, 4), (2, 4))

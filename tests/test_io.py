@@ -130,6 +130,7 @@ def test_dumps_rejects_non_finite():
 def test_dumps_numpy_values():
     doc = dumps({"a": np.float64(1.5), "b": np.int64(3), "c": np.arange(3), "d": np.bool_(True)})
     assert json.loads(doc) == {"a": 1.5, "b": 3, "c": [0, 1, 2], "d": True}
+    assert dumps({"e": {}, "f": None}) == '{\n  "e": {},\n  "f": null\n}'
 
 
 def test_parallel_map_matches_serial():
