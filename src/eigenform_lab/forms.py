@@ -7,11 +7,11 @@ Forms are immutable; all operations here are pure.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from ._graphutil import pair_index
 from .graphs import BoundaryGraph
 
 __all__ = [
@@ -35,14 +35,6 @@ COEFF_EPS = 1e-10
 def pair_list(n: int) -> list[tuple[int, int]]:
     """Canonical ordering of the unordered vertex pairs."""
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the pairs in ``pair_list`` order (read-only)."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
 
 
 class DirichletForm:
@@ -110,7 +102,7 @@ class DirichletForm:
         ``pair_list`` order, unchecked.  Filled as the validating constructor
         fills its matrix, so the two give the same bits."""
         m = np.zeros((n, n))
-        m[_pair_index(n)] = vec
+        m[pair_index(n)] = vec
         return cls._wrap(n, m + m.T)
 
     def matrix(self) -> np.ndarray:
@@ -132,7 +124,7 @@ class DirichletForm:
 
     def vector(self) -> np.ndarray:
         """Coefficients in canonical pair order, as a fresh array."""
-        return self._m[_pair_index(self.N)]
+        return self._m[pair_index(self.N)]
 
     def max_coefficient(self) -> float:
         return float(self._m.max())
@@ -191,7 +183,7 @@ def _support_mask(form: DirichletForm) -> np.ndarray:
 def support_graph(form: DirichletForm) -> BoundaryGraph:
     """Graph of the pairs whose coefficient exceeds ``COEFF_EPS`` times the
     largest."""
-    rows, cols = _pair_index(form.N)
+    rows, cols = pair_index(form.N)
     keep = _support_mask(form)
     return BoundaryGraph(form.N, frozenset(zip(rows[keep].tolist(), cols[keep].tolist())))
 

@@ -10,12 +10,15 @@ boundary vertex ``p`` under cell map ``i``.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from ._graphutil import adjacency, split_components
+from ._graphutil import adjacency, labels, pair_index, split_components
 
 __all__ = [
     "FractalTriple",
@@ -36,7 +39,9 @@ class FractalTriple:
 
     The first ``N`` cells are the boundary cells: cell ``j`` fixes boundary
     vertex ``j`` and no other cell contains it.  ``num_vertices`` counts the
-    whole first-level vertex set, boundary included.
+    whole first-level vertex set, boundary included.  Cell entries are kept
+    as Python ints: integers and integral floats are accepted, anything else
+    (a fractional float, a bool) raises ``ValueError``.
     """
 
     name: str
@@ -47,12 +52,37 @@ class FractalTriple:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "cells", tuple(tuple(int(v) for v in cell) for cell in self.cells)
+            self,
+            "cells",
+            tuple(tuple(_vertex_id(i, v) for v in cell) for i, cell in enumerate(self.cells)),
         )
 
     @property
     def interior(self) -> range:
         return range(self.N, self.num_vertices)
+
+    @functools.cached_property
+    def cell_array(self) -> np.ndarray:
+        """The cells as one read-only ``(k, N)`` intp array, row ``i`` being
+        cell ``i``.  Only for a triple whose cells all hold ``N`` ids."""
+        out = np.array(list(chain.from_iterable(self.cells)), dtype=np.intp)
+        out = out.reshape(len(self.cells), self.N)
+        out.flags.writeable = False
+        return out
+
+
+def _vertex_id(cell: int, v) -> int:
+    """Vertex id ``v`` of cell ``cell`` as a Python int."""
+    if type(v) is int:
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"cell {cell} holds {v!r}, which is not an integer vertex id")
 
 
 class ConnectivityFlags(NamedTuple):
@@ -92,25 +122,32 @@ def validate(triple: FractalTriple) -> list[str]:
     if not shape_ok:
         return v
 
-    for i, cell in enumerate(triple.cells):
-        if len(set(cell)) != n:
-            v.append(f"cell {i} is not injective: {list(cell)}")
-    for j in range(n):
-        if triple.cells[j][j] != j:
-            v.append(
-                f"fixed-point condition at j={j}: cells[{j}][{j}] == {triple.cells[j][j]}"
-            )
-        for i in range(k):
-            if i != j and j in triple.cells[i]:
-                v.append(
-                    f"boundary vertex {j} appears in cell {i}; it may only appear in cell {j}"
-                )
-    covered = {x for cell in triple.cells for x in cell}
-    for x in range(nv):
-        if x not in covered:
-            v.append(f"vertex id {x} does not occur in any cell")
+    cells = triple.cell_array
+    # two slots of one cell holding the same id
+    a, b = pair_index(n)
+    for i in np.flatnonzero((cells[:, a] == cells[:, b]).any(axis=1)).tolist():
+        v.append(f"cell {i} is not injective: {list(triple.cells[i])}")
+    # the cells other than its own that hold each boundary id
+    stray = [set() for _ in range(n)]
+    rows, slots = np.nonzero(cells < n)
+    for i, j in zip(rows.tolist(), cells[rows, slots].tolist()):
+        if i != j:
+            stray[j].add(i)
+    for j, fixed in enumerate(cells.diagonal().tolist()):
+        if fixed != j:
+            v.append(f"fixed-point condition at j={j}: cells[{j}][{j}] == {fixed}")
+        v.extend(
+            f"boundary vertex {j} appears in cell {i}; it may only appear in cell {j}"
+            for i in sorted(stray[j])
+        )
+    covered = np.zeros(nv, dtype=bool)
+    covered[cells] = True
+    v.extend(f"vertex id {x} does not occur in any cell" for x in np.flatnonzero(~covered).tolist())
 
-    if len(split_components(range(k), adjacency(k, cell_graph(triple)))) > 1:
+    # every cell's ids joined to its first one: the cells form one connected
+    # cell graph exactly when their first ids share a root
+    root = labels(nv, np.repeat(cells[:, 0], n - 1), cells[:, 1:].ravel())
+    if np.count_nonzero(root[cells[:, 0]] != root[cells[0, 0]]):
         v.append("cell graph disconnected")
     return v
 

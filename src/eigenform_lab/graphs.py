@@ -9,9 +9,11 @@ component bookkeeping (component permutation, periods, and the split of each
 component into a positive part and a vanishing part) that the uniqueness
 certificate consumes.
 
-Every operator here reads one labelling of a lifted graph: the connected
-components of its interior vertices, and the components each boundary id
-touches.  The labelling is cached per (triple, graph), and the contact
+Every operator here reads one labelling of a lifted graph.  The lift is one
+array of edge ends, ``cells[:, pairs]``; one array labelling
+(``_graphutil.labels``) gives the connected components of its interior
+edges, and each boundary id touches the components of its lifted
+neighbours.  The labelling is cached per (triple, graph), and the contact
 graph, the stable graph and its component data per triple, since they depend
 on nothing else.  The operators assume a triple that passes
 :func:`~eigenform_lab.fractal.validate` (the CLI validates first); in
@@ -27,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._graphutil import adjacency, split_components, sorted_edge
+from ._graphutil import adjacency, labels, split_components, sorted_edge
 from .errors import InternalConsistencyError
 from .fractal import FractalTriple
 
@@ -86,32 +88,27 @@ def complete_graph(n: int) -> BoundaryGraph:
     )
 
 
+def _lift(
+    triple: FractalTriple,
+    boundary_edges: Iterable[tuple[int, int]],
+    cell_indices: Iterable[int] | None = None,
+) -> np.ndarray:
+    """Ends of every copy of each boundary edge in the chosen cells (all
+    cells by default), one row ``[p, q]`` per (cell, edge), cell by cell."""
+    pairs = np.array(list(boundary_edges), dtype=np.intp).reshape(-1, 2)
+    cells = triple.cell_array
+    if cell_indices is not None:
+        cells = cells[np.array(list(cell_indices), dtype=np.intp)]
+    return cells[:, pairs].reshape(-1, 2)
+
+
 def lift_edges(
     triple: FractalTriple,
     boundary_edges: Iterable[tuple[int, int]],
     cell_indices: Iterable[int] | None = None,
 ) -> frozenset[tuple[int, int]]:
     """Copy each boundary edge into the chosen cells (all cells by default)."""
-    cells = range(triple.k) if cell_indices is None else cell_indices
-    pairs = list(boundary_edges)
-    lifted = set()
-    for i in cells:
-        cell = triple.cells[i]
-        for a, b in pairs:
-            lifted.add(sorted_edge(cell[a], cell[b]))
-    return frozenset(lifted)
-
-
-def _interior_labels(triple: FractalTriple, lifted) -> tuple[list[int], list[set[int]]]:
-    """Component label of every interior vertex of a lifted graph, over the
-    subgraph its interior vertices induce (boundary ids get ``-1``), and the
-    lifted adjacency."""
-    adj = adjacency(triple.num_vertices, lifted)
-    labels = [-1] * triple.num_vertices
-    for c, comp in enumerate(split_components(triple.interior, adj)):
-        for x in comp:
-            labels[x] = c
-    return labels, adj
+    return frozenset(map(tuple, np.sort(_lift(triple, boundary_edges, cell_indices)).tolist()))
 
 
 def _touching(n: int, touch) -> BoundaryGraph:
@@ -120,20 +117,31 @@ def _touching(n: int, touch) -> BoundaryGraph:
     return BoundaryGraph(n, frozenset(edges))
 
 
+def _boundary_cell_labels(triple: FractalTriple, ends: np.ndarray) -> list[list[int]]:
+    """Component label of every id of each boundary cell, over the graph of
+    the lifted edges ``ends``: row ``j`` for cell ``j``."""
+    root = labels(triple.num_vertices, ends[:, 0], ends[:, 1])
+    return root[triple.cell_array[: triple.N]].tolist()
+
+
 @functools.lru_cache(maxsize=8)
 def _contacts(
     triple: FractalTriple, g: BoundaryGraph
-) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
-    """Interior-component labels of the lift of ``g`` through every cell, and
-    per boundary id the frozenset of labels it touches.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[frozenset[int], ...]]:
+    """Labels of the interior components of the lift of ``g`` through every
+    cell, read at each boundary cell's ids (row ``j`` for cell ``j``), and per
+    boundary id the frozenset of labels it touches.
 
-    A lifted edge never joins two boundary ids, so two of them are joined by a
-    path through interior vertices exactly when they touch a common label.
-    Cached per (triple, graph); the values are immutable.
+    Boundary id ``j`` lies in cell ``j`` only, so its lifted neighbours are
+    the ids ``cells[j][b]`` of its neighbours ``b`` in ``g``, and no lifted
+    edge joins two boundary ids: two of them are joined by a path through
+    interior vertices exactly when they touch a common label.  Cached per
+    (triple, graph); the values are immutable.
     """
-    labels, adj = _interior_labels(triple, lift_edges(triple, g.edges))
-    touch = tuple(frozenset(labels[y] for y in adj[j]) for j in range(triple.N))
-    return tuple(labels), touch
+    ends = _lift(triple, g.edges)
+    near = _boundary_cell_labels(triple, ends[(ends >= triple.N).all(axis=1)])
+    touch = tuple(frozenset(near[j][b] for b in adj) for j, adj in enumerate(g.adjacency()))
+    return tuple(map(tuple, near)), touch
 
 
 def lambda_graph(triple: FractalTriple, g: BoundaryGraph) -> BoundaryGraph:
@@ -156,9 +164,8 @@ def tilde_graph(triple: FractalTriple) -> BoundaryGraph:
     Cached per triple, like ``hat_graph``, which starts from it.
     """
     n = triple.N
-    lifted = lift_edges(triple, complete_graph(n).edges, range(n, triple.k))
-    labels, _ = _interior_labels(triple, lifted)
-    return _touching(n, [{labels[x] for x in triple.cells[j] if x != j} for j in range(n)])
+    near = _boundary_cell_labels(triple, _lift(triple, complete_graph(n).edges, range(n, triple.k)))
+    return _touching(n, [{lab for h, lab in enumerate(row) if h != j} for j, row in enumerate(near)])
 
 
 @functools.lru_cache(maxsize=8)
@@ -219,8 +226,8 @@ def _single_images(triple: FractalTriple, j: int, g: BoundaryGraph) -> dict[int,
     """Cell-``j`` image of every boundary id ``j'`` other than ``j``: the ids
     ``h != j`` whose copy ``cells[j][h]`` the lift of ``g`` joins to ``j'``
     through interior vertices."""
-    labels, touch = _contacts(triple, g)
-    cell_labels = [(h, labels[triple.cells[j][h]]) for h in range(triple.N) if h != j]
+    near, touch = _contacts(triple, g)
+    cell_labels = [(h, lab) for h, lab in enumerate(near[j]) if h != j]
     return {
         jp: frozenset(h for h, lab in cell_labels if lab in touch[jp])
         for jp in range(triple.N)

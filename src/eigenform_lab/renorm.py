@@ -15,12 +15,14 @@ checking the form the search returned reuses its last solve.
 Every interior solve, onto the boundary or onto any other set of fixed
 vertices, is a Kron reduction of the network.  Its symbolic schedule depends
 only on which (cell, pair) slots carry conductance and on the fixed ids, so it
-is built once per (triple, pattern, fixed ids) and cached.  Building it names
-the first free vertex with no conductance path to a fixed one; on networks
-with many free vertices it also lists elimination rounds, each one independent
-set of low-degree vertices.  A round takes GTH pivots: a pivot is the sum of
-the vertex's current conductances and each fill adds ``c_va * c_vb / d_v``,
-so the rounds never subtract.  Dense LU with partial pivoting then solves the
+is built once per (triple, pattern, fixed ids) and cached.  Building it
+labels the components of the conductance network in one array pass
+(``_graphutil.labels``) and names the lowest-id free vertex whose component
+holds no fixed vertex; on networks with many free vertices it also lists
+elimination rounds, each one independent set of low-degree vertices.  A
+round takes GTH pivots: a pivot is the sum of the vertex's current
+conductances and each fill adds ``c_va * c_vb / d_v``, so the rounds never
+subtract.  Dense LU with partial pivoting then solves the
 core that is left, and back-substitution in reverse round order writes each
 eliminated vertex as a convex combination of its neighbours.  On the level-m
 composites the rounds leave 8 of 484 free vertices (tree_gasket^5), 22 of 372
@@ -36,8 +38,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._graphutil import labels, pair_index
 from .errors import InternalConsistencyError, SingularInteriorError
-from .forms import COEFF_EPS, DirichletForm, _pair_index, _vertex_data, energy, pair_list
+from .forms import COEFF_EPS, DirichletForm, _vertex_data, energy, pair_list
 from .fractal import FractalTriple, check_weights
 
 __all__ = [
@@ -70,8 +73,7 @@ def _pair_images(triple: FractalTriple) -> np.ndarray:
     """Vertex ids ``[p, q]`` of every pair image inside every cell, one row
     per (cell, pair), cell by cell and in ``pair_list`` order within a cell.
     These are the only vertex pairs that can carry conductance."""
-    pairs = np.array(pair_list(triple.N))
-    return np.array(triple.cells)[:, pairs].reshape(-1, 2)
+    return triple.cell_array[:, np.array(pair_list(triple.N))].reshape(-1, 2)
 
 
 def conductance_laplacian(
@@ -148,8 +150,8 @@ def _ids(values) -> np.ndarray:
 def _schedule(triple: FractalTriple, live: bytes, fixed: tuple[int, ...]) -> _Schedule:
     """Elimination schedule when the ``_pair_images`` slots flagged in the
     boolean mask ``live`` carry conductance and the sorted vertex ids
-    ``fixed`` are kept.  Raises ``SingularInteriorError`` at the first free
-    vertex with no conductance path to a fixed one.
+    ``fixed`` are kept.  Raises ``SingularInteriorError`` at the lowest-id
+    free vertex with no conductance path to a fixed one.
 
     Cached per (triple, pattern, fixed ids): the pattern stays put while the
     solver iterates.  Every relabelled triple is a new key, so the cache is
@@ -157,32 +159,24 @@ def _schedule(triple: FractalTriple, live: bytes, fixed: tuple[int, ...]) -> _Sc
     nv = triple.num_vertices
     slots = np.flatnonzero(np.frombuffer(live, dtype=bool))
     ends = _pair_images(triple)[slots]
-    adj = [[] for _ in range(nv)]
-    for p, q in ends.tolist():
-        adj[p].append(q)
-        adj[q].append(p)
-    reached = bytearray(nv)
-    for v in fixed:
-        reached[v] = 1
-    stack = list(fixed)
-    while stack:
-        for y in adj[stack.pop()]:
-            if not reached[y]:
-                reached[y] = 1
-                stack.append(y)
-    pinned = set(fixed)
-    core = [v for v in range(nv) if v not in pinned]
-    for v in core:
-        if not reached[v]:
-            raise SingularInteriorError(v)
+    root = labels(nv, ends[:, 0], ends[:, 1])
+    fixed = _ids(fixed)
+    free = np.ones(nv, dtype=bool)
+    free[fixed] = False
+    anchored = np.zeros(nv, dtype=bool)
+    anchored[root[fixed]] = True
+    cut = np.flatnonzero(free & ~anchored[root])
+    if cut.size:
+        raise SingularInteriorError(int(cut[0]))
+    core = np.flatnonzero(free)
     # without rounds every live slot is its own edge, so the core Laplacian
     # adds up slot by slot, as ``conductance_laplacian`` does, to the bit
     rounds, slot_edge = (), np.arange(slots.size)
-    if len(core) >= _ROUNDS_FROM:
+    if core.size >= _ROUNDS_FROM:
         rounds, slot_edge, ends, core = _rounds(nv, core, ends)
-    size = len(fixed) + len(core)
+    size = fixed.size + core.size
     local = np.full(nv, -1)
-    local[list(fixed) + core] = np.arange(size)
+    local[np.concatenate((fixed, core))] = np.arange(size)
     ends = local[ends]
     kept = np.flatnonzero((ends >= 0).all(axis=1))
     return _Schedule(
@@ -191,16 +185,16 @@ def _schedule(triple: FractalTriple, live: bytes, fixed: tuple[int, ...]) -> _Sc
         slot_edge=slot_edge,
         num_edges=len(ends),
         rounds=rounds,
-        fixed=_ids(fixed),
-        core=_ids(core),
+        fixed=fixed,
+        core=core,
         kept=kept,
         kept_ends=ends[kept],
     )
 
 
 def _rounds(
-    nv: int, free: list[int], pairs: np.ndarray
-) -> tuple[tuple[_Round, ...], np.ndarray, np.ndarray, list[int]]:
+    nv: int, free: np.ndarray, pairs: np.ndarray
+) -> tuple[tuple[_Round, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Eliminate ``free`` in rounds, each one greedy independent set among
     the vertices of current degree at most the least plus one, taken in
     (degree, id) order, while a round removes enough.  Parallel slots share
@@ -260,7 +254,7 @@ def _rounds(
         left[chosen] = False
         owner = np.repeat(np.arange(chosen.size), lens)
         rounds.append(_Round(chosen, starts, edges, owner, others, fa, fb, into))
-    return tuple(rounds), slot_edge, ends, np.flatnonzero(left).tolist()
+    return tuple(rounds), slot_edge, ends, np.flatnonzero(left)
 
 
 @functools.lru_cache(maxsize=32)
@@ -400,7 +394,7 @@ class OperatorCache:
         self.weights.flags.writeable = False
         x, self.schur = _extend(triple, form, self.weights, tuple(range(triple.N)))
         # boundary data to the full minimizing extension, per cell
-        self.ops = x[np.array(triple.cells)]
+        self.ops = x[triple.cell_array]
         self.ops.flags.writeable = self.schur.flags.writeable = False
 
     def matches(self, triple: FractalTriple, form: DirichletForm, weights: np.ndarray) -> bool:
@@ -415,7 +409,7 @@ class OperatorCache:
     @functools.cached_property
     def image(self) -> DirichletForm:
         """The renormalized form, read off the Schur off-diagonals."""
-        rows, cols = _pair_index(self.triple.N)
+        rows, cols = pair_index(self.triple.N)
         off = -self.schur[rows, cols]
         bad = np.flatnonzero(off < -COEFF_EPS * np.max(np.abs(off)))
         if bad.size:

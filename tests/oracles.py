@@ -3,12 +3,13 @@
 Each routine here recomputes a quantity by the most direct method available
 (entry-by-entry Laplacian assembly, one dense LU solve of the whole interior
 block, one reachability search per interior solve, single global Schur
-reduction, one intersection per cell pair, one breadth-first search per
-boundary vertex, one depth-first search per removed boundary cell,
-round-based orbit closure, power iteration for projection limits,
-exhaustive word enumeration, exhaustive subset enumeration) without going
-through the production code paths it checks.  ``random_valid_triples`` draws
-the seeded inputs that some of them are checked on.
+reduction, one intersection per cell pair, set-based structural checks, one
+breadth-first search per boundary vertex, one depth-first search per removed
+boundary cell, round-based orbit closure, power iteration for projection
+limits, exhaustive word enumeration, exhaustive subset enumeration) without
+going through the production code paths it checks.  ``random_drawn_triples``
+and ``random_valid_triples`` draw the seeded inputs that some of them are
+checked on.
 """
 
 import itertools
@@ -22,11 +23,10 @@ from eigenform_lab import (
     DirichletForm,
     FractalTriple,
     harmonicity_functional,
-    lift_edges,
     pair_list,
     validate,
 )
-from eigenform_lab._graphutil import adjacency
+from eigenform_lab._graphutil import adjacency, split_components
 from eigenform_lab.errors import SingularInteriorError
 from eigenform_lab.renorm import OperatorCache
 
@@ -112,6 +112,57 @@ def cell_graph_pairwise(triple):
             if sets[i1] & sets[i2]:
                 edges.add((i1, i2))
     return frozenset(edges)
+
+
+def validate_by_sets(triple):
+    """Every violated structural invariant of ``triple``, in ``validate``'s
+    order and wording, checked cell by cell on Python tuples and sets."""
+    v = []
+    n, k, nv = triple.N, triple.k, triple.num_vertices
+    if n < 2:
+        v.append(f"boundary count must be at least 2 (N={n})")
+    if k < n:
+        v.append(f"cell count must be at least the boundary count (k={k}, N={n})")
+    if nv < n:
+        v.append(f"vertex count must be at least the boundary count ({nv} < {n})")
+    if len(triple.cells) != k:
+        v.append(f"expected {k} cell maps, found {len(triple.cells)}")
+        return v
+
+    shape_ok = not v
+    for i, cell in enumerate(triple.cells):
+        if len(cell) != n:
+            v.append(f"cell {i} has {len(cell)} entries, expected {n}")
+            shape_ok = False
+            continue
+        for x in cell:
+            if not 0 <= x < nv:
+                v.append(f"cell {i} contains out-of-range vertex id {x}")
+                shape_ok = False
+    if not shape_ok:
+        return v
+
+    for i, cell in enumerate(triple.cells):
+        if len(set(cell)) != n:
+            v.append(f"cell {i} is not injective: {list(cell)}")
+    for j in range(n):
+        if triple.cells[j][j] != j:
+            v.append(
+                f"fixed-point condition at j={j}: cells[{j}][{j}] == {triple.cells[j][j]}"
+            )
+        for i in range(k):
+            if i != j and j in triple.cells[i]:
+                v.append(
+                    f"boundary vertex {j} appears in cell {i}; it may only appear in cell {j}"
+                )
+    covered = {x for cell in triple.cells for x in cell}
+    for x in range(nv):
+        if x not in covered:
+            v.append(f"vertex id {x} does not occur in any cell")
+
+    if len(split_components(range(k), adjacency(k, cell_graph_pairwise(triple)))) > 1:
+        v.append("cell graph disconnected")
+    return v
 
 
 def connected_within(vertices, adj):
@@ -205,6 +256,19 @@ def two_level_form(triple, form, weights):
     return DirichletForm(n, {(a, b): max(-schur[a, b], 0.0) for a, b in pair_list(n)})
 
 
+def lift_edges_loop(triple, boundary_edges, cell_indices=None):
+    """Copy of every boundary edge in the chosen cells (all cells by
+    default), cell by cell and edge by edge, as sorted vertex pairs."""
+    cells = range(triple.k) if cell_indices is None else cell_indices
+    pairs = list(boundary_edges)
+    lifted = set()
+    for i in cells:
+        cell = triple.cells[i]
+        for a, b in pairs:
+            lifted.add((min(cell[a], cell[b]), max(cell[a], cell[b])))
+    return frozenset(lifted)
+
+
 def _interior_reach(triple, adj, start):
     """All vertices reachable from ``start`` by paths whose intermediate
     vertices are interior.  Boundary vertices are recorded when hit but never
@@ -226,7 +290,7 @@ def _interior_reach(triple, adj, start):
 def lambda_graph_bfs(triple, g):
     """Propagation operator by one interior-path search per boundary id over
     the lift of ``g`` through every cell."""
-    adj = adjacency(triple.num_vertices, lift_edges(triple, g.edges))
+    adj = adjacency(triple.num_vertices, lift_edges_loop(triple, g.edges))
     edges = set()
     for j in range(triple.N):
         for t in _interior_reach(triple, adj, j):
@@ -239,7 +303,7 @@ def single_images_bfs(triple, j, hat):
     """Cell-``j`` image of every boundary id ``j' != j``: the ids ``h != j``
     whose copy ``cells[j][h]`` an interior-path search from ``j'`` over the
     lift of ``hat`` reaches."""
-    adj = adjacency(triple.num_vertices, lift_edges(triple, hat.edges))
+    adj = adjacency(triple.num_vertices, lift_edges_loop(triple, hat.edges))
     cell = triple.cells[j]
     out = {}
     for jp in range(triple.N):
@@ -343,15 +407,15 @@ def has_two_disjoint_closed_subsets(nodes, edges):
     )
 
 
-def random_valid_triples(seed, n_max=4, k_max=5):
-    """Endless stream of seeded valid triples, each with its cell weights.
+def random_drawn_triples(seed, n_max=4, k_max=5):
+    """Endless stream of seeded triples, each with its cell weights, valid
+    or not.
 
     A draw takes N from 2 to ``n_max``, k from N to ``k_max`` and the vertex
     count from N + 1 to N + k(N - 1).  Cell j holds j in slot j and N - 1
     distinct random interior ids in the others; every other cell holds N
     distinct random interior ids.  Each weight is 10^U(-1, 1).  Draws whose
-    interior is too small for their cells, and draws that ``validate``
-    refuses (about 63 % at the defaults), are skipped.
+    interior is too small for their cells are skipped.
     """
     rng = random.Random(seed)
     while True:
@@ -368,6 +432,12 @@ def random_valid_triples(seed, n_max=4, k_max=5):
                 ids.insert(i, i)
             cells.append(tuple(ids))
         weights = [10 ** rng.uniform(-1, 1) for _ in range(k)]
-        triple = FractalTriple(name="drawn", N=n, k=k, num_vertices=nv, cells=tuple(cells))
+        yield FractalTriple(name="drawn", N=n, k=k, num_vertices=nv, cells=tuple(cells)), weights
+
+
+def random_valid_triples(seed, n_max=4, k_max=5):
+    """The draws of ``random_drawn_triples`` that ``validate`` accepts
+    (about 37 % at the defaults)."""
+    for triple, weights in random_drawn_triples(seed, n_max, k_max):
         if not validate(triple):
             yield triple, weights

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eigenform_lab import builtin, graphs
@@ -235,18 +236,32 @@ def test_report_labels_the_contact_graph_once(name, monkeypatch, capsys):
         triple, graphs.complete_graph(triple.N).edges, range(triple.N, triple.k)
     )
     labelled = []
-    real = graphs._interior_labels
+    real = graphs.labels
 
-    def spy(t, lifted):
-        labelled.append(lifted)
-        return real(t, lifted)
+    def spy(nv, p, q):
+        labelled.append(frozenset(zip(np.minimum(p, q).tolist(), np.maximum(p, q).tolist())))
+        return real(nv, p, q)
 
-    monkeypatch.setattr(graphs, "_interior_labels", spy)
+    monkeypatch.setattr(graphs, "labels", spy)
     graphs.tilde_graph.cache_clear()
     graphs.hat_graph.cache_clear()
     assert run(["report", name]) == 0
     capsys.readouterr()
     assert labelled.count(contact) == 1
+
+
+def test_report_leaves_scipy_unimported():
+    # the package declares numpy as its only dependency; a fresh report
+    # must not pull scipy in, even where it is installed
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-X", "importtime", "-m", "eigenform_lab.cli", "report", "gasket"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "numpy" in imported
+    assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
 
 
 @pytest.mark.parametrize("name", ["g8", "vicsek9"])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -16,7 +17,13 @@ from eigenform_lab import (
 )
 from eigenform_lab._graphutil import adjacency, split_components
 
-from oracles import cell_graph_pairwise, connected_within, connectivity_flags_dfs
+from oracles import (
+    cell_graph_pairwise,
+    connected_within,
+    connectivity_flags_dfs,
+    random_drawn_triples,
+    validate_by_sets,
+)
 
 
 def test_builtin_gasket_shape(gasket):
@@ -69,6 +76,64 @@ def test_validate_boundary_reuse():
 def test_validate_uncovered_vertex():
     broken = FractalTriple("gap", 3, 3, 7, ((0, 3, 4), (3, 1, 5), (4, 5, 2)))
     assert any("vertex id 6 does not occur" in v for v in validate(broken))
+
+
+def test_cell_entries_must_be_integers():
+    # Python ints, numpy integers and integral floats are vertex ids; a
+    # fractional float or a bool is refused, naming the cell and the value
+    cells = ((0, np.int64(2)), (2.0, 1))
+    assert FractalTriple("x", 2, 2, 3, cells).cells == ((0, 2), (2, 1))
+    assert all(type(x) is int for cell in FractalTriple("x", 2, 2, 3, cells).cells for x in cell)
+    for bad, shown in [(2.7, "2.7"), (True, "True"), (np.True_, "np.True_")]:
+        with pytest.raises(ValueError, match=f"cell 1 holds {shown}, which is not an integer"):
+            FractalTriple("x", 2, 2, 3, ((0, 2), (bad, 1)))
+
+
+def _mutated(triple, rng):
+    """``triple`` with one to three cell entries replaced by ids drawn from
+    -1 to ``num_vertices``, so every element check gets something to find."""
+    cells = [list(cell) for cell in triple.cells]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(triple.k)
+        cells[i][rng.randrange(triple.N)] = rng.randint(-1, triple.num_vertices)
+    return FractalTriple(triple.name, triple.N, triple.k, triple.num_vertices, tuple(map(tuple, cells)))
+
+
+def test_validate_matches_set_oracle():
+    # every message, in order: unfiltered random draws (about half refused,
+    # as disconnected or with uncovered ids), the same draws with a few
+    # entries overwritten, and one hand-made triple per kind of violation
+    rng = random.Random(31)
+    draws = itertools.chain(
+        itertools.islice(random_drawn_triples(31), 10000),
+        itertools.islice(random_drawn_triples(32, 5, 6), 10000),
+    )
+    refused = 0
+    for triple, _ in draws:
+        want = validate_by_sets(triple)
+        assert validate(triple) == want, triple.cells
+        refused += bool(want)
+        if rng.random() < 0.2:
+            mutated = _mutated(triple, rng)
+            assert validate(mutated) == validate_by_sets(mutated), mutated.cells
+    assert 6000 < refused < 14000
+    gasket = builtin("gasket").cells
+    made = {
+        "ragged": ((0, 3, 4), (3, 1), (4, 5, 2)),
+        "out-of-range": ((0, 3, 4), (3, 1, 6), (4, -1, 2)),
+        "ragged and out-of-range": ((0, 3, 9), (3, 1), (4, 5, 2, 7)),
+        "non-injective": ((0, 3, 3), (3, 1, 5), (4, 5, 2)),
+        "misplaced boundary": ((0, 1, 4), (3, 1, 5), (4, 5, 2)),
+        "broken fixed point": ((3, 0, 4), (3, 1, 5), (4, 5, 2)),
+        "uncovered": gasket,
+        "disconnected": ((0, 3, 4), (5, 1, 6), (7, 8, 2)),
+    }
+    for kind, cells in made.items():
+        nv = 7 if kind == "uncovered" else 9 if kind == "disconnected" else 6
+        triple = FractalTriple(kind, 3, 3, nv, cells)
+        want = validate_by_sets(triple)
+        assert want, kind
+        assert validate(triple) == want, kind
 
 
 def test_boundary_vertex_occurs_only_in_own_cell():

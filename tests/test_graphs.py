@@ -15,11 +15,13 @@ from eigenform_lab import (
     hat_graph,
     l_j_image,
     lambda_graph,
+    lift_edges,
     tilde_graph,
     validate,
 )
+from eigenform_lab._graphutil import adjacency, labels, split_components
 from eigenform_lab.graphs import _single_images
-from oracles import lambda_graph_bfs, random_valid_triples, single_images_bfs
+from oracles import lambda_graph_bfs, lift_edges_loop, random_valid_triples, single_images_bfs
 
 
 def edges(*pairs):
@@ -326,3 +328,46 @@ def test_graph_caches_key_on_cells(gen):
             assert [components(other, j) for j in range(other.N)] == want
             assert hat_graph(triple) == want_hat
             assert [components(triple, j) for j in range(triple.N)] == want
+
+
+def _partition(labelled):
+    """Vertex sets sharing a label."""
+    blocks = {}
+    for v, lab in enumerate(labelled):
+        blocks.setdefault(lab, set()).add(v)
+    return sorted(map(sorted, blocks.values()))
+
+
+def test_labels_partition_like_split_components():
+    # seeded random graphs from empty to dense, with isolated vertices and
+    # parallel edges, and paths whose ids fall along them, the longest chain
+    # of hooks; every label is the least id of its component
+    rng = np.random.default_rng(37)
+    graphs = [(1, [], []), (5, [], []), (4, [2, 2, 2], [3, 3, 3])]
+    graphs += [(nv, list(range(nv - 1, 0, -1)), list(range(nv - 2, -1, -1))) for nv in (2, 9, 300)]
+    graphs.append((300, list(range(1, 300)), list(range(299))))
+    for _ in range(300):
+        nv = int(rng.integers(1, 60))
+        m = int(rng.integers(0, 2 * nv))
+        p, q = rng.integers(0, nv, size=(2, m))
+        graphs.append((nv, p.tolist(), q.tolist()))
+    for nv, p, q in graphs:
+        got = labels(nv, np.array(p, dtype=np.intp), np.array(q, dtype=np.intp))
+        want = split_components(range(nv), adjacency(nv, zip(p, q)))
+        assert _partition(got.tolist()) == sorted(map(list, want))
+        for comp in want:
+            assert set(got[list(comp)].tolist()) == {comp[0]}
+
+
+def test_lift_edges_match_cell_loop(gen, twisted_tree_gasket):
+    # every cell, a cell subset and the non-boundary cells, on random graphs
+    rng = random.Random(41)
+    triples = [t for t, _ in itertools.islice(random_valid_triples(2, n_max=5, k_max=6), 200)]
+    triples += [twisted_tree_gasket, gen.simplex_gasket(8), gen.iterate(builtin("vicsek"), 2)[0]]
+    for triple in triples:
+        n, k = triple.N, triple.k
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(3):
+            g = [p for p in pairs if rng.random() < rng.random()]
+            for chosen in (None, [i for i in range(k) if rng.random() < 0.5], range(n, k)):
+                assert lift_edges(triple, g, chosen) == lift_edges_loop(triple, g, chosen)

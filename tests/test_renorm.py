@@ -369,6 +369,39 @@ def test_schedule_keys_on_cells(gen):
                     assert got == _oracle_outcome(t, form, ones, range(1, t.num_vertices), [0])
 
 
+def test_schedule_reachability_matches_bfs_oracle(harness, gen):
+    # arbitrary live-slot masks, denser and sparser, with random fixed sets:
+    # the schedule raises where the per-solve search does, and otherwise
+    # keeps the live slots and the fixed ids and eliminates every free vertex
+    cases = harness.solve_large_cases() + harness.wide_boundary_cases()
+    rng = np.random.default_rng(43)
+    relabel_rng = random.Random(43)
+    seen = set()
+    for base in [case.triple for case in cases]:
+        for triple in (base, gen.relabel(base, np.ones(base.k), relabel_rng)[0]):
+            nv = triple.num_vertices
+            ends = renorm._pair_images(triple)
+            for _ in range(3):
+                live = rng.random(len(ends)) >= 10.0 ** rng.uniform(-3, -0.5)
+                mask = np.zeros((nv, nv))
+                mask[ends[live, 0], ends[live, 1]] = mask[ends[live, 1], ends[live, 0]] = 1.0
+                picks = [rng.choice(nv, size=size, replace=False) for size in rng.integers(1, 30, 2)]
+                for fixed in [tuple(range(triple.N))] + [tuple(sorted(p.tolist())) for p in picks]:
+                    free = [v for v in range(nv) if v not in fixed]
+                    want = _reach_outcome(lambda: check_reachable_bfs(triple, mask, free, fixed))
+                    got = _reach_outcome(lambda: _schedule.__wrapped__(triple, live.tobytes(), fixed))
+                    assert got == want, triple.name
+                    seen.add(want is None)
+                    if want is None:
+                        sched = _schedule.__wrapped__(triple, live.tobytes(), fixed)
+                        assert sched.slots.tolist() == np.flatnonzero(live).tolist()
+                        assert sched.fixed.tolist() == list(fixed)
+                        out = [v for rnd in sched.rounds for v in rnd.vertices.tolist()]
+                        assert sorted(out + sched.core.tolist()) == free
+                        assert sched.core.tolist() == sorted(sched.core.tolist())
+    assert seen == {True, False}
+
+
 def test_component_labels_built_once_per_search():
     # the conductance pattern stays put while the solver iterates (here a
     # dozen times, heading out of the cone), so one search schedules the
