@@ -41,7 +41,9 @@ class FractalTriple:
     vertex ``j`` and no other cell contains it.  ``num_vertices`` counts the
     whole first-level vertex set, boundary included.  Cell entries are kept
     as Python ints: integers and integral floats are accepted, anything else
-    (a fractional float, a bool) raises ``ValueError``.
+    (a fractional float, a bool) raises ``ValueError``.  Equality is by
+    value; the hash is computed once, when the triple is built, since every
+    per-triple cache lookup asks for it.
     """
 
     name: str
@@ -56,6 +58,15 @@ class FractalTriple:
             "cells",
             tuple(tuple(_vertex_id(i, v) for v in cell) for i, cell in enumerate(self.cells)),
         )
+        key = (self.name, self.N, self.k, self.num_vertices, self.cells)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt on unpickling: a string's hash differs between processes
+        return FractalTriple, (self.name, self.N, self.k, self.num_vertices, self.cells)
 
     @property
     def interior(self) -> range:

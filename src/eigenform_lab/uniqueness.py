@@ -12,7 +12,10 @@ Reachability is tested on subspace closures rather than on words: the target
 functionals are linear, so vanishing on every composite image is the same as
 vanishing on the smallest invariant subspace containing the seed.  The word
 enumeration bound survives as a test oracle.  The empty word is always
-included: the seed itself belongs to its own orbit span.
+included: the seed itself belongs to its own orbit span.  ``orbit_span``
+closes a whole stack of seeds in lockstep, so the digraph closes all node
+spans in one call and the positive-form cross-check all of its own in
+another.
 
 Each node's functional is stored as one row vector, shift and mask folded in,
 so the rows of all nodes stack into a (nodes x N) matrix and the edges out of
@@ -100,44 +103,64 @@ class StabilityVerdict:
     digraph: StabilityDigraph
 
 
-def orbit_span(cache: OperatorCache, seed) -> np.ndarray:
-    """Orthonormal basis of the smallest subspace containing ``seed`` that is
-    invariant under every cell operator of ``cache``.
+def orbit_span(cache: OperatorCache, seeds) -> list[np.ndarray]:
+    """Per row of the ``(S, N)`` stack ``seeds``, an orthonormal basis of the
+    smallest subspace containing that seed that is invariant under every cell
+    operator of ``cache``.
 
     Worklist closure: every basis vector, in the order it was adjoined, is
     pushed through all cell operators once, and its images are taken in cell
     order; an image whose residual against the current span exceeds
     ``RANK_TOL`` times the largest of its norm, the seed's norm and one is
-    adjoined and joins the worklist.  An image within threshold stays within
-    it as the span grows, so no vector needs a second pass.
+    adjoined (classical Gram-Schmidt) and joins the worklist.  An image within
+    threshold stays within it as the span grows, so no vector needs a second
+    pass.
+
+    All seeds close in lockstep on one zero-padded ``(S, N, N)`` basis stack,
+    where zero rows are inert.  Each step projects every seed's pending image
+    block at once; a seed then adjoins its first image above threshold and
+    drops the images up to it, or, having none, moves on to its next basis
+    vector, whose images all moving seeds get from one product.  A seed stops
+    when its span is full or its worklist is empty.
     """
-    seed = np.asarray(seed, dtype=float)
-    norm = np.linalg.norm(seed)
-    if norm == 0.0:
+    ops = cache.ops
+    k, n = ops.shape[0], ops.shape[-1]
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.ndim != 2 or seeds.shape[1] != n:
+        raise ValueError(f"orbit seeds must be an (S, {n}) stack, got shape {seeds.shape}")
+    norm = np.linalg.norm(seeds, axis=1)
+    if not norm.all():
         raise ValueError("orbit seed must be nonzero")
-    n = cache.ops.shape[-1]
-    basis = np.zeros((n, n))
-    basis[0] = seed / norm
-    dim = 1
-    scale = max(1.0, norm)
-    done = 0
-    while done < dim < n:
-        images = cache.ops @ basis[done]
-        done += 1
-        limit = RANK_TOL * np.maximum(scale, np.linalg.norm(images, axis=1))
-        while images.shape[0] and dim < n:
-            span = basis[:dim]
-            resid = images - (images @ span.T) @ span
-            size = np.linalg.norm(resid, axis=1)
-            fresh = np.flatnonzero(size > limit)
-            if not fresh.size:
-                break
-            i = fresh[0]
-            basis[dim] = resid[i] / size[i]
-            dim += 1
-            # the images before ``i`` were within threshold of a smaller span
-            images, limit = images[i + 1 :], limit[i + 1 :]
-    return basis[:dim]
+    count = len(seeds)
+    basis = np.zeros((count, n, n))
+    basis[:, 0] = seeds / norm[:, None]
+    dim = np.ones(count, dtype=np.intp)
+    done = np.zeros(count, dtype=np.intp)  # basis vectors whose images were taken
+    scale = np.maximum(1.0, norm)
+    images = np.zeros((count, k, n))
+    limit = np.zeros((count, k))
+    live = move = dim < n
+    while live.any():
+        who = np.flatnonzero(move)
+        if who.size:
+            # one product per vector, so a seed's bits do not depend on its stack
+            new = (ops @ basis[who, done[who], None, :, None])[..., 0]
+            images[who] = new
+            limit[who] = RANK_TOL * np.maximum(scale[who, None], np.linalg.norm(new, axis=2))
+            done[who] += 1
+        resid = images - (images @ basis.transpose(0, 2, 1)) @ basis
+        size = np.linalg.norm(resid, axis=2)
+        fresh = (size > limit) & live[:, None]
+        grow = fresh.any(axis=1)
+        move = live & ~grow & (done < dim)
+        who = np.flatnonzero(grow)
+        first = fresh[who].argmax(axis=1)
+        basis[who, dim[who]] = resid[who, first] / size[who, first, None]
+        dim[who] += 1
+        # the images up to the adjoined one were within threshold of a smaller span
+        images[who] *= (np.arange(k) > first[:, None])[:, :, None]
+        live = move | (grow & (dim < n))
+    return [basis[s, :d] for s, d in enumerate(dim.tolist())]
 
 
 def harmonicity_functional(
@@ -191,13 +214,11 @@ def stability_digraph(
     lap = _laplacian_matrix(form)
     rows = np.array([_node_row(lap[j], comp_by_j[j], s) for (j, s) in nodes])
 
+    spans = dict(zip(nodes, orbit_span(cache, [payload[src].u_tilde for src in nodes])))
     edges = set()
-    spans = {}
     magnitudes = {}
     warnings = []
-    for src in nodes:
-        span = orbit_span(cache, payload[src].u_tilde)
-        spans[src] = span
+    for src, span in spans.items():
         for dst, mag in zip(nodes, _magnitudes(span, rows, max_coeff).tolist()):
             magnitudes[(src, dst)] = mag
             if mag > PHI_TOL:
@@ -248,10 +269,9 @@ def _positive_case_edges(cache: OperatorCache) -> set[tuple[Node, Node]]:
     nodes = range(cache.triple.N)
     rows = _laplacian_matrix(cache.form)
     max_coeff = cache.form.max_coefficient()
+    seeds = [perron_positive(cache, j)[0] for j in nodes]
     edges = set()
-    for j in nodes:
-        u_bar, _ = perron_positive(cache, j)
-        span = orbit_span(cache, u_bar)
+    for j, span in zip(nodes, orbit_span(cache, seeds)):
         mags = _magnitudes(span, rows, max_coeff)
         edges |= {((j, 0), (jd, 0)) for jd in nodes if mags[jd] > PHI_TOL}
     return edges

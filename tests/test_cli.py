@@ -228,6 +228,23 @@ def test_report_builds_component_data_once(name, capsys):
 
 
 @pytest.mark.parametrize("name", ["gasket", "vicsek"])
+def test_a_report_of_an_equal_triple_adds_no_cache_misses(name, files, capsys):
+    # the file's triple is built apart from the built-in, equal by value, so
+    # its hash finds every per-triple entry the first report made
+    graphs.hat_graph.cache_clear()
+    graphs._component_data.cache_clear()
+    assert run(["report", name]) == 0
+    misses = [graphs.hat_graph.cache_info().misses, graphs._component_data.cache_info().misses]
+    assert misses == [1, builtin(name).N]
+    assert run(["report", files[name]]) == 0
+    capsys.readouterr()
+    assert [
+        graphs.hat_graph.cache_info().misses,
+        graphs._component_data.cache_info().misses,
+    ] == misses
+
+
+@pytest.mark.parametrize("name", ["gasket", "vicsek"])
 def test_report_labels_the_contact_graph_once(name, monkeypatch, capsys):
     # the stable graph starts from the contact graph, and the graphs block
     # prints it: one lift and labelling serves both

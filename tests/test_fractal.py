@@ -1,5 +1,9 @@
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +91,30 @@ def test_cell_entries_must_be_integers():
     for bad, shown in [(2.7, "2.7"), (True, "True"), (np.True_, "np.True_")]:
         with pytest.raises(ValueError, match=f"cell 1 holds {shown}, which is not an integer"):
             FractalTriple("x", 2, 2, 3, ((0, 2), (bad, 1)))
+
+
+def test_triples_built_apart_hash_and_compare_equal(gasket):
+    # the hash is taken once, at construction, from the values equality compares
+    cells = [[float(v) for v in cell] for cell in gasket.cells]
+    twin = FractalTriple(gasket.name, gasket.N, gasket.k, gasket.num_vertices, cells)
+    assert twin is not gasket
+    assert twin == gasket and hash(twin) == hash(gasket)
+    renamed = FractalTriple("renamed", gasket.N, gasket.k, gasket.num_vertices, gasket.cells)
+    assert renamed != gasket
+    assert {gasket: 1}.get(twin) == 1 and {gasket: 1}.get(renamed) is None
+
+
+def test_an_unpickled_triple_hashes_by_its_own_process(gasket):
+    # another hash seed hashes the name differently; the hash must follow
+    code = (
+        "import pickle, sys; t = pickle.load(sys.stdin.buffer); "
+        "print(hash(t) == hash((t.name, t.N, t.k, t.num_vertices, t.cells)))"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="1" if os.environ.get("PYTHONHASHSEED") != "1" else "2")
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps(gasket), capture_output=True, env=env
+    )
+    assert out.stdout.decode().strip() == "True", out.stderr.decode()
 
 
 def _mutated(triple, rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from oracles import (
     digraph_by_word_enumeration,
     has_two_disjoint_closed_subsets,
     orbit_span_rounds,
+    random_valid_triples,
 )
 
 R3 = np.ones(3)
@@ -64,13 +66,13 @@ def in_span(vec, basis):
 
 
 def test_orbit_span_constants(gasket, gasket_eigenform):
-    span = orbit_span(OperatorCache(gasket, gasket_eigenform, R3), np.ones(3))
+    span = orbit_span(OperatorCache(gasket, gasket_eigenform, R3), [np.ones(3)])[0]
     assert span.shape[0] == 1
     assert in_span(np.ones(3) / np.sqrt(3), span)
 
 
 def test_orbit_span_tree_two_dimensional(tree_gasket, tree_eigenform):
-    span = orbit_span(OperatorCache(tree_gasket, tree_eigenform, R3), np.array([0.0, 1.0, 0.0]))
+    span = orbit_span(OperatorCache(tree_gasket, tree_eigenform, R3), [[0.0, 1.0, 0.0]])[0]
     assert span.shape[0] == 2
     assert in_span([0.0, 1.0, 0.0], span)
     assert in_span([1.0, 0.0, 1.0], span)
@@ -78,13 +80,13 @@ def test_orbit_span_tree_two_dimensional(tree_gasket, tree_eigenform):
 
 
 def test_orbit_span_gasket_full(gasket, gasket_eigenform):
-    span = orbit_span(OperatorCache(gasket, gasket_eigenform, R3), np.array([0.0, 1.0, 1.0]))
+    span = orbit_span(OperatorCache(gasket, gasket_eigenform, R3), [[0.0, 1.0, 1.0]])[0]
     assert span.shape[0] == 3
 
 
 def test_orbit_span_invariance(tree_gasket, tree_eigenform):
     cache = OperatorCache(tree_gasket, tree_eigenform, R3)
-    span = orbit_span(cache, np.array([0.0, 1.0, 0.0]))
+    span = orbit_span(cache, [[0.0, 1.0, 0.0]])[0]
     for i in range(3):
         for b in span:
             assert in_span(cache.ops[i] @ b, span)
@@ -97,33 +99,121 @@ class _StackedOps:
         self.ops = ops
 
 
+def _sparse_draws():
+    """Bare operator stacks, each with a seed: sparse operators leave many
+    directions reachable through one image only, so an image skipped or taken
+    out of order shows up as a missing direction."""
+    rng = np.random.default_rng(46)
+    shift = np.zeros((4, 5, 5))
+    for i in range(4):
+        shift[i, i + 1, 0] = 1.0
+    draws = [(shift, np.eye(5)[0])]
+    for _ in range(60):
+        n, k = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+        ops = rng.normal(size=(k, n, n)) * (rng.random((k, n, n)) < rng.uniform(0.05, 0.3))
+        seed = rng.normal(size=n) * (rng.random(n) < 0.5)
+        seed[int(rng.integers(n))] = 1.0
+        draws.append((ops, seed))
+    return draws
+
+
 def test_orbit_span_matches_round_oracle(analysed):
     cases = [
         (triple, dg.cache, dg.payload[node].u_tilde, dg.spans[node])
         for triple, form, r, dg in analysed
         for node in dg.nodes
     ]
-    # sparse operators leave many directions reachable through one image only,
-    # so an image skipped or taken out of order shows up as a missing direction
-    rng = np.random.default_rng(46)
-    shift = np.zeros((4, 5, 5))
-    for i in range(4):
-        shift[i, i + 1, 0] = 1.0
-    sparse = [(shift, np.eye(5)[0])]
-    for _ in range(60):
-        n, k = int(rng.integers(2, 9)), int(rng.integers(1, 7))
-        ops = rng.normal(size=(k, n, n)) * (rng.random((k, n, n)) < rng.uniform(0.05, 0.3))
-        seed = rng.normal(size=n) * (rng.random(n) < 0.5)
-        seed[int(rng.integers(n))] = 1.0
-        sparse.append((ops, seed))
-    for ops, seed in sparse:
+    for ops, seed in _sparse_draws():
         triple = type("Ops", (), {"N": ops.shape[1], "k": ops.shape[0]})
         cache = _StackedOps(ops)
-        cases.append((triple, cache, seed, orbit_span(cache, seed)))
+        cases.append((triple, cache, seed, orbit_span(cache, [seed])[0]))
     for triple, cache, seed, got in cases:
         want = orbit_span_rounds(triple, cache, seed)
         assert got.shape == want.shape
         assert np.max(np.abs(got.T @ got - want.T @ want)) <= 1e-10
+
+
+def test_orbit_span_of_a_seed_ignores_the_rest_of_its_stack(gen, tree_gasket):
+    # each stack is closed at once and seed by seed; g8 and vicsek8 share one
+    # width, so each of their caches gets both node-seed sets, beside the
+    # constants (an invariant line) and random seeds
+    digraphs = []
+    for triple in [gen.simplex_gasket(8), gen.vicsek(8), tree_gasket]:
+        weights = np.ones(triple.k)
+        digraphs.append(stability_digraph(triple, find_eigenform(triple, weights).form, weights))
+    by_width = {}
+    for dg in digraphs:
+        by_width.setdefault(dg.cache.triple.N, []).extend(dg.payload[n].u_tilde for n in dg.nodes)
+    rng = np.random.default_rng(47)
+    stacks = []
+    for dg in digraphs:
+        n = dg.cache.triple.N
+        stacks.append((dg.cache, np.vstack([by_width[n], np.ones(n), rng.normal(size=(2, n))])))
+    for ops, seed in _sparse_draws():
+        n = len(seed)
+        seeds = np.vstack([seed, np.ones(n), np.eye(n)[0], rng.normal(size=n)])
+        stacks.append((_StackedOps(ops), seeds))
+    dims = []
+    for cache, seeds in stacks:
+        spans = orbit_span(cache, seeds)
+        for seed, got in zip(seeds, spans):
+            alone = orbit_span(cache, seed[None])[0]
+            assert got.shape == alone.shape
+            assert np.max(np.abs(got - alone)) <= 1e-14
+        dims.append({len(got) for got in spans})
+    # full spans beside 2- and 1-dimensional ones within one stack
+    assert dims[:3] == [{1, 8}, {1, 2, 6}, {1, 2, 3}]
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        (np.ones(3), r"orbit seeds must be an \(S, 3\) stack, got shape \(3,\)"),
+        (np.ones((2, 4)), r"orbit seeds must be an \(S, 3\) stack, got shape \(2, 4\)"),
+        (np.ones((1, 2, 3)), r"orbit seeds must be an \(S, 3\) stack"),
+        ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "orbit seed must be nonzero"),
+    ],
+)
+def test_orbit_span_refuses_what_is_no_seed_stack(gasket, gasket_eigenform, seeds, message):
+    with pytest.raises(ValueError, match=message):
+        orbit_span(OperatorCache(gasket, gasket_eigenform, R3), seeds)
+
+
+def _round_oracle_verdict(triple, form, dg):
+    """Edges, sinks and witnesses from ``orbit_span_rounds`` spans, one seed
+    at a time, read through ``_magnitudes`` against ``PHI_TOL``."""
+    lap = form.matrix() - np.diag(form.matrix().sum(axis=1))
+    rows = np.array([_node_row(lap[j], dg.component_data[j], s) for (j, s) in dg.nodes])
+    edges = set()
+    for src in dg.nodes:
+        span = orbit_span_rounds(triple, dg.cache, dg.payload[src].u_tilde)
+        mags = _magnitudes(span, rows, form.max_coefficient())
+        edges |= {(src, dst) for dst, mag in zip(dg.nodes, mags) if mag > uniqueness.PHI_TOL}
+    sinks = _sink_sccs(dg.nodes, edges)
+    return edges, sinks, (sinks[0], sinks[1]) if len(sinks) > 1 else None
+
+
+def test_digraph_matches_round_oracle_spans(analysed, gen, tree_gasket):
+    cases = [(triple, form, r) for triple, form, r, _ in analysed]
+    cases.append((tree_gasket, None, np.array([5.0, 2.0, 2.0])))
+    for triple in [gen.simplex_gasket(d) for d in (4, 8, 10)] + [gen.vicsek(6), gen.vicsek(8)]:
+        cases.append((triple, None, np.ones(triple.k)))
+    # the first 300 valid draws bound the run time: draw 527 spends the
+    # solver's whole iteration budget
+    drawn = itertools.islice(random_valid_triples(1, n_max=5, k_max=6), 300)
+    cases += [(triple, None, np.array(weights)) for triple, weights in drawn]
+    checked = 0
+    for triple, form, r in cases:
+        if form is None:
+            result = find_eigenform(triple, r)
+            if not result.converged:
+                continue
+            form = result.form
+        verdict = decide_uniqueness(triple, form, r)
+        want = _round_oracle_verdict(triple, form, verdict.digraph)
+        assert (verdict.digraph.edges, verdict.sink_sccs, verdict.witnesses) == want
+        checked += 1
+    assert checked == len(analysed) + 6 + 152
 
 
 def test_node_rows_match_harmonicity_functional(analysed):
