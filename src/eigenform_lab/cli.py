@@ -3,13 +3,15 @@
 Subcommands: ``validate``, ``graphs``, ``solve``, ``verify``,
 ``check-uniqueness``, ``report`` and ``corpus``.  Output is machine-readable
 JSON by default (``--format text`` for a plain rendering) and is deterministic
-for identical inputs.  Exit codes: 0 success, 1 invalid input, 2 numerical
-failure (singular system or non-convergence), 3 internal-consistency failure.
+for identical inputs.  Exit codes: 0 success, 1 invalid input or usage, 2
+numerical failure (singular system or non-convergence), 3 internal-consistency
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,7 +36,10 @@ EXIT_NUMERICAL = 2
 EXIT_INCONSISTENT = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it;
+    parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="tolerance override")
     common.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
@@ -265,7 +270,12 @@ def _dispatch(args) -> int:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line and return its exit code; a usage error prints
+    argparse's message and returns 1, ``--help`` returns 0."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_INVALID_INPUT if exc.code else EXIT_OK
     if args.tol is not None and not 0 < args.tol < float("inf"):
         print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_INVALID_INPUT

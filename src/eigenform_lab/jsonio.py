@@ -32,56 +32,72 @@ __all__ = [
 ]
 
 
+_SEQUENCES = (list, tuple, np.ndarray)
+_CONTAINERS = (dict, *_SEQUENCES)
+
+
+def _scalar(value) -> str:
+    """Exact floats and ints, most of any document, skip the isinstance chain."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is not float:
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if value is None:
+            return "null"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, str):
+            return json.dumps(value)
+        if not isinstance(value, (float, np.floating)):
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+        value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite float {value}")
+    return format(value, ".17g")
+
+
+def _flat(seq: list):
+    """``seq`` on one line, or None when it holds a container."""
+    for item in seq:
+        if isinstance(item, _CONTAINERS):
+            return None
+    return "[" + ", ".join(map(_scalar, seq)) + "]"
+
+
 def _emit(value, parts, level):
     pad = "  " * level
-    inner = "  " * (level + 1)
+    inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             parts.append("{}")
             return
-        parts.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
+        sep = "{\n"
+        for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
-            parts.append(f"{inner}{json.dumps(key)}: ")
+            parts.append(f"{sep}{inner}{json.dumps(key)}: ")
             _emit(item, parts, level + 1)
-            parts.append(",\n" if i < len(value) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
+            sep = ",\n"
+        parts.append(f"\n{pad}}}")
+    elif isinstance(value, _SEQUENCES):
         seq = list(value)
-        if not seq:
-            parts.append("[]")
+        line = _flat(seq)
+        if line is not None:
+            parts.append(line)
             return
-        flat = all(not isinstance(x, (dict, list, tuple, np.ndarray)) for x in seq)
-        if flat:
-            parts.append("[")
-            for i, item in enumerate(seq):
+        sep = "[\n"
+        for item in seq:
+            parts.append(sep + inner)
+            line = _flat(list(item)) if isinstance(item, _SEQUENCES) else None
+            if line is None:
                 _emit(item, parts, level + 1)
-                if i < len(seq) - 1:
-                    parts.append(", ")
-            parts.append("]")
-        else:
-            parts.append("[\n")
-            for i, item in enumerate(seq):
-                parts.append(inner)
-                _emit(item, parts, level + 1)
-                parts.append(",\n" if i < len(seq) - 1 else "\n")
-            parts.append(pad + "]")
-    elif isinstance(value, (bool, np.bool_)):
-        parts.append("true" if value else "false")
-    elif value is None:
-        parts.append("null")
-    elif isinstance(value, (int, np.integer)):
-        parts.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        x = float(value)
-        if not math.isfinite(x):
-            raise ValueError(f"cannot serialize non-finite float {x}")
-        parts.append(format(x, ".17g"))
-    elif isinstance(value, str):
-        parts.append(json.dumps(value))
+            else:
+                parts.append(line)
+            sep = ",\n"
+        parts.append(f"\n{pad}]")
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        parts.append(_scalar(value))
 
 
 def dumps(value) -> str:

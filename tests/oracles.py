@@ -6,13 +6,15 @@ block, one reachability search per interior solve, single global Schur
 reduction, one intersection per cell pair, set-based structural checks, one
 breadth-first search per boundary vertex, one depth-first search per removed
 boundary cell, round-based orbit closure, power iteration for projection
-limits, exhaustive word enumeration, exhaustive subset enumeration) without
-going through the production code paths it checks.  ``random_drawn_triples``
-and ``random_valid_triples`` draw the seeded inputs that some of them are
-checked on.
+limits, exhaustive word enumeration, exhaustive subset enumeration, one
+recursive call per JSON value) without going through the production code
+paths it checks.  ``random_drawn_triples`` and ``random_valid_triples`` draw
+the seeded inputs that some of them are checked on.
 """
 
 import itertools
+import json
+import math
 import random
 from collections import deque
 
@@ -29,6 +31,66 @@ from eigenform_lab import (
 from eigenform_lab._graphutil import adjacency, split_components
 from eigenform_lab.errors import SingularInteriorError
 from eigenform_lab.renorm import OperatorCache
+
+
+def _emit_recursive(value, parts, level):
+    pad = "  " * level
+    inner = "  " * (level + 1)
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        parts.append("{\n")
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be strings, got {key!r}")
+            parts.append(f"{inner}{json.dumps(key)}: ")
+            _emit_recursive(item, parts, level + 1)
+            parts.append(",\n" if i < len(value) - 1 else "\n")
+        parts.append(pad + "}")
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        seq = list(value)
+        if not seq:
+            parts.append("[]")
+            return
+        flat = all(not isinstance(x, (dict, list, tuple, np.ndarray)) for x in seq)
+        if flat:
+            parts.append("[")
+            for i, item in enumerate(seq):
+                _emit_recursive(item, parts, level + 1)
+                if i < len(seq) - 1:
+                    parts.append(", ")
+            parts.append("]")
+        else:
+            parts.append("[\n")
+            for i, item in enumerate(seq):
+                parts.append(inner)
+                _emit_recursive(item, parts, level + 1)
+                parts.append(",\n" if i < len(seq) - 1 else "\n")
+            parts.append(pad + "]")
+    elif isinstance(value, (bool, np.bool_)):
+        parts.append("true" if value else "false")
+    elif value is None:
+        parts.append("null")
+    elif isinstance(value, (int, np.integer)):
+        parts.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        x = float(value)
+        if not math.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite float {x}")
+        parts.append(format(x, ".17g"))
+    elif isinstance(value, str):
+        parts.append(json.dumps(value))
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def dumps_recursive(value) -> str:
+    """``jsonio.dumps`` with one recursive call per value, scalars included,
+    each scalar found through one ``isinstance`` chain."""
+    parts: list[str] = []
+    _emit_recursive(value, parts, 0)
+    return "".join(parts)
 
 
 def conductance_laplacian_loop(triple, form, weights):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenform_lab import builtin, graphs
+from eigenform_lab import builtin, cli, graphs
 from eigenform_lab.cli import run
 from eigenform_lab.jsonio import dumps, triple_to_dict
 
@@ -265,6 +266,32 @@ def test_report_labels_the_contact_graph_once(name, monkeypatch, capsys):
     assert run(["report", name]) == 0
     capsys.readouterr()
     assert labelled.count(contact) == 1
+
+
+def test_a_reused_parser_leaks_nothing_between_runs(monkeypatch, capsys):
+    # the parser is built once per process; an option given to one run, or a
+    # usage error, must not reach the next run
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli.build_parser.cache_clear()
+    usage = ["report", "gasket", "--format", "xml"]
+    assert run(usage) == cli.EXIT_INVALID_INPUT
+    first_error = capsys.readouterr().err
+    assert built
+    count = len(built)
+    assert run(["solve", "gasket", "--tol", "1e-6"]) == 0
+    assert len(built) == count
+    assert run(usage) == cli.EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == first_error
+    assert run(["report", "gasket"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "report_gasket.json").read_text(encoding="utf-8")
+    assert len(built) == count
 
 
 def test_report_leaves_scipy_unimported():

@@ -6,7 +6,8 @@ disconnected triple, malformed JSON, a missing path, weights that are not a
 list, a triple without an eigenform and a text rendering; ``verify``,
 ``check-uniqueness`` and ``solve --init`` on verified, support-violating,
 reducible and malformed forms, including coefficients that are not a list of
-rows; and the ``--tol``, ``--max-iter`` and ``--quiet`` options.
+rows; and the ``--tol``, ``--max-iter`` and ``--quiet`` options.  Usage errors
+are checked apart from the golden file, since argparse words them.
 
 A deliberate output change regenerates the golden file with
 ``PYTHONPATH=src python tests/test_cli_exits.py``.
@@ -131,6 +132,29 @@ def test_golden_lists_every_case(golden):
 def test_cli_exit_matrix(case, golden, tmp_path):
     _write_files(tmp_path)
     assert _run(CASES[case], tmp_path) == golden[case]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report"],
+        ["report", "gasket", "--format", "xml"],
+        ["no-such-command", "gasket"],
+        ["report", "gasket", "--max-iter", "abc"],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    # exit 2 means numerical failure, so argparse's own exit code is not kept
+    assert cli.run(argv) == cli.EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: eigenform-lab")
+    assert ": error: " in captured.err.splitlines()[-1]
+
+
+def test_help_exits_0(capsys):
+    assert cli.run(["report", "--help"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: eigenform-lab report")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from eigenform_lab.jsonio import (
     triple_to_dict,
 )
 from eigenform_lab.parallel import parallel_map
+from oracles import dumps_recursive
 
 
 def test_fractal_roundtrip():
@@ -131,6 +133,80 @@ def test_dumps_numpy_values():
     doc = dumps({"a": np.float64(1.5), "b": np.int64(3), "c": np.arange(3), "d": np.bool_(True)})
     assert json.loads(doc) == {"a": 1.5, "b": 3, "c": [0, 1, 2], "d": True}
     assert dumps({"e": {}, "f": None}) == '{\n  "e": {},\n  "f": null\n}'
+
+
+_CHARS = 'a"\\/\b\f\n\r\t\x00\x1f\x7fé☃\U0001f600\ud800'
+_UNSERIALIZABLE = (float("nan"), float("-inf"), {1: 0.5}, {"a": {(0, 1): 2}}, {1, 2}, b"x", 1j)
+
+
+def _random_scalar(rng: random.Random):
+    kind = rng.randrange(9)
+    if kind == 0:
+        return rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 300)
+    if kind == 1:
+        return rng.choice((0.0, -0.0, 0.6, 1e-300, 1e300, 5e-324))
+    if kind == 2:
+        return rng.randint(-(2**70), 2**70)
+    if kind == 3:
+        return rng.choice((True, False, None))
+    if kind == 4:
+        return rng.choice((np.float64, np.float32))(rng.uniform(-1e6, 1e6))
+    if kind == 5:
+        return rng.choice((np.int64, np.int8, np.uint32))(rng.randrange(100))
+    if kind == 6:
+        return np.bool_(rng.random() < 0.5)
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_array(rng: random.Random):
+    shape = (rng.randrange(5),) if rng.random() < 0.5 else (rng.randrange(4), rng.randrange(4))
+    values = np.array([rng.uniform(-1e3, 1e3) for _ in range(int(np.prod(shape)))])
+    return rng.choice((values, values.astype(np.int64), values > 0)).reshape(shape)
+
+
+def _random_document(rng: random.Random, depth: int = 0):
+    """A seeded JSON-like value; about one leaf in 150 cannot be serialized."""
+    if rng.random() < 1 / 150:
+        return rng.choice(_UNSERIALIZABLE)
+    # a container at the top, only scalars from depth 4 on
+    kind = rng.randrange(0 if depth else 3, 8) if depth < 4 else 0
+    size = rng.randrange(5)
+    if kind <= 2:
+        return _random_scalar(rng)
+    if kind == 3:
+        return {f"k{i}{rng.choice(_CHARS)}": _random_document(rng, depth + 1) for i in range(size)}
+    if kind == 4:
+        return [_random_document(rng, depth + 1) for _ in range(size)]
+    if kind == 5:
+        return tuple(_random_document(rng, depth + 1) for _ in range(size))
+    if kind == 6:
+        return [_random_scalar(rng) for _ in range(size)]
+    return _random_array(rng)
+
+
+def _emitted(dump, doc):
+    try:
+        return dump(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_dumps_matches_the_recursive_emitter():
+    # the same text, or the same error type and message, on seeded documents
+    rng = random.Random(2024)
+    errors = set()
+    for _ in range(3000):
+        doc = _random_document(rng)
+        want = _emitted(dumps_recursive, doc)
+        assert _emitted(dumps, doc) == want
+        if isinstance(want, tuple):
+            errors.add((want[0], " ".join(want[1].split()[:3])))
+    # a non-finite float, a non-string key and an unsupported type
+    assert errors >= {
+        (ValueError, "cannot serialize non-finite"),
+        (TypeError, "JSON keys must"),
+        (TypeError, "cannot serialize set"),
+    }
 
 
 def test_parallel_map_matches_serial():
