@@ -89,11 +89,7 @@ def _emit(value, parts, level):
         sep = "[\n"
         for item in seq:
             parts.append(sep + inner)
-            line = _flat(list(item)) if isinstance(item, _SEQUENCES) else None
-            if line is None:
-                _emit(item, parts, level + 1)
-            else:
-                parts.append(line)
+            _emit(item, parts, level + 1)
             sep = ",\n"
         parts.append(f"\n{pad}]")
     else:
