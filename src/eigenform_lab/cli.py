@@ -92,7 +92,7 @@ def _eigenresult_dict(res: EigenResult) -> dict:
         "rho": res.rho,
         "residual": res.residual,
         "iterations": res.iterations,
-        "checks": {k: bool(v) for k, v in res.checks.items()},
+        "checks": res.checks,
         "form": form_to_dict(res.form),
     }
 

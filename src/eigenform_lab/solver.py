@@ -16,7 +16,7 @@ support mismatch rules a candidate out no matter how small its residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class EigenResult:
     residual: float
     iterations: int
     converged: bool
-    checks: dict = field(default_factory=dict)
+    checks: dict
 
 
 def _relative_residual(form: DirichletForm, image: DirichletForm, rho: float) -> float:
@@ -57,15 +57,33 @@ def _relative_residual(form: DirichletForm, image: DirichletForm, rho: float) ->
     return float(dev / form.max_coefficient())
 
 
-def _structural_checks(
-    triple: FractalTriple, weights: np.ndarray, form: DirichletForm, rho: float
-) -> dict:
-    return {
-        "eigenvalue_below_boundary_weights": bool(
-            all(weights[j] > rho for j in range(triple.N))
-        ),
-        "support_matches_hat_graph": support_graph(form) == hat_graph(triple),
-    }
+def _on_hat_support(triple: FractalTriple, form: DirichletForm) -> bool:
+    """Whether the support of ``form`` is the stable boundary graph, as every
+    eigenform's is."""
+    return support_graph(form) == hat_graph(triple)
+
+
+def _result(
+    triple: FractalTriple,
+    weights: np.ndarray,
+    form: DirichletForm,
+    rho: float,
+    residual: float,
+    iterations: int,
+    checks: dict,
+) -> EigenResult:
+    """The result for ``form``: the structural checks join the caller's
+    ``checks``, and it converged when every check holds."""
+    checks["eigenvalue_below_boundary_weights"] = all(weights[j] > rho for j in range(triple.N))
+    checks["support_matches_hat_graph"] = _on_hat_support(triple, form)
+    return EigenResult(
+        form=form,
+        rho=rho,
+        residual=residual,
+        iterations=iterations,
+        converged=all(checks.values()),
+        checks=checks,
+    )
 
 
 def verify_eigenform(
@@ -91,15 +109,7 @@ def verify_eigenform(
     rho = float(image.vector() @ v) / float(v @ v)
     residual = _relative_residual(form, image, rho)
     checks = {"residual_within_tol": bool(residual <= tol)}
-    checks.update(_structural_checks(triple, r, form, rho))
-    return EigenResult(
-        form=form,
-        rho=rho,
-        residual=residual,
-        iterations=0,
-        converged=all(checks.values()),
-        checks=checks,
-    )
+    return _result(triple, r, form, rho, residual, 0, checks)
 
 
 def _on_hat(triple: FractalTriple, coeffs: np.ndarray) -> DirichletForm:
@@ -250,16 +260,5 @@ def find_eigenform(
             newton_from = residual
         current = _on_hat(triple, x_next)
 
-    checks = {
-        "direction_stabilized": stabilized,
-        "residual_within_tol": bool(residual <= tol),
-    }
-    checks.update(_structural_checks(triple, r, current, rho))
-    return EigenResult(
-        form=current,
-        rho=rho,
-        residual=residual,
-        iterations=iterations,
-        converged=all(checks.values()),
-        checks=checks,
-    )
+    checks = {"direction_stabilized": stabilized, "residual_within_tol": bool(residual <= tol)}
+    return _result(triple, r, current, rho, residual, iterations, checks)

@@ -63,8 +63,6 @@ def _perron_pair(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Dominant eigenpair of an entrywise positive matrix, the vector at unit
     length."""
     n = matrix.shape[0]
-    if n == 1:
-        return np.ones(1), float(matrix[0, 0])
     x = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(_POWER_MAX_ITER):
         y = matrix @ x

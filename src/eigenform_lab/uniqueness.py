@@ -39,11 +39,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .forms import DirichletForm, _laplacian_matrix, _support_mask, laplacian, support_graph
+from .forms import DirichletForm, _laplacian_matrix, _support_mask, laplacian
 from .fractal import FractalTriple, check_weights
-from .graphs import ComponentData, _hat_index, components, hat_graph
+from .graphs import ComponentData, _hat_index, components
 from .renorm import OperatorCache, _context
-from .solver import EigenResult, find_eigenform
+from .solver import EigenResult, _on_hat_support, find_eigenform
 from .spectral import PerronData, perron_component, perron_positive, project_g
 
 __all__ = [
@@ -112,9 +112,11 @@ def orbit_span(cache: OperatorCache, seeds) -> list[np.ndarray]:
     pushed through all cell operators once, and its images are taken in cell
     order; an image whose residual against the current span exceeds
     ``RANK_TOL`` times the largest of its norm, the seed's norm and one is
-    adjoined (classical Gram-Schmidt) and joins the worklist.  An image within
-    threshold stays within it as the span grows, so no vector needs a second
-    pass.
+    adjoined (classical Gram-Schmidt) and joins the worklist.  A residual
+    below 1e-3 of its image's norm is projected off the span a second time
+    before it is adjoined, so the basis stays orthonormal to about 1e-13.  An
+    image within threshold stays within it as the span grows, so no image is
+    taken twice.
 
     All seeds close in lockstep on one zero-padded ``(S, N, N)`` basis stack,
     where zero rows are inert.  Each step projects every seed's pending image
@@ -138,6 +140,7 @@ def orbit_span(cache: OperatorCache, seeds) -> list[np.ndarray]:
     done = np.zeros(count, dtype=np.intp)  # basis vectors whose images were taken
     scale = np.maximum(1.0, norm)
     images = np.zeros((count, k, n))
+    reach = np.zeros((count, k))  # the images' norms
     limit = np.zeros((count, k))
     live = move = dim < n
     while live.any():
@@ -146,7 +149,8 @@ def orbit_span(cache: OperatorCache, seeds) -> list[np.ndarray]:
             # one product per vector, so a seed's bits do not depend on its stack
             new = (ops @ basis[who, done[who], None, :, None])[..., 0]
             images[who] = new
-            limit[who] = RANK_TOL * np.maximum(scale[who, None], np.linalg.norm(new, axis=2))
+            reach[who] = np.linalg.norm(new, axis=2)
+            limit[who] = RANK_TOL * np.maximum(scale[who, None], reach[who])
             done[who] += 1
         resid = images - (images @ basis.transpose(0, 2, 1)) @ basis
         size = np.linalg.norm(resid, axis=2)
@@ -155,7 +159,16 @@ def orbit_span(cache: OperatorCache, seeds) -> list[np.ndarray]:
         move = live & ~grow & (done < dim)
         who = np.flatnonzero(grow)
         first = fresh[who].argmax(axis=1)
-        basis[who, dim[who]] = resid[who, first] / size[who, first, None]
+        add, length = resid[who, first], size[who, first]
+        # one projection leaves a part along the span of about rounding times
+        # the image's norm, which is over 1e-13 of a residual below 1e-3 of
+        # that norm; such a residual is projected once more
+        again = length < 1e-3 * reach[who, first]
+        if again.any():
+            span = basis[who[again]]
+            add[again] -= ((add[again, None] @ span.transpose(0, 2, 1)) @ span)[:, 0]
+            length[again] = np.linalg.norm(add[again], axis=1)
+        basis[who, dim[who]] = add / length[:, None]
         dim[who] += 1
         # the images up to the adjoined one were within threshold of a smaller span
         images[who] *= (np.arange(k) > first[:, None])[:, :, None]
@@ -200,14 +213,13 @@ def stability_digraph(
     iterate.  The cell operators come from ``renorm``'s context slot and stay
     on the digraph.
     """
-    hat = hat_graph(triple)
-    if support_graph(form) != hat:
+    if not _on_hat_support(triple, form):
         raise ValueError(
             "stability analysis requires a verified eigenform; the support "
             "graph does not match the stable boundary graph"
         )
     cache = _context(triple, form, weights)
-    comp_by_j = {j: components(triple, j, hat) for j in range(triple.N)}
+    comp_by_j = {j: components(triple, j) for j in range(triple.N)}
     nodes = sorted((j, s) for j, comp in comp_by_j.items() for s in range(comp.m))
     payload = {(j, s): perron_component(cache, comp_by_j[j], s) for (j, s) in nodes}
     max_coeff = form.max_coefficient()

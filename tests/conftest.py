@@ -97,6 +97,35 @@ def tree_eigenform():
 
 
 @pytest.fixture(scope="session")
+def fz1_doc():
+    """Fractal file of a four-cell triple on which the Newton search stops at
+    rho = 9.2e-4, far from the eigenform that plain steps reach."""
+    return {
+        "name": "fz1",
+        "N": 4,
+        "k": 4,
+        "vertices": 12,
+        "cells": [[0, 8, 7, 9], [4, 1, 7, 8], [11, 5, 2, 10], [10, 6, 9, 3]],
+        "weights": [0.118419, 1.94107, 0.727458, 2.47098],
+    }
+
+
+@pytest.fixture(scope="session")
+def fz1_plain_limit_doc():
+    """Form file of the limit of plain steps ``R(f) / sum R(f)`` from
+    all-ones on ``fz1``: an eigenform with rho = 0.11832864782596758."""
+    return {
+        "N": 4,
+        "coefficients": [
+            [0, 1, 0.0095292355021968367],
+            [0, 3, 0.0036344395473519768],
+            [1, 3, 0.7587281218540648],
+            [2, 3, 0.22810820309638632],
+        ],
+    }
+
+
+@pytest.fixture(scope="session")
 def vicsek_eigenform(vicsek):
     result = find_eigenform(vicsek, np.ones(5))
     assert result.converged

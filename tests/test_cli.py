@@ -40,6 +40,18 @@ def files(tmp_path):
     return paths
 
 
+def test_fz1_plain_limit_is_unique(tmp_path, capsys, fz1_doc, fz1_plain_limit_doc):
+    fractal, form = tmp_path / "fz1.json", tmp_path / "fz1_form.json"
+    fractal.write_text(json.dumps(fz1_doc))
+    form.write_text(json.dumps(fz1_plain_limit_doc))
+    assert run(["check-uniqueness", str(fractal), str(form)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    nodes = [[0, 0], [1, 0], [2, 0], [3, 0], [3, 1]]
+    assert doc["unique"] is True
+    assert doc["digraph"]["nodes"] == nodes
+    assert doc["sink_sccs"] == [nodes]
+
+
 def test_validate_ok(files, capsys):
     assert run(["validate", files["gasket"]]) == 0
     doc = json.loads(capsys.readouterr().out)

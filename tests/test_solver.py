@@ -13,9 +13,11 @@ from eigenform_lab import (
     renormalize,
     verify_eigenform,
 )
+from eigenform_lab.jsonio import parse_form, parse_fractal
 from eigenform_lab.solver import _hat_index, _jacobian, _relative_residual, _unit_sum
 
 R3 = np.ones(3)
+FZ1_RHO = 0.11832864782596758
 
 
 def test_find_gasket(gasket):
@@ -113,6 +115,23 @@ def test_verify_shared_eigenvalue(tree_gasket):
 def test_verify_requires_irreducible(gasket):
     with pytest.raises(ValueError, match="irreducible"):
         verify_eigenform(gasket, R3, DirichletForm(3, {(0, 1): 1.0}))
+
+
+def test_fz1_plain_limit_verifies(fz1_doc, fz1_plain_limit_doc):
+    triple, weights = parse_fractal(fz1_doc)
+    res = verify_eigenform(triple, weights, parse_form(fz1_plain_limit_doc))
+    assert res.converged
+    assert res.rho == pytest.approx(FZ1_RHO, rel=1e-14)
+    assert res.residual <= 1e-15
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+def test_fz1_search_reaches_the_plain_limit(fz1_doc):
+    # Newton from all-ones stops after 11 iterations at rho = 9.1995e-4
+    triple, weights = parse_fractal(fz1_doc)
+    res = find_eigenform(triple, weights)
+    assert res.converged
+    assert res.rho == pytest.approx(FZ1_RHO, abs=1e-12)
 
 
 def test_converged_results_satisfy_two_level_relation(gasket, tree_gasket, vicsek):

@@ -165,6 +165,30 @@ def test_orbit_span_of_a_seed_ignores_the_rest_of_its_stack(gen, tree_gasket):
     assert dims[:3] == [{1, 8}, {1, 2, 6}, {1, 2, 3}]
 
 
+@pytest.mark.parametrize("eps", [3e-10, 1e-9, 1e-8, 1e-6])
+def test_orbit_span_of_a_near_identity_stays_orthonormal(eps):
+    # A = Q (I + eps e1 e0^T) Q^T takes q0 to q0 + eps q1 and fixes q1, so the
+    # orbit of q0 spans q0 and q1.  The residual of A q0 is eps of its norm,
+    # so one projection leaves it a rounding error along q0 far above
+    # RANK_TOL of its length, which a later image would adjoin as a third
+    # direction
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+    shear = np.eye(3)
+    shear[1, 0] = eps
+    cache = _StackedOps((q @ shear @ q.T)[None])
+    other = np.random.default_rng(1).standard_normal(3)
+    alone = orbit_span(cache, q[:, 0][None])[0]
+    assert alone.shape == (2, 3)
+    assert np.max(np.abs(alone @ alone.T - np.eye(2))) <= 1e-14
+    assert in_span(q[:, 0], alone)
+    assert all(in_span(cache.ops[0] @ b, alone) for b in alone)
+    stacked = orbit_span(cache, np.vstack([q[:, 0], other]))
+    assert np.max(np.abs(stacked[0] - alone)) <= 1e-14
+    other_alone = orbit_span(cache, other[None])[0]
+    assert stacked[1].shape == other_alone.shape
+    assert np.max(np.abs(stacked[1] - other_alone)) <= 1e-14
+
+
 @pytest.mark.parametrize(
     "seeds, message",
     [
@@ -290,10 +314,16 @@ def test_edge_threshold_has_one_source(monkeypatch, gasket, gasket_eigenform):
     assert verdict.digraph.edges == {((0, 0), (1, 0)), ((1, 0), (0, 0)), ((2, 0), (0, 0))}
 
 
-def test_digraph_requires_matching_support(tree_gasket):
-    bad = DirichletForm(3, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 0.5})
-    with pytest.raises(ValueError, match="support"):
-        stability_digraph(tree_gasket, bad, R3)
+def test_digraph_requires_matching_support(tree_gasket, tree_eigenform):
+    # both forms have the complete support; the stable graph is (0,1), (0,2)
+    message = "requires a verified eigenform; the support graph does not match"
+    for bad in [DirichletForm(3, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 0.5}), DirichletForm.ones(3)]:
+        with pytest.raises(ValueError, match=message):
+            stability_digraph(tree_gasket, bad, R3)
+        with pytest.raises(ValueError, match=message):
+            decide_uniqueness(tree_gasket, bad, R3)
+    assert verify_eigenform(tree_gasket, R3, tree_eigenform).converged
+    assert stability_digraph(tree_gasket, tree_eigenform, R3).nodes
 
 
 def test_decide_gasket_unique(gasket, gasket_eigenform):
