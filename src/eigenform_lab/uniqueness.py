@@ -15,7 +15,9 @@ enumeration bound survives as a test oracle.  The empty word is always
 included: the seed itself belongs to its own orbit span.  ``orbit_span``
 closes a whole stack of seeds in lockstep, so the digraph closes all node
 spans in one call and the positive-form cross-check all of its own in
-another.
+another; their seeds come the same way, every node's Perron data from one
+``perron_component`` call and every vertex's Perron vector from one
+``perron_positive`` call.
 
 Each node's functional is stored as one row vector, shift and mask folded in,
 so the rows of all nodes stack into a (nodes x N) matrix and the edges out of
@@ -221,7 +223,8 @@ def stability_digraph(
     cache = _context(triple, form, weights)
     comp_by_j = {j: components(triple, j) for j in range(triple.N)}
     nodes = sorted((j, s) for j, comp in comp_by_j.items() for s in range(comp.m))
-    payload = {(j, s): perron_component(cache, comp_by_j[j], s) for (j, s) in nodes}
+    perron = perron_component(cache, [(comp_by_j[j], s) for (j, s) in nodes])
+    payload = dict(zip(nodes, perron))
     max_coeff = form.max_coefficient()
     lap = _laplacian_matrix(form)
     rows = np.array([_node_row(lap[j], comp_by_j[j], s) for (j, s) in nodes])
@@ -281,7 +284,7 @@ def _positive_case_edges(cache: OperatorCache) -> set[tuple[Node, Node]]:
     nodes = range(cache.triple.N)
     rows = _laplacian_matrix(cache.form)
     max_coeff = cache.form.max_coefficient()
-    seeds = [perron_positive(cache, j)[0] for j in nodes]
+    seeds = [u_bar for u_bar, _ in perron_positive(cache, nodes)]
     edges = set()
     for j, span in zip(nodes, orbit_span(cache, seeds)):
         mags = _magnitudes(span, rows, max_coeff)

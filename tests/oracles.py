@@ -5,11 +5,12 @@ Each routine here recomputes a quantity by the most direct method available
 block, one reachability search per interior solve, single global Schur
 reduction, one intersection per cell pair, set-based structural checks, one
 breadth-first search per boundary vertex, one depth-first search per removed
-boundary cell, round-based orbit closure, power iteration for projection
-limits, exhaustive word enumeration, exhaustive subset enumeration, one
-recursive call per JSON value) without going through the production code
-paths it checks.  ``random_drawn_triples`` and ``random_valid_triples`` draw
-the seeded inputs that some of them are checked on.
+boundary cell, round-based orbit closure, one power iteration per Perron
+block, power iteration for projection limits, exhaustive word enumeration,
+exhaustive subset enumeration, one recursive call per JSON value) without
+going through the production code paths it checks.  ``random_drawn_triples``
+and ``random_valid_triples`` draw the seeded inputs that some of them are
+checked on.
 """
 
 import itertools
@@ -24,12 +25,15 @@ from eigenform_lab import (
     BoundaryGraph,
     DirichletForm,
     FractalTriple,
+    PerronData,
     harmonicity_functional,
     pair_list,
     validate,
 )
+from eigenform_lab import spectral
 from eigenform_lab._graphutil import adjacency, split_components
-from eigenform_lab.errors import SingularInteriorError
+from eigenform_lab.errors import InternalConsistencyError, SingularInteriorError
+from eigenform_lab.forms import _support_mask
 from eigenform_lab.renorm import OperatorCache
 
 
@@ -399,6 +403,74 @@ def orbit_span_rounds(triple, cache, seed, rank_tol=1e-10):
             if len(basis) == triple.N:
                 break
     return np.array(basis)
+
+
+def _perron_pair(matrix):
+    """Dominant eigenpair of an entrywise positive matrix by power iteration
+    on the vector alone, the vector at unit length; the dense eigensolver
+    takes over after ``spectral._POWER_MAX_ITER`` steps."""
+    n = matrix.shape[0]
+    x = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(spectral._POWER_MAX_ITER):
+        y = matrix @ x
+        norm = np.linalg.norm(y)
+        if norm == 0.0:
+            raise InternalConsistencyError("positive operator annihilated a positive vector")
+        y /= norm
+        if np.max(np.abs(y - x)) < spectral.POWER_TOL:
+            x = y
+            break
+        x = y
+    else:
+        return spectral._perron_dense(matrix)
+    return x, float(x @ (matrix @ x))
+
+
+def _perron_on(matrix, idx, where):
+    """Perron pair of the block of ``matrix`` on ``idx``, sup-normalized on ``idx``."""
+    block = matrix[np.ix_(idx, idx)]
+    if block.min() <= 0.0:
+        raise InternalConsistencyError(f"{where} is not entrywise positive")
+    small, value = _perron_pair(block)
+    small = small / np.max(np.abs(small))
+    if small.min() <= 1e-12:
+        raise InternalConsistencyError(f"Perron vector is not strictly positive: {small}")
+    vec = np.zeros(matrix.shape[0])
+    vec[idx] = small
+    return vec, value
+
+
+def perron_positive_by_vertex(cache, j):
+    """``perron_positive`` for the one vertex ``j``, by its own power
+    iteration on a freshly cut block."""
+    if not _support_mask(cache.form).all():
+        raise ValueError("perron_positive requires a positive form")
+    others = [p for p in range(cache.triple.N) if p != j]
+    return _perron_on(cache.ops[j], others, f"restricted cell operator at j={j}")
+
+
+def perron_component_by_node(cache, comp, s):
+    """``perron_component`` for the one node ``(comp, s)``, its operator
+    power built and cut for it alone."""
+    j, n = comp.j, cache.triple.N
+    period = comp.periods[s]
+    power = cache.word((j,) * period)
+    where = f"component-restricted operator at (j={j}, s={s})"
+    u_bar, value = _perron_on(power, list(comp.c_prime[s]), where)
+    u_tilde = power @ u_bar
+    inside = np.zeros(n, dtype=bool)
+    inside[list(comp.components[s])] = True
+    stray = np.max(np.abs(u_tilde[~inside]), initial=0.0)
+    if stray > 1e-10 * np.max(np.abs(u_tilde)):
+        raise InternalConsistencyError(
+            f"iterate at (j={j}, s={s}) leaks outside its component by {stray}"
+        )
+    u_tilde[~inside] = 0.0
+    if u_tilde[inside].min() <= 0.0:
+        raise InternalConsistencyError(
+            f"iterate at (j={j}, s={s}) is not positive on its component"
+        )
+    return PerronData(j=j, s=s, period=period, u_bar=u_bar, u_tilde=u_tilde, eigenvalue=value)
 
 
 def pi_limit_by_iteration(cache, pdata, u, tol=1e-12, max_iter=500):

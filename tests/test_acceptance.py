@@ -227,14 +227,14 @@ def test_criterion_6_identity_suites(corpus):
         for j in range(n):
             comp = comp_by_j[j]
             for s in range(comp.m):
-                pd = perron_component(cache, comp, s)
+                pd = perron_component(cache, [(comp, s)])[0]
                 expected = (rho / weights[j]) ** pd.period
                 assert abs(pd.eigenvalue - expected) <= 1e-8 * expected
                 assert 0.0 < pd.eigenvalue < 1.0
         vec = form.vector()
         if vec.min() > 1e-10 * vec.max():
             for j in range(n):
-                _, value = perron_positive(cache, j)
+                _, value = perron_positive(cache, [j])[0]
                 assert abs(value - rho / weights[j]) <= 1e-8 * value
 
         # two-level composition against the brute-force minimizer

@@ -130,7 +130,7 @@ def test_tree_gasket_matched_branch_weights():
     for j in range(3):
         comp = components(triple, j)
         for s in range(comp.m):
-            pd = perron_component(cache, comp, s)
+            pd = perron_component(cache, [(comp, s)])[0]
             assert pd.eigenvalue == pytest.approx((res.rho / r[j]) ** pd.period, rel=1e-9)
     verdict = decide_uniqueness(triple, res.form, r)
     assert not verdict.unique

@@ -113,7 +113,7 @@ def test_every_zero_test_reads_the_forms_threshold(monkeypatch, gasket):
     form = DirichletForm(3, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 0.4})
     assert support_graph(form).sorted_edges() == [(0, 1), (0, 2)]
     with pytest.raises(ValueError, match="positive form"):
-        perron_positive(OperatorCache(gasket, form, np.ones(3)), 0)
+        perron_positive(OperatorCache(gasket, form, np.ones(3)), [0])
     assert solver._hat_start(gasket, form) is None
 
 

@@ -42,5 +42,20 @@ def test_tracer_wraps_pipeline_and_restores(tracer, pipeline, tree_gasket, tmp_p
     assert table["uniqueness.orbit_span"]["calls"] > 0
     assert table["uniqueness.orbit_span"]["count"] > 0
     assert table["uniqueness.penalty_form"]["calls"] > 0
+    # one stacked Perron call per digraph, under the name the tracer wraps
+    assert table["spectral.perron_component"]["calls"] == 1
+    assert table["uniqueness.stability_digraph"]["calls"] == 1
     assert table["renorm.OperatorCache"]["calls"] > 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_tracer_sees_the_positive_form_cross_check(tracer, pipeline, gasket):
+    # the gasket's eigenform is positive, so decide_uniqueness runs the
+    # single-vertex cross-check through perron_positive
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        outcome = pipeline.run_pipeline(gasket, np.ones(3))
+    assert outcome.unique is True
+    table = tracer.summarize(recorder.spans)
+    assert table["spectral.perron_component"]["calls"] == 1
+    assert table["spectral.perron_positive"]["calls"] == 1

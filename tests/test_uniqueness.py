@@ -458,7 +458,7 @@ def test_penalty_form_properties(gasket, tree_gasket, vicsek, gasket_eigenform, 
                 table = penalty_form(cache, comp, s)
                 assert set(table) <= hat_edges
                 assert pair_energy(table, np.full(triple.N, 3.3)) == pytest.approx(0.0)
-                pd = perron_component(cache, comp, s)
+                pd = perron_component(cache, [(comp, s)])[0]
                 expected = (pd.eigenvalue * laplacian(form, pd.u_tilde)[j]) ** 2
                 assert pair_energy(table, pd.u_tilde) == pytest.approx(expected, rel=1e-10)
                 assert expected > 0
