@@ -42,10 +42,12 @@ class DirichletForm:
 
     ``coefficients`` may be a mapping ``{(j1, j2): c}`` or an iterable of
     ``(j1, j2, c)`` entries; missing pairs carry coefficient zero.  All
-    coefficients must be nonnegative and finite.
+    coefficients must be nonnegative and finite.  The entries are checked
+    here and the matrix is built on first read, so a form declared on more
+    vertices than memory holds can still be compared by ``N`` and refused.
     """
 
-    __slots__ = ("N", "_m")
+    __slots__ = ("N", "_m", "_pairs")
 
     def __init__(self, N: int, coefficients: Mapping | Iterable = ()):
         if N < 2:
@@ -54,8 +56,7 @@ class DirichletForm:
             entries = [(a, b, c) for (a, b), c in coefficients.items()]
         else:
             entries = [tuple(e) for e in coefficients]
-        m = np.zeros((N, N))
-        seen = set()
+        pairs = {}
         for a, b, c in entries:
             a, b, c = int(a), int(b), float(c)
             if a == b or not (0 <= a < N and 0 <= b < N):
@@ -63,18 +64,20 @@ class DirichletForm:
             if not np.isfinite(c) or c < 0:
                 raise ValueError(f"coefficient for pair ({a}, {b}) must be finite and >= 0, got {c}")
             key = (min(a, b), max(a, b))
-            if key in seen:
+            if key in pairs:
                 raise ValueError(f"duplicate coefficient for pair {key}")
-            seen.add(key)
-            m[key[0], key[1]] = c
-        m = m + m.T
-        m.flags.writeable = False
+            pairs[key] = c
         self.N = N
-        self._m = m
+        self._m = None
+        self._pairs = pairs
 
     @classmethod
     def ones(cls, N: int) -> "DirichletForm":
-        return cls(N, {p: 1.0 for p in pair_list(N)})
+        if N < 2:
+            raise ValueError(f"a form needs at least 2 vertices, got N={N}")
+        m = np.ones((N, N))
+        np.fill_diagonal(m, 0.0)
+        return cls._wrap(N, m)
 
     @classmethod
     def from_matrix(cls, m) -> "DirichletForm":
@@ -107,27 +110,34 @@ class DirichletForm:
 
     def matrix(self) -> np.ndarray:
         """Symmetric coefficient matrix with zero diagonal (read-only view)."""
+        if self._m is None:
+            m = np.zeros((self.N, self.N))
+            for key, c in self._pairs.items():
+                m[key] = c
+            self._m = m + m.T
+            self._m.flags.writeable = False
         return self._m
 
     def coefficient(self, a: int, b: int) -> float:
         if a == b:
             raise ValueError("coefficients live on distinct vertex pairs")
-        return float(self._m[a, b])
+        return float(self.matrix()[a, b])
 
     def coefficient_items(self) -> list[tuple[int, int, float]]:
         """Nonzero entries as ``(j1, j2, c)`` with ``j1 < j2``."""
+        m = self.matrix()
         return [
-            (a, b, float(self._m[a, b]))
+            (a, b, float(m[a, b]))
             for a, b in pair_list(self.N)
-            if self._m[a, b] != 0.0
+            if m[a, b] != 0.0
         ]
 
     def vector(self) -> np.ndarray:
         """Coefficients in canonical pair order, as a fresh array."""
-        return self._m[pair_index(self.N)]
+        return self.matrix()[pair_index(self.N)]
 
     def max_coefficient(self) -> float:
-        return float(self._m.max())
+        return float(self.matrix().max())
 
     def l1_norm(self) -> float:
         return float(self.vector().sum())
@@ -135,7 +145,7 @@ class DirichletForm:
     def scaled(self, factor: float) -> "DirichletForm":
         if not (factor >= 0 and np.isfinite(factor)):
             raise ValueError(f"scale factor must be finite and nonnegative, got {factor}")
-        m = self._m * factor
+        m = self.matrix() * factor
         if not np.isfinite(m).all():
             raise ValueError(f"scaling by {factor} overflows a coefficient")
         # a finite nonnegative multiple of a valid matrix is valid as it

@@ -116,6 +116,10 @@ def validate(triple: FractalTriple) -> list[str]:
         v.append(f"cell count must be at least the boundary count (k={k}, N={n})")
     if nv < n:
         v.append(f"vertex count must be at least the boundary count ({nv} < {n})")
+    if not v and nv > k * n:
+        # then some ids occur in no cell, and listing each would take
+        # memory and output in proportion to the vertex count
+        v.append(f"vertex count must be at most the number of cell entries ({nv} > {k * n})")
     if len(triple.cells) != k:
         v.append(f"expected {k} cell maps, found {len(triple.cells)}")
         return v

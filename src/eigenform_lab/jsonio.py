@@ -127,7 +127,10 @@ def _integer(value, key: str) -> int:
 def _number(value, key: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"key {key!r} needs a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"key {key!r} holds an integer too large for a float") from None
 
 
 def parse_fractal(data: dict) -> tuple[FractalTriple, np.ndarray]:
@@ -149,7 +152,9 @@ def parse_fractal(data: dict) -> tuple[FractalTriple, np.ndarray]:
         raise ValueError(f"malformed fractal file: {exc}") from exc
     raw = data.get("weights")
     if raw is None:
-        return triple, check_weights(triple, np.ones(triple.k))
+        # one weight per listed cell: a declared cell count the list does not
+        # match allocates nothing, and ``validate`` reports it
+        return triple, np.ones(len(triple.cells))
     if not isinstance(raw, list):
         raise ValueError(f"key 'weights' needs a list of numbers, got {raw!r}")
     return triple, check_weights(triple, np.array([_number(w, "weights") for w in raw]))

@@ -382,9 +382,10 @@ class OperatorCache:
     ``ops`` stacks the k cell operators into one ``(k, N, N)`` array: row
     ``p`` of operator ``i`` gives the minimizing extension at the image of
     boundary vertex ``p`` in cell ``i`` as a function of the boundary data
-    (rows sum to one), and ``word`` multiplies them on demand.  ``schur`` is
-    the Schur complement onto the boundary, ``image`` (computed on first
-    read) the renormalized form, ``weights`` a copy of the checked weights.
+    (rows sum to one), and ``word`` multiplies them on demand; ``power``
+    keeps each node power it builds.  ``schur`` is the Schur complement onto
+    the boundary, ``image`` (computed on first read) the renormalized form,
+    ``weights`` a copy of the checked weights.
     """
 
     def __init__(self, triple: FractalTriple, form: DirichletForm, weights):
@@ -396,6 +397,7 @@ class OperatorCache:
         # boundary data to the full minimizing extension, per cell
         self.ops = x[triple.cell_array]
         self.ops.flags.writeable = self.schur.flags.writeable = False
+        self._powers: dict[tuple[int, int], np.ndarray] = {}
 
     def matches(self, triple: FractalTriple, form: DirichletForm, weights: np.ndarray) -> bool:
         """Whether this is the context of ``triple``, ``form`` and the checked
@@ -436,6 +438,15 @@ class OperatorCache:
         out = np.eye(self.triple.N)
         for i in word:
             out = out @ self.ops[i]
+        return out
+
+    def power(self, j: int, period: int) -> np.ndarray:
+        """The word of ``period`` copies of cell ``j``, built on the first
+        call for each ``(j, period)`` and shared, read-only, after it."""
+        out = self._powers.get((j, period))
+        if out is None:
+            out = self._powers[j, period] = self.word((j,) * period)
+            out.flags.writeable = False
         return out
 
 

@@ -181,11 +181,12 @@ def perron_component(
     surviving coordinates, must be entrywise positive, and its Perron vector
     pushed through the power must stay on the component and be positive
     there; anything else is an internal-consistency failure, raised for the
-    first failing node in node order.  Each distinct power is built once.
+    first failing node in node order.  Each distinct power is read once,
+    from ``cache.power``.
     """
     keys = [(comp.j, comp.periods[s]) for comp, s in nodes]
     slot = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    powers = np.array([cache.word((j,) * period) for j, period in slot])
+    powers = np.array([cache.power(j, period) for j, period in slot])
     which = [slot[key] for key in keys]
     u_bar, values, errors = _perron_blocks(
         powers,
@@ -261,7 +262,7 @@ def pi_limit(cache: OperatorCache, pdata: PerronData, u) -> float:
     stray = np.max(np.abs(u[~inside]), initial=0.0)
     if stray > 1e-9 * max(np.max(np.abs(u)), 1e-300):
         raise ValueError("data must be supported on the component")
-    block = cache.word((pdata.j,) * pdata.period)[np.ix_(inside, inside)]
+    block = cache.power(pdata.j, pdata.period)[np.ix_(inside, inside)]
     tilde = pdata.u_tilde[inside]
     m = tilde.size
     bordered = np.vstack([block.T - pdata.eigenvalue * np.eye(m), tilde])

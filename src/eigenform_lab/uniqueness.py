@@ -20,10 +20,11 @@ another; their seeds come the same way, every node's Perron data from one
 ``perron_positive`` call.
 
 Each node's functional is stored as one row vector, shift and mask folded in,
-so the rows of all nodes stack into a (nodes x N) matrix and the edges out of
-a source are one product of that matrix with the source's span basis.  Sinks
-of the condensation are read off reachability: a node lies in a sink exactly
-when every node it reaches reaches it back.
+so the rows of all nodes stack into a (nodes x N) matrix; one product of it
+with every span basis stacked, reduced per source, gives all edge magnitudes,
+for the digraph and the cross-check alike.  Sinks of the condensation are
+read off reachability: a node lies in a sink exactly when every node it
+reaches reaches it back.
 
 Orbit spans, Perron data and penalty forms all read one ``OperatorCache``,
 passed as their first argument: ``stability_digraph`` takes the one the
@@ -195,13 +196,17 @@ def _node_row(v: np.ndarray, comp: ComponentData, s: int) -> np.ndarray:
     return x
 
 
-def _magnitudes(span: np.ndarray, rows: np.ndarray, max_coeff: float) -> np.ndarray:
-    """Per row, the largest ``|row @ b| / (max_coeff * sup|b|)`` over the
-    basis vectors ``b`` of ``span``; vectors with zero sup norm are skipped."""
-    sup = np.max(np.abs(span), axis=1)
-    keep = sup != 0.0
-    values = np.abs(rows @ span[keep].T) / (max_coeff * sup[keep])
-    return values.max(axis=1, initial=0.0)
+def _reach(cache: OperatorCache, seeds, rows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Orbit spans of the ``(S, N)`` stack ``seeds``, and the ``(S, R)`` table
+    of the largest ``|rows[r] @ b| / (max_coeff * sup|b|)`` over the vectors
+    ``b`` of basis ``s``: one product over all bases stacked, one reduction
+    per basis.  An orthonormal basis has no zero vector to divide by."""
+    spans = orbit_span(cache, seeds)
+    basis = np.concatenate(spans)
+    sup = np.max(np.abs(basis), axis=1)
+    values = np.abs(rows @ basis.T) / (cache.form.max_coefficient() * sup)
+    starts = np.cumsum([0] + [len(span) for span in spans[:-1]])
+    return spans, np.maximum.reduceat(values, starts, axis=1).T
 
 
 def stability_digraph(
@@ -225,32 +230,23 @@ def stability_digraph(
     nodes = sorted((j, s) for j, comp in comp_by_j.items() for s in range(comp.m))
     perron = perron_component(cache, [(comp_by_j[j], s) for (j, s) in nodes])
     payload = dict(zip(nodes, perron))
-    max_coeff = form.max_coefficient()
     lap = _laplacian_matrix(form)
     rows = np.array([_node_row(lap[j], comp_by_j[j], s) for (j, s) in nodes])
-
-    spans = dict(zip(nodes, orbit_span(cache, [payload[src].u_tilde for src in nodes])))
-    edges = set()
-    magnitudes = {}
-    warnings = []
-    for src, span in spans.items():
-        for dst, mag in zip(nodes, _magnitudes(span, rows, max_coeff).tolist()):
-            magnitudes[(src, dst)] = mag
-            if mag > PHI_TOL:
-                edges.add((src, dst))
-                if mag <= PHI_WARN_FACTOR * PHI_TOL:
-                    warnings.append(
-                        f"borderline functional magnitude {mag:.3e} on edge {src}->{dst}"
-                    )
+    spans, table = _reach(cache, [payload[src].u_tilde for src in nodes], rows)
+    magnitudes = dict(zip([(a, b) for a in nodes for b in nodes], table.ravel().tolist()))
     return StabilityDigraph(
         nodes=nodes,
-        edges=edges,
+        edges={pair for pair, mag in magnitudes.items() if mag > PHI_TOL},
         payload=payload,
         component_data=comp_by_j,
-        spans=spans,
+        spans=dict(zip(nodes, spans)),
         magnitudes=magnitudes,
         cache=cache,
-        warnings=warnings,
+        warnings=[
+            f"borderline functional magnitude {mag:.3e} on edge {src}->{dst}"
+            for (src, dst), mag in magnitudes.items()
+            if PHI_TOL < mag <= PHI_WARN_FACTOR * PHI_TOL
+        ],
     )
 
 
@@ -281,15 +277,9 @@ def _sink_sccs(
 def _positive_case_edges(cache: OperatorCache) -> set[tuple[Node, Node]]:
     """Single-vertex variant for positive eigenforms, as edges on the nodes
     ``(j, 0)``: Perron vectors as seeds, the difference operator as functional."""
-    nodes = range(cache.triple.N)
-    rows = _laplacian_matrix(cache.form)
-    max_coeff = cache.form.max_coefficient()
-    seeds = [u_bar for u_bar, _ in perron_positive(cache, nodes)]
-    edges = set()
-    for j, span in zip(nodes, orbit_span(cache, seeds)):
-        mags = _magnitudes(span, rows, max_coeff)
-        edges |= {((j, 0), (jd, 0)) for jd in nodes if mags[jd] > PHI_TOL}
-    return edges
+    seeds = [u_bar for u_bar, _ in perron_positive(cache, range(cache.triple.N))]
+    _, table = _reach(cache, seeds, _laplacian_matrix(cache.form))
+    return {((j, 0), (jd, 0)) for j, jd in np.argwhere(table > PHI_TOL).tolist()}
 
 
 def _require_context(dg: StabilityDigraph, triple, form, r, what: str) -> None:
@@ -353,8 +343,7 @@ def penalty_form(
     beyond 1e-8 of the largest entry of the square raises.
     """
     j, n = comp.j, cache.triple.N
-    power = cache.word((j,) * comp.periods[s])
-    ell = _node_row(_laplacian_matrix(cache.form)[j] @ power, comp, s)
+    ell = _node_row(_laplacian_matrix(cache.form)[j] @ cache.power(j, comp.periods[s]), comp, s)
     q = np.outer(ell, ell)
 
     _, rows, cols = _hat_index(cache.triple)

@@ -5,12 +5,12 @@ Each routine here recomputes a quantity by the most direct method available
 block, one reachability search per interior solve, single global Schur
 reduction, one intersection per cell pair, set-based structural checks, one
 breadth-first search per boundary vertex, one depth-first search per removed
-boundary cell, round-based orbit closure, one power iteration per Perron
-block, power iteration for projection limits, exhaustive word enumeration,
-exhaustive subset enumeration, one recursive call per JSON value) without
-going through the production code paths it checks.  ``random_drawn_triples``
-and ``random_valid_triples`` draw the seeded inputs that some of them are
-checked on.
+boundary cell, round-based orbit closure, one functional product per orbit
+span, one power iteration per Perron block, power iteration for projection
+limits, exhaustive word enumeration, exhaustive subset enumeration, one
+recursive call per JSON value) without going through the production code
+paths it checks.  ``random_drawn_triples`` and ``random_valid_triples`` draw
+the seeded inputs that some of them are checked on.
 """
 
 import itertools
@@ -30,11 +30,12 @@ from eigenform_lab import (
     pair_list,
     validate,
 )
-from eigenform_lab import spectral
+from eigenform_lab import spectral, uniqueness
 from eigenform_lab._graphutil import adjacency, split_components
 from eigenform_lab.errors import InternalConsistencyError, SingularInteriorError
 from eigenform_lab.forms import _support_mask
 from eigenform_lab.renorm import OperatorCache
+from eigenform_lab.uniqueness import _node_row, _sink_sccs, orbit_span
 
 
 def _emit_recursive(value, parts, level):
@@ -191,6 +192,8 @@ def validate_by_sets(triple):
         v.append(f"cell count must be at least the boundary count (k={k}, N={n})")
     if nv < n:
         v.append(f"vertex count must be at least the boundary count ({nv} < {n})")
+    if not v and nv > k * n:
+        v.append(f"vertex count must be at most the number of cell entries ({nv} > {k * n})")
     if len(triple.cells) != k:
         v.append(f"expected {k} cell maps, found {len(triple.cells)}")
         return v
@@ -521,6 +524,65 @@ def digraph_by_word_enumeration(triple, form, weights, comp_by_j, payload, phi_t
                     edges.add((src, dst))
                     break
     return edges
+
+
+def magnitudes_by_span(span, rows, max_coeff):
+    """Per row, the largest ``|row @ b| / (max_coeff * sup|b|)`` over the
+    basis vectors ``b`` of one span; vectors with zero sup norm are skipped."""
+    sup = np.max(np.abs(span), axis=1)
+    keep = sup != 0.0
+    values = np.abs(rows @ span[keep].T) / (max_coeff * sup[keep])
+    return values.max(axis=1, initial=0.0)
+
+
+def _node_rows(dg):
+    lap = dg.cache.form.matrix() - np.diag(dg.cache.form.matrix().sum(axis=1))
+    return np.array([_node_row(lap[j], dg.component_data[j], s) for (j, s) in dg.nodes])
+
+
+def digraph_readout_by_span(dg):
+    """Magnitudes, edges and warnings of the digraph ``dg``, read off its
+    spans one source at a time through ``magnitudes_by_span``."""
+    rows = _node_rows(dg)
+    magnitudes, edges, warnings = {}, set(), []
+    for src, span in dg.spans.items():
+        mags = magnitudes_by_span(span, rows, dg.cache.form.max_coefficient())
+        for dst, mag in zip(dg.nodes, mags.tolist()):
+            magnitudes[(src, dst)] = mag
+            if mag > uniqueness.PHI_TOL:
+                edges.add((src, dst))
+                if mag <= uniqueness.PHI_WARN_FACTOR * uniqueness.PHI_TOL:
+                    warnings.append(
+                        f"borderline functional magnitude {mag:.3e} on edge {src}->{dst}"
+                    )
+    return magnitudes, edges, warnings
+
+
+def positive_case_edges_by_span(cache):
+    """The positive-form cross-check's edges, one source span at a time:
+    Perron vectors as seeds, the difference operator as functional."""
+    nodes = range(cache.triple.N)
+    form = cache.form
+    rows = form.matrix() - np.diag(form.matrix().sum(axis=1))
+    seeds = [u_bar for u_bar, _ in spectral.perron_positive(cache, nodes)]
+    edges = set()
+    for j, span in zip(nodes, orbit_span(cache, seeds)):
+        mags = magnitudes_by_span(span, rows, form.max_coefficient())
+        edges |= {((j, 0), (jd, 0)) for jd in nodes if mags[jd] > uniqueness.PHI_TOL}
+    return edges
+
+
+def round_verdict(triple, form, dg):
+    """Edges, sinks and witnesses from ``orbit_span_rounds`` spans, one seed
+    at a time, read through ``magnitudes_by_span`` against ``PHI_TOL``."""
+    rows = _node_rows(dg)
+    edges = set()
+    for src in dg.nodes:
+        span = orbit_span_rounds(triple, dg.cache, dg.payload[src].u_tilde)
+        mags = magnitudes_by_span(span, rows, form.max_coefficient())
+        edges |= {(src, dst) for dst, mag in zip(dg.nodes, mags) if mag > uniqueness.PHI_TOL}
+    sinks = _sink_sccs(dg.nodes, edges)
+    return edges, sinks, (sinks[0], sinks[1]) if len(sinks) > 1 else None
 
 
 def closed_subsets(nodes, edges):

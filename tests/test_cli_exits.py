@@ -16,6 +16,7 @@ A deliberate output change regenerates the golden file with
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,71 @@ def test_warnings_precede_a_consistency_failure(command, monkeypatch, capsys):
     )
     assert cli.run([command, "gasket", "--quiet"]) == cli.EXIT_INCONSISTENT
     assert capsys.readouterr().err == "internal consistency failure: injected\n"
+
+
+_GASKET_DOC = {"name": "g", "N": 3, "k": 3, "vertices": 6, "cells": [[0, 3, 4], [3, 1, 5], [4, 5, 2]]}
+# 10^400 is past the largest float; the declared sizes ask for more memory
+# than any address space maps (8e17, 1e18 and 8e18 bytes), so a build before
+# the check fails at once instead of being granted
+_OVERSIZED = {
+    "huge_weight.json": json.dumps(dict(_GASKET_DOC, weights=[1, 10**400, 1])),
+    "huge_coefficient.json": json.dumps({"N": 3, "coefficients": [[0, 1, 10**400], [0, 2, 1]]}),
+    "huge_k.json": json.dumps(dict(_GASKET_DOC, k=10**17)),
+    "huge_vertices.json": json.dumps(dict(_GASKET_DOC, vertices=10**18)),
+    "huge_n_form.json": json.dumps({"N": 10**9, "coefficients": [[0, 1, 1.0], [0, 2, 1.0]]}),
+}
+_TOO_BIG = "holds an integer too large for a float\n"
+
+
+def _violations(message: str) -> str:
+    return dumps({"valid": False, "violations": [message]}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, stderr",
+    [
+        (["validate", "huge_weight.json"], "", "error: key 'weights' " + _TOO_BIG),
+        (["report", "huge_weight.json"], "", "error: key 'weights' " + _TOO_BIG),
+        (["verify", "gasket", "huge_coefficient.json"], "", "error: key 'coefficients' " + _TOO_BIG),
+        (
+            ["check-uniqueness", "gasket", "huge_coefficient.json"],
+            "",
+            "error: key 'coefficients' " + _TOO_BIG,
+        ),
+        (
+            ["solve", "gasket", "--init", "huge_coefficient.json"],
+            "",
+            "error: key 'coefficients' " + _TOO_BIG,
+        ),
+        (["graphs", "huge_k.json"], _violations(f"expected {10**17} cell maps, found 3"), ""),
+        (
+            ["graphs", "huge_vertices.json"],
+            _violations(f"vertex count must be at most the number of cell entries ({10**18} > 9)"),
+            "",
+        ),
+        (["verify", "gasket", "huge_n_form.json"], "", f"error: form has N={10**9}, triple has N=3\n"),
+        (
+            ["check-uniqueness", "gasket", "huge_n_form.json"],
+            "",
+            f"error: form has N={10**9}, triple has N=3\n",
+        ),
+        (
+            ["solve", "gasket", "--init", "huge_n_form.json"],
+            "",
+            f"error: init form has N={10**9}, triple has N=3\n",
+        ),
+    ],
+)
+def test_oversized_inputs_exit_1_at_once(argv, stdout, stderr, tmp_path):
+    # a number or a declared size no float or array can hold is an input
+    # error, reported before anything is allocated for it
+    for name, text in _OVERSIZED.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a) if a in _OVERSIZED else a for a in argv]
+    start = time.perf_counter()
+    got = _run(argv, tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert got == {"exit": cli.EXIT_INVALID_INPUT, "stdout": stdout, "stderr": stderr}
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from eigenform_lab import (
     DirichletForm,
+    builtin,
     energy,
     is_harmonic_at,
     is_irreducible,
@@ -140,6 +141,30 @@ def test_rejects_negative_coefficient():
 def test_rejects_duplicate_pair():
     with pytest.raises(ValueError, match="duplicate"):
         DirichletForm(3, [(0, 1, 1.0), (1, 0, 2.0)])
+
+
+def test_entries_are_checked_before_the_matrix_is_built():
+    # a form on 10^9 vertices (an 8e18-byte matrix) is checked and compared
+    # by N without its matrix; its entries are refused as eagerly as ever
+    big = DirichletForm(10**9, {(0, 1): 1.0})
+    assert big.N == 10**9
+    with pytest.raises(ValueError, match=r"form has N=1000000000, triple has N=3"):
+        solver.verify_eigenform(builtin("gasket"), np.ones(3), big)
+    with pytest.raises(ValueError, match="invalid vertex pair"):
+        DirichletForm(10**9, {(0, 10**9): 1.0})
+    with pytest.raises(ValueError, match="duplicate"):
+        DirichletForm(10**9, [(0, 1, 1.0), (1, 0, 2.0)])
+    # the matrix read later holds the bits the vector route gives
+    rng = np.random.default_rng(19)
+    for n in range(2, 9):
+        vec = rng.uniform(0.0, 2.0, n * (n - 1) // 2) * (rng.random(n * (n - 1) // 2) < 0.7)
+        form = DirichletForm(n, [(a, b, c) for (a, b), c in zip(pair_list(n), vec.tolist())])
+        want = DirichletForm._from_vector(n, vec).matrix()
+        assert form.matrix().tobytes() == want.tobytes()
+        assert form.matrix() is form.matrix() and not form.matrix().flags.writeable
+        # ones() fills its matrix directly, with the validated route's bits
+        ones = DirichletForm(n, {pair: 1.0 for pair in pair_list(n)}).matrix()
+        assert DirichletForm.ones(n).matrix().tobytes() == ones.tobytes()
 
 
 def test_from_matrix_rejects_nonzero_diagonal():

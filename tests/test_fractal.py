@@ -82,6 +82,19 @@ def test_validate_uncovered_vertex():
     assert any("vertex id 6 does not occur" in v for v in validate(broken))
 
 
+def test_validate_refuses_more_vertices_than_cell_entries():
+    # 9 entries cover at most 9 ids: up to 9 the uncovered ids are listed one
+    # by one, past it one count violation stands for them, whatever the size
+    cells = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+    for nv, want in [
+        (9, [f"vertex id {x} does not occur in any cell" for x in (6, 7, 8)]),
+        (10, ["vertex count must be at most the number of cell entries (10 > 9)"]),
+        (10**18, [f"vertex count must be at most the number of cell entries ({10**18} > 9)"]),
+    ]:
+        triple = FractalTriple("gap", 3, 3, nv, cells)
+        assert validate(triple) == validate_by_sets(triple) == want
+
+
 def test_cell_entries_must_be_integers():
     # Python ints, numpy integers and integral floats are vertex ids; a
     # fractional float or a bool is refused, naming the cell and the value

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from eigenform_lab import DirichletForm, builtin
+from eigenform_lab import DirichletForm, builtin, validate
 from eigenform_lab.jsonio import (
     dumps,
     form_to_dict,
@@ -115,6 +115,28 @@ def test_form_requires_ordered_pairs():
 def test_form_rejects_negative():
     with pytest.raises(ValueError):
         parse_form({"N": 3, "coefficients": [[0, 1, -1.0]]})
+
+
+@pytest.mark.parametrize("kind", ["fractal", "form"])
+def test_an_integer_past_the_largest_float_is_refused(kind):
+    # 10^308 is a float; 10^400 is not, and is an input error, not a crash
+    def parse(big):
+        if kind == "fractal":
+            return parse_fractal(dict(_GASKET_FILE, weights=[1, big, 1]))
+        return parse_form({"N": 3, "coefficients": [[0, 1, big], [0, 2, 1]]})
+
+    assert 1e308 in (parse(10**308)[1] if kind == "fractal" else parse(10**308).vector())
+    key = "weights" if kind == "fractal" else "coefficients"
+    with pytest.raises(ValueError, match=f"^key '{key}' holds an integer too large for a float$"):
+        parse(10**400)
+
+
+def test_default_weights_follow_the_listed_cells():
+    # a cell count the cell list does not match is validate's to report, and
+    # the default weights allocate one entry per listed cell, not per declared one
+    triple, weights = parse_fractal(dict(_GASKET_FILE, k=10**17))
+    assert triple.k == 10**17 and weights.tolist() == [1.0, 1.0, 1.0]
+    assert validate(triple) == [f"expected {10**17} cell maps, found 3"]
 
 
 def test_dumps_17_digit_floats():

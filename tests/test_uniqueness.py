@@ -19,19 +19,25 @@ from eigenform_lab import (
     pair_energy,
     penalty_form,
     perron_component,
+    pi_limit,
     stability_digraph,
     verify_eigenform,
 )
 from eigenform_lab import renorm, uniqueness
+from eigenform_lab.forms import _support_mask
 from eigenform_lab.renorm import OperatorCache
-from eigenform_lab.uniqueness import _magnitudes, _node_row, _sink_sccs
+from eigenform_lab.uniqueness import _node_row, _positive_case_edges, _sink_sccs
 
 from oracles import (
     closed_subsets,
     digraph_by_word_enumeration,
+    digraph_readout_by_span,
     has_two_disjoint_closed_subsets,
+    magnitudes_by_span,
     orbit_span_rounds,
+    positive_case_edges_by_span,
     random_valid_triples,
+    round_verdict,
 )
 
 R3 = np.ones(3)
@@ -203,41 +209,64 @@ def test_orbit_span_refuses_what_is_no_seed_stack(gasket, gasket_eigenform, seed
         orbit_span(OperatorCache(gasket, gasket_eigenform, R3), seeds)
 
 
-def _round_oracle_verdict(triple, form, dg):
-    """Edges, sinks and witnesses from ``orbit_span_rounds`` spans, one seed
-    at a time, read through ``_magnitudes`` against ``PHI_TOL``."""
-    lap = form.matrix() - np.diag(form.matrix().sum(axis=1))
-    rows = np.array([_node_row(lap[j], dg.component_data[j], s) for (j, s) in dg.nodes])
-    edges = set()
-    for src in dg.nodes:
-        span = orbit_span_rounds(triple, dg.cache, dg.payload[src].u_tilde)
-        mags = _magnitudes(span, rows, form.max_coefficient())
-        edges |= {(src, dst) for dst, mag in zip(dg.nodes, mags) if mag > uniqueness.PHI_TOL}
-    sinks = _sink_sccs(dg.nodes, edges)
-    return edges, sinks, (sinks[0], sinks[1]) if len(sinks) > 1 else None
-
-
-def test_digraph_matches_round_oracle_spans(analysed, gen, tree_gasket):
+@pytest.fixture(scope="module")
+def verified(analysed, gen, tree_gasket):
+    """Verified eigenforms: the ``analysed`` cases, tree_gasket at weights
+    (5, 2, 2), g4-g12, vicsek5-9 and the converged ones of 300 seeded draws."""
     cases = [(triple, form, r) for triple, form, r, _ in analysed]
     cases.append((tree_gasket, None, np.array([5.0, 2.0, 2.0])))
-    for triple in [gen.simplex_gasket(d) for d in (4, 8, 10)] + [gen.vicsek(6), gen.vicsek(8)]:
+    for triple in [gen.simplex_gasket(d) for d in range(4, 13)] + [gen.vicsek(n) for n in range(5, 10)]:
         cases.append((triple, None, np.ones(triple.k)))
     # the first 300 valid draws bound the run time: draw 527 spends the
     # solver's whole iteration budget
     drawn = itertools.islice(random_valid_triples(1, n_max=5, k_max=6), 300)
     cases += [(triple, None, np.array(weights)) for triple, weights in drawn]
-    checked = 0
+    out = []
     for triple, form, r in cases:
         if form is None:
             result = find_eigenform(triple, r)
             if not result.converged:
                 continue
             form = result.form
+        out.append((triple, form, r))
+    assert len(out) == len(analysed) + 1 + 9 + 5 + 152
+    return out
+
+
+def test_digraph_matches_round_oracle_spans(verified):
+    for triple, form, r in verified:
         verdict = decide_uniqueness(triple, form, r)
-        want = _round_oracle_verdict(triple, form, verdict.digraph)
+        want = round_verdict(triple, form, verdict.digraph)
         assert (verdict.digraph.edges, verdict.sink_sccs, verdict.witnesses) == want
-        checked += 1
-    assert checked == len(analysed) + 6 + 152
+
+
+def _bits(magnitudes):
+    return list(magnitudes), np.array(list(magnitudes.values())).tobytes()
+
+
+@pytest.mark.parametrize("phi_tol", [uniqueness.PHI_TOL, 1e-2])
+def test_reach_matches_the_per_span_oracle(verified, phi_tol, monkeypatch):
+    # the stacked table against one product per span: every magnitude bit
+    # for bit and in order, and the edges, sinks, witnesses, warnings and
+    # cross-check edges read off it; at PHI_TOL = 1e-2 most edges are
+    # borderline, so the warnings' text and order are compared in bulk
+    monkeypatch.setattr(uniqueness, "PHI_TOL", phi_tol)
+    warned = positive = 0
+    for triple, form, r in verified:
+        verdict = decide_uniqueness(triple, form, r)
+        dg = verdict.digraph
+        magnitudes, edges, warnings = digraph_readout_by_span(dg)
+        assert _bits(dg.magnitudes) == _bits(magnitudes)
+        assert (dg.edges, dg.warnings) == (edges, warnings)
+        sinks = _sink_sccs(dg.nodes, edges)
+        assert verdict.sink_sccs == sinks
+        assert verdict.witnesses == ((sinks[0], sinks[1]) if len(sinks) > 1 else None)
+        if _support_mask(form).all():
+            assert _positive_case_edges(dg.cache) == positive_case_edges_by_span(dg.cache)
+            positive += 1
+        warned += len(warnings)
+    assert positive > 150
+    assert (warned > 1000) == (phi_tol == 1e-2)
 
 
 def test_node_rows_match_harmonicity_functional(analysed):
@@ -261,11 +290,12 @@ def test_node_rows_match_harmonicity_functional(analysed):
 
 
 def test_magnitudes_skip_zero_vectors():
+    # the per-span oracle skips a zero vector; orbit spans never hold one
     span = np.array([[0.0, 0.0, 0.0], [0.6, -0.8, 0.0]])
     rows = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 2.0]])
-    got = _magnitudes(span, rows, 2.0)
+    got = magnitudes_by_span(span, rows, 2.0)
     assert got.tolist() == [0.6 / (2.0 * 0.8), 0.0]
-    assert _magnitudes(span[:1], rows, 2.0).tolist() == [0.0, 0.0]
+    assert magnitudes_by_span(span[:1], rows, 2.0).tolist() == [0.0, 0.0]
 
 
 def test_harmonicity_functional_examples(tree_gasket, tree_eigenform):
@@ -431,6 +461,44 @@ def test_sink_criterion_matches_subset_enumeration(gasket, tree_gasket, vicsek, 
             assert not any(sub < frozenset(scc) for sub in subsets)
         for subset in subsets:
             assert any(frozenset(s) <= subset for s in sinks)
+
+
+def test_node_powers_are_built_once_per_cache(
+    monkeypatch, gen, tree_gasket, vicsek, twisted_tree_gasket, tree_eigenform, vicsek_eigenform
+):
+    # perron_component, penalty_form and pi_limit all read one read-only
+    # power per (j, period) of a cache, with the bits of a fresh product;
+    # both components at the twisted tree gasket's vertex 0 have period 2
+    original = OperatorCache.word
+    built = []
+
+    def counting(self, word):
+        word = tuple(word)
+        built.append((id(self), word))
+        return original(self, word)
+
+    monkeypatch.setattr(OperatorCache, "word", counting)
+    cases = [(tree_gasket, tree_eigenform, R3), (vicsek, vicsek_eigenform, np.ones(5))]
+    triple, r = gen.vicsek(8), np.ones(9)
+    cases.append((triple, find_eigenform(triple, r).form, r))
+    cases.append((twisted_tree_gasket, DirichletForm(3, {(0, 1): 1.0, (0, 2): 1.0}), R3))
+    for triple, form, r in cases:
+        monkeypatch.setattr(renorm, "_last", None)
+        built.clear()
+        verdict = decide_uniqueness(triple, form, r)
+        dg = verdict.digraph
+        for node, pdata in dg.payload.items():
+            penalty_form(dg.cache, dg.component_data[node[0]], node[1])
+            pi_limit(dg.cache, pdata, pdata.u_tilde)
+        if verdict.witnesses is not None:
+            explore_nonuniqueness(triple, form, r, verdict)
+        keys = sorted({(j, pdata.period) for (j, _), pdata in dg.payload.items()})
+        assert sorted(built) == [(id(dg.cache), (j,) * period) for j, period in keys]
+        for j, period in keys:
+            power = dg.cache.power(j, period)
+            assert not power.flags.writeable
+            assert power.tobytes() == original(dg.cache, (j,) * period).tobytes()
+        assert len(built) == len(keys)
 
 
 def test_penalty_form_values(tree_gasket, tree_eigenform):
