@@ -6,30 +6,21 @@ eigenforms, and decides whether a verified eigenform is unique up to scale,
 producing checkable witnesses either way.
 """
 
-from .errors import (
-    EigenformLabError,
-    InternalConsistencyError,
-    NonConvergenceError,
-    SingularInteriorError,
-)
+from .errors import EigenformLabError, InternalConsistencyError, SingularInteriorError
 from .forms import (
     COEFF_EPS,
     DirichletForm,
     energy,
-    is_harmonic_at,
     is_irreducible,
     laplacian,
     pair_list,
     support_graph,
 )
 from .fractal import (
-    ConnectivityFlags,
     FractalTriple,
     builtin,
     builtin_names,
-    cell_graph,
     check_weights,
-    connectivity_flags,
     uniform_weights,
     validate,
 )
@@ -39,37 +30,19 @@ from .graphs import (
     complete_graph,
     components,
     hat_graph,
-    l_j_image,
     lambda_graph,
-    lift_edges,
     tilde_graph,
 )
-from .renorm import (
-    ExtensionResult,
-    OperatorCache,
-    constrained_extension,
-    harmonic_extension,
-    one_step_energy,
-    renormalize,
-)
+from .renorm import OperatorCache, renormalize
 from .solver import EigenResult, find_eigenform, verify_eigenform
-from .spectral import (
-    PerronData,
-    perron_component,
-    perron_positive,
-    pi_limit,
-    project_g,
-    project_g_tilde,
-)
+from .spectral import PerronData, perron_component, perron_positive
 from .uniqueness import (
     ExplorationOutcome,
     StabilityDigraph,
     StabilityVerdict,
     decide_uniqueness,
     explore_nonuniqueness,
-    harmonicity_functional,
     orbit_span,
-    pair_energy,
     penalty_form,
     stability_digraph,
 )

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .errors import InternalConsistencyError, NonConvergenceError, SingularInteriorError
+from .errors import InternalConsistencyError, SingularInteriorError
 from .fractal import FractalTriple, builtin, builtin_names, uniform_weights, validate
 from .graphs import components, hat_graph, tilde_graph
 from .jsonio import dumps, form_to_dict, load_form, load_fractal, triple_to_dict
@@ -284,7 +284,7 @@ def run(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (SingularInteriorError, NonConvergenceError) as exc:
+    except SingularInteriorError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except InternalConsistencyError as exc:

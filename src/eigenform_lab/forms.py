@@ -18,7 +18,6 @@ __all__ = [
     "COEFF_EPS",
     "DirichletForm",
     "energy",
-    "is_harmonic_at",
     "is_irreducible",
     "laplacian",
     "pair_list",
@@ -179,6 +178,8 @@ def _laplacian_matrix(form: DirichletForm) -> np.ndarray:
     return m - np.diag(m.sum(axis=1))
 
 
+# No library path calls this; it stays public only because the benchmark
+# tracer (``perfbench/tracer.py``) wraps it by name (ROADMAP item 13).
 def laplacian(form: DirichletForm, u) -> np.ndarray:
     """Weighted difference operator: entry j is sum_h c_{jh} (u_h - u_j)."""
     return _laplacian_matrix(form) @ _vertex_data(u, form.N)
@@ -202,17 +203,3 @@ def is_irreducible(form: DirichletForm) -> bool:
     """True when the form vanishes only on constants, i.e. the support graph
     joins all boundary vertices."""
     return support_graph(form).is_connected()
-
-
-def is_harmonic_at(form: DirichletForm, u, j: int) -> bool:
-    """Whether the weighted difference operator vanishes at vertex ``j``.
-
-    The comparison is relative: the threshold is 1e-9 times the largest
-    coefficient times the oscillation of ``u``, so the answer is invariant
-    under rescaling either the form or the data.  Zero scale counts as
-    harmonic.
-    """
-    u = _vertex_data(u, form.N)
-    scale = form.max_coefficient() * (u.max() - u.min())
-    value = laplacian(form, u)[j]
-    return bool(abs(value) <= 1e-9 * scale)

@@ -14,20 +14,17 @@ import functools
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
-from ._graphutil import adjacency, labels, pair_index, split_components
+from ._graphutil import labels, pair_index
 
 __all__ = [
     "FractalTriple",
-    "ConnectivityFlags",
     "builtin",
     "builtin_names",
-    "cell_graph",
     "check_weights",
-    "connectivity_flags",
     "uniform_weights",
     "validate",
 ]
@@ -68,10 +65,6 @@ class FractalTriple:
         # rebuilt on unpickling: a string's hash differs between processes
         return FractalTriple, (self.name, self.N, self.k, self.num_vertices, self.cells)
 
-    @property
-    def interior(self) -> range:
-        return range(self.N, self.num_vertices)
-
     @functools.cached_property
     def cell_array(self) -> np.ndarray:
         """The cells as one read-only ``(k, N)`` intp array, row ``i`` being
@@ -94,11 +87,6 @@ def _vertex_id(cell: int, v) -> int:
         except TypeError:
             pass
     raise ValueError(f"cell {cell} holds {v!r}, which is not an integer vertex id")
-
-
-class ConnectivityFlags(NamedTuple):
-    a_connected: bool
-    o_connected: bool
 
 
 def validate(triple: FractalTriple) -> list[str]:
@@ -165,46 +153,6 @@ def validate(triple: FractalTriple) -> list[str]:
     if np.count_nonzero(root[cells[:, 0]] != root[cells[0, 0]]):
         v.append("cell graph disconnected")
     return v
-
-
-def cell_graph(triple: FractalTriple) -> frozenset[tuple[int, int]]:
-    """Edges ``{i1, i2}`` between cells that share a vertex id, read from the
-    vertex-to-cells incidence rather than by intersecting every cell pair."""
-    incident: dict[int, set[int]] = {}
-    for i, cell in enumerate(triple.cells):
-        for x in cell:
-            incident.setdefault(x, set()).add(i)
-    return frozenset((a, b) for cells in incident.values() for a in cells for b in cells if a < b)
-
-
-def connectivity_flags(triple: FractalTriple) -> ConnectivityFlags:
-    """Two connectivity strengths of the cell structure.
-
-    ``a_connected``: removing any single boundary cell leaves all remaining
-    boundary cells joined within the cell graph.  ``o_connected``: the
-    boundary cells are pairwise disjoint and the non-boundary cells form a
-    nonempty connected subgraph.  The second implies the first.
-    """
-    n, k = triple.N, triple.k
-    adj = adjacency(k, cell_graph(triple))
-
-    a_conn = True
-    for j in range(n):
-        # every surviving boundary index must sit in one component of the rest
-        targets = [i for i in range(n) if i != j]
-        if len(targets) > 1:
-            parts = split_components(set(range(k)) - {j}, adj)
-            if not any(set(targets) <= set(part) for part in parts):
-                a_conn = False
-                break
-
-    sets = [set(cell) for cell in triple.cells]
-    disjoint = all(
-        not (sets[j1] & sets[j2]) for j1 in range(n) for j2 in range(j1 + 1, n)
-    )
-    inner = set(range(n, k))
-    o_conn = disjoint and len(split_components(inner, adj)) == 1
-    return ConnectivityFlags(a_connected=a_conn, o_connected=o_conn)
 
 
 def uniform_weights(triple: FractalTriple) -> np.ndarray:

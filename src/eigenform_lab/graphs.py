@@ -39,9 +39,7 @@ __all__ = [
     "complete_graph",
     "components",
     "hat_graph",
-    "l_j_image",
     "lambda_graph",
-    "lift_edges",
     "tilde_graph",
 ]
 
@@ -100,15 +98,6 @@ def _lift(
     if cell_indices is not None:
         cells = cells[np.array(list(cell_indices), dtype=np.intp)]
     return cells[:, pairs].reshape(-1, 2)
-
-
-def lift_edges(
-    triple: FractalTriple,
-    boundary_edges: Iterable[tuple[int, int]],
-    cell_indices: Iterable[int] | None = None,
-) -> frozenset[tuple[int, int]]:
-    """Copy each boundary edge into the chosen cells (all cells by default)."""
-    return frozenset(map(tuple, np.sort(_lift(triple, boundary_edges, cell_indices)).tolist()))
 
 
 def _touching(n: int, touch) -> BoundaryGraph:
@@ -300,21 +289,3 @@ def _component_data(triple: FractalTriple, j: int, hat: BoundaryGraph) -> Compon
         c_prime=tuple(c_prime),
         c_second=tuple(c_second),
     )
-
-
-def l_j_image(triple: FractalTriple, j: int, vertices: Iterable[int], n: int = 1) -> frozenset[int]:
-    """n-fold image of a boundary vertex set under the cell-``j`` image map."""
-    if not 0 <= j < triple.N:
-        raise ValueError(f"j={j} is not a boundary id")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    current = frozenset(int(x) for x in vertices)
-    for x in current:
-        if not 0 <= x < triple.N or x == j:
-            raise ValueError(f"vertex {x} is not a boundary id distinct from j={j}")
-    if n == 0 or not current:
-        return current
-    singles = _single_images(triple, j, hat_graph(triple))
-    for _ in range(n):
-        current = frozenset(x for p in current for x in singles[p])
-    return current

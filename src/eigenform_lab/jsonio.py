@@ -160,9 +160,19 @@ def parse_fractal(data: dict) -> tuple[FractalTriple, np.ndarray]:
     return triple, check_weights(triple, np.array([_number(w, "weights") for w in raw]))
 
 
-def load_fractal(path) -> tuple[FractalTriple, np.ndarray]:
+def _read(path):
+    """The decoded JSON document in the file at ``path``.  A document nested
+    past the decoder's recursion limit is refused as input, naming the file;
+    recursion anywhere else keeps its traceback."""
     with open(path, encoding="utf-8") as fh:
-        return parse_fractal(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON values nested too deeply to read") from None
+
+
+def load_fractal(path) -> tuple[FractalTriple, np.ndarray]:
+    return parse_fractal(_read(path))
 
 
 def form_to_dict(form: DirichletForm) -> dict:
@@ -197,5 +207,4 @@ def parse_form(data: dict) -> DirichletForm:
 
 
 def load_form(path) -> DirichletForm:
-    with open(path, encoding="utf-8") as fh:
-        return parse_form(json.load(fh))
+    return parse_form(_read(path))

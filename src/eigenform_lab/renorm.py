@@ -12,8 +12,9 @@ cell maps and the Schur block; the eigenform search, ``renormalize`` and the
 stability analysis take it from a slot holding the context built last, so
 checking the form the search returned reuses its last solve.
 
-Every interior solve, onto the boundary or onto any other set of fixed
-vertices, is a Kron reduction of the network.  Its symbolic schedule depends
+Every interior solve is a Kron reduction of the network onto a set of fixed
+vertices: the boundary, for the library; the extension oracles of the test
+suite fix other sets through ``_extend``.  Its symbolic schedule depends
 only on which (cell, pair) slots carry conductance and on the fixed ids, so it
 is built once per (triple, pattern, fixed ids) and cached.  Building it
 labels the components of the conductance network in one array pass
@@ -33,37 +34,20 @@ straight to LU.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from ._graphutil import labels, pair_index
 from .errors import InternalConsistencyError, SingularInteriorError
-from .forms import COEFF_EPS, DirichletForm, _vertex_data, energy, pair_list
+from .forms import COEFF_EPS, DirichletForm, pair_list
 from .fractal import FractalTriple, check_weights
 
 __all__ = [
-    "ExtensionResult",
     "OperatorCache",
     "conductance_laplacian",
-    "constrained_extension",
-    "harmonic_extension",
-    "one_step_energy",
     "renormalize",
 ]
-
-
-@dataclass(frozen=True)
-class ExtensionResult:
-    """Minimizing extension over the first-level vertices.
-
-    ``values[v]`` is the extension at vertex id ``v``; ``achieved_energy`` is
-    the one-step energy of that extension.
-    """
-
-    values: np.ndarray
-    achieved_energy: float
 
 
 _SLOT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
@@ -76,6 +60,8 @@ def _pair_images(triple: FractalTriple) -> np.ndarray:
     return triple.cell_array[:, np.array(pair_list(triple.N))].reshape(-1, 2)
 
 
+# No library path calls this; it stays public only because the benchmark
+# tracer (``perfbench/tracer.py``) wraps it by name (ROADMAP item 13).
 def conductance_laplacian(
     triple: FractalTriple, form: DirichletForm, weights
 ) -> np.ndarray:
@@ -320,49 +306,6 @@ def _extend(
     keeping the sorted vertex ids ``fixed``."""
     w = (r[:, None] * form.vector()).ravel()
     return _reduce(_schedule(triple, (w != 0.0).tobytes(), fixed), w)
-
-
-def one_step_energy(triple: FractalTriple, form: DirichletForm, weights, v) -> float:
-    """Weighted sum of the form over all cell restrictions of first-level data."""
-    r = check_weights(triple, weights)
-    v = _vertex_data(v, triple.num_vertices)
-    return float(
-        sum(r[i] * energy(form, v[np.array(cell)]) for i, cell in enumerate(triple.cells))
-    )
-
-
-def _extension(
-    triple: FractalTriple, form: DirichletForm, weights, fixed: Sequence[int], fixed_vals
-) -> ExtensionResult:
-    """Energy minimizer among first-level data taking ``fixed_vals`` on the
-    sorted vertex ids ``fixed``."""
-    x, _ = _extend(triple, form, check_weights(triple, weights), tuple(fixed))
-    values = x @ fixed_vals
-    values[fixed] = fixed_vals
-    values.flags.writeable = False
-    return ExtensionResult(values, one_step_energy(triple, form, weights, values))
-
-
-def harmonic_extension(
-    triple: FractalTriple, form: DirichletForm, weights, u
-) -> ExtensionResult:
-    """Unique extension of boundary data minimizing the one-step energy."""
-    u = _vertex_data(u, triple.N)
-    return _extension(triple, form, weights, list(range(triple.N)), u)
-
-
-def constrained_extension(
-    triple: FractalTriple, form: DirichletForm, weights, fixed: Mapping[int, float]
-) -> ExtensionResult:
-    """Energy minimizer among first-level data agreeing with ``fixed``."""
-    if not fixed:
-        raise ValueError("the fixed-value map must be nonempty")
-    fixed_ids = sorted(int(v) for v in fixed)
-    for v in fixed_ids:
-        if not 0 <= v < triple.num_vertices:
-            raise ValueError(f"fixed vertex id {v} out of range")
-    fixed_vals = np.array([float(fixed[v]) for v in fixed_ids])
-    return _extension(triple, form, weights, fixed_ids, fixed_vals)
 
 
 def renormalize(triple: FractalTriple, form: DirichletForm, weights) -> DirichletForm:

@@ -2,9 +2,8 @@
 
 For each boundary vertex the associated cell operator (or the power matching
 the component period) acts as a strictly positive matrix on a distinguished
-coordinate block; its Perron pair, the pushed-forward eigenvector on the full
-component, and the limiting projection coefficient of arbitrary data feed the
-stability analysis.
+coordinate block; its Perron pair and the pushed-forward eigenvector on the
+full component feed the stability analysis.
 
 Every function here reads the cell operators of one ``OperatorCache``, its
 first argument, which also carries the triple and form they belong to.
@@ -19,8 +18,9 @@ iterated in lockstep, one BLAS product per block, so each block gets the
 bits it would get alone, and the checks run as array operations; a failure
 is raised for the first failing item.
 
-The limiting projection coefficient is a linear functional of the data, the
-left Perron vector, and comes from one linear solve.
+The limiting projection coefficient of the paper, the left Perron vector
+applied to the data, is a proof device with no part in the decision; it is
+computed only in the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ __all__ = [
     "PerronData",
     "perron_component",
     "perron_positive",
-    "pi_limit",
-    "project_g",
-    "project_g_tilde",
 ]
 
 POWER_TOL = 1e-13
@@ -226,45 +223,3 @@ def perron_component(
         )
         for i, ((comp, s), value) in enumerate(zip(nodes, values.tolist()))
     ]
-
-
-def project_g(u, comp: ComponentData, s: int) -> np.ndarray:
-    """Shift by the value at the pivot vertex, then mask to component ``s``."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    idx = list(comp.components[s])
-    out[idx] = u[idx] - u[comp.j]
-    return out
-
-
-def project_g_tilde(u, comp: ComponentData, s: int) -> np.ndarray:
-    """Mask to the surviving part of component ``s``."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    idx = list(comp.c_prime[s])
-    out[idx] = u[idx]
-    return out
-
-
-def pi_limit(cache: OperatorCache, pdata: PerronData, u) -> float:
-    """Limiting coefficient of data along the component eigenvector.
-
-    The period-th operator power divided by its eigenvalue, applied over and
-    over, carries data on the component ``C`` (the support of ``u_tilde``)
-    towards a multiple of ``u_tilde``; the multiple is ``l @ u[C]``, with
-    ``l`` the left Perron vector of the power restricted to ``C``, scaled so
-    that ``l @ u_tilde[C] == 1``.  It solves the bordered system
-    ``[P_CC^T - lambda I ; u_tilde[C]^T] l = [0 ; 1]`` by least squares.
-    The input must be supported on the component.
-    """
-    u = np.asarray(u, dtype=float)
-    inside = pdata.u_tilde > 0.0
-    stray = np.max(np.abs(u[~inside]), initial=0.0)
-    if stray > 1e-9 * max(np.max(np.abs(u)), 1e-300):
-        raise ValueError("data must be supported on the component")
-    block = cache.power(pdata.j, pdata.period)[np.ix_(inside, inside)]
-    tilde = pdata.u_tilde[inside]
-    m = tilde.size
-    bordered = np.vstack([block.T - pdata.eigenvalue * np.eye(m), tilde])
-    left = np.linalg.lstsq(bordered, np.append(np.zeros(m), 1.0))[0]
-    return float(left @ u[inside])

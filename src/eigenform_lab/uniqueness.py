@@ -37,17 +37,17 @@ and component data instead of rebuilding them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .forms import DirichletForm, _laplacian_matrix, _support_mask, laplacian
+from .forms import DirichletForm, _laplacian_matrix, _support_mask
 from .fractal import FractalTriple, check_weights
 from .graphs import ComponentData, _hat_index, components
 from .renorm import OperatorCache, _context
 from .solver import EigenResult, _on_hat_support, find_eigenform
-from .spectral import PerronData, perron_component, perron_positive, project_g
+from .spectral import PerronData, perron_component, perron_positive
 
 __all__ = [
     "ExplorationOutcome",
@@ -55,9 +55,7 @@ __all__ = [
     "StabilityVerdict",
     "decide_uniqueness",
     "explore_nonuniqueness",
-    "harmonicity_functional",
     "orbit_span",
-    "pair_energy",
     "penalty_form",
     "stability_digraph",
 ]
@@ -179,16 +177,9 @@ def orbit_span(cache: OperatorCache, seeds) -> list[np.ndarray]:
     return [basis[s, :d] for s, d in enumerate(dim.tolist())]
 
 
-def harmonicity_functional(
-    form: DirichletForm, comp: ComponentData, s: int, u
-) -> float:
-    """Weighted difference operator at the pivot vertex of the shifted,
-    component-masked data."""
-    return float(laplacian(form, project_g(u, comp, s))[comp.j])
-
-
 def _node_row(v: np.ndarray, comp: ComponentData, s: int) -> np.ndarray:
-    """Row ``x`` with ``x @ u == v @ project_g(u, comp, s)`` for all ``u``."""
+    """Row ``x`` with ``x @ u == v @ g`` for all ``u``, where ``g`` is ``u``
+    shifted by its value at ``comp.j`` and masked to component ``s``."""
     idx = list(comp.components[s])
     x = np.zeros(len(v))
     x[idx] = v[idx]
@@ -362,12 +353,6 @@ def penalty_form(
         for a, b, d in zip(rows.tolist(), cols.tolist(), table.tolist())
         if d != 0.0
     }
-
-
-def pair_energy(table: Mapping[tuple[int, int], float], u) -> float:
-    """Evaluate a pair-difference coefficient table on boundary data."""
-    u = np.asarray(u, dtype=float)
-    return float(sum(d * (u[a] - u[b]) ** 2 for (a, b), d in table.items()))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,14 @@ limits, exhaustive word enumeration, exhaustive subset enumeration, one
 recursive call per JSON value) without going through the production code
 paths it checks.  ``random_drawn_triples`` and ``random_valid_triples`` draw
 the seeded inputs that some of them are checked on.
+
+The paper's proof devices, which no library path needs, are defined here
+alone: the harmonic and constrained extensions with their one-step energy,
+the projections g and g~ with the limit pi, harmonicity at a vertex, the
+harmonicity functional, the pair energy of a penalty table and the n-fold
+image map L_j.  They read the library's private helpers; the extensions solve
+through ``renorm._extend``, so a test fixing an arbitrary vertex set still
+runs the production Kron schedule.
 """
 
 import itertools
@@ -18,23 +26,30 @@ import json
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from eigenform_lab import (
     BoundaryGraph,
+    ComponentData,
     DirichletForm,
     FractalTriple,
     PerronData,
-    harmonicity_functional,
+    check_weights,
+    energy,
+    hat_graph,
+    laplacian,
     pair_list,
     validate,
 )
 from eigenform_lab import spectral, uniqueness
 from eigenform_lab._graphutil import adjacency, split_components
 from eigenform_lab.errors import InternalConsistencyError, SingularInteriorError
-from eigenform_lab.forms import _support_mask
-from eigenform_lab.renorm import OperatorCache
+from eigenform_lab.forms import _support_mask, _vertex_data
+from eigenform_lab.graphs import _single_images
+from eigenform_lab.renorm import OperatorCache, _extend
 from eigenform_lab.uniqueness import _node_row, _sink_sccs, orbit_span
 
 
@@ -140,6 +155,61 @@ def extension_by_lu(triple, form, weights, fixed, values):
     out[fixed] = values
     out[free] = np.linalg.solve(lap[np.ix_(free, free)], -lap[np.ix_(free, fixed)] @ values)
     return out
+
+
+@dataclass(frozen=True)
+class ExtensionResult:
+    """Minimizing extension over the first-level vertices.
+
+    ``values[v]`` is the extension at vertex id ``v``; ``achieved_energy`` is
+    the one-step energy of that extension.
+    """
+
+    values: np.ndarray
+    achieved_energy: float
+
+
+def one_step_energy(triple: FractalTriple, form: DirichletForm, weights, v) -> float:
+    """Weighted sum of the form over all cell restrictions of first-level data."""
+    r = check_weights(triple, weights)
+    v = _vertex_data(v, triple.num_vertices)
+    return float(
+        sum(r[i] * energy(form, v[np.array(cell)]) for i, cell in enumerate(triple.cells))
+    )
+
+
+def _extension(
+    triple: FractalTriple, form: DirichletForm, weights, fixed: Sequence[int], fixed_vals
+) -> ExtensionResult:
+    """Energy minimizer among first-level data taking ``fixed_vals`` on the
+    sorted vertex ids ``fixed``."""
+    x, _ = _extend(triple, form, check_weights(triple, weights), tuple(fixed))
+    values = x @ fixed_vals
+    values[fixed] = fixed_vals
+    values.flags.writeable = False
+    return ExtensionResult(values, one_step_energy(triple, form, weights, values))
+
+
+def harmonic_extension(
+    triple: FractalTriple, form: DirichletForm, weights, u
+) -> ExtensionResult:
+    """Unique extension of boundary data minimizing the one-step energy."""
+    u = _vertex_data(u, triple.N)
+    return _extension(triple, form, weights, list(range(triple.N)), u)
+
+
+def constrained_extension(
+    triple: FractalTriple, form: DirichletForm, weights, fixed: Mapping[int, float]
+) -> ExtensionResult:
+    """Energy minimizer among first-level data agreeing with ``fixed``."""
+    if not fixed:
+        raise ValueError("the fixed-value map must be nonempty")
+    fixed_ids = sorted(int(v) for v in fixed)
+    for v in fixed_ids:
+        if not 0 <= v < triple.num_vertices:
+            raise ValueError(f"fixed vertex id {v} out of range")
+    fixed_vals = np.array([float(fixed[v]) for v in fixed_ids])
+    return _extension(triple, form, weights, fixed_ids, fixed_vals)
 
 
 def check_reachable_bfs(triple, lap, free, fixed):
@@ -382,6 +452,24 @@ def single_images_bfs(triple, j, hat):
     return out
 
 
+def l_j_image(triple: FractalTriple, j: int, vertices: Iterable[int], n: int = 1) -> frozenset[int]:
+    """n-fold image of a boundary vertex set under the cell-``j`` image map."""
+    if not 0 <= j < triple.N:
+        raise ValueError(f"j={j} is not a boundary id")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    current = frozenset(int(x) for x in vertices)
+    for x in current:
+        if not 0 <= x < triple.N or x == j:
+            raise ValueError(f"vertex {x} is not a boundary id distinct from j={j}")
+    if n == 0 or not current:
+        return current
+    singles = _single_images(triple, j, hat_graph(triple))
+    for _ in range(n):
+        current = frozenset(x for p in current for x in singles[p])
+    return current
+
+
 def orbit_span_rounds(triple, cache, seed, rank_tol=1e-10):
     """Orbit span closed in rounds: each round pushes every basis vector
     through every cell operator, one operator and one vector at a time, and
@@ -476,6 +564,48 @@ def perron_component_by_node(cache, comp, s):
     return PerronData(j=j, s=s, period=period, u_bar=u_bar, u_tilde=u_tilde, eigenvalue=value)
 
 
+def project_g(u, comp: ComponentData, s: int) -> np.ndarray:
+    """Shift by the value at the pivot vertex, then mask to component ``s``."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    idx = list(comp.components[s])
+    out[idx] = u[idx] - u[comp.j]
+    return out
+
+
+def project_g_tilde(u, comp: ComponentData, s: int) -> np.ndarray:
+    """Mask to the surviving part of component ``s``."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    idx = list(comp.c_prime[s])
+    out[idx] = u[idx]
+    return out
+
+
+def pi_limit(cache: OperatorCache, pdata: PerronData, u) -> float:
+    """Limiting coefficient of data along the component eigenvector.
+
+    The period-th operator power divided by its eigenvalue, applied over and
+    over, carries data on the component ``C`` (the support of ``u_tilde``)
+    towards a multiple of ``u_tilde``; the multiple is ``l @ u[C]``, with
+    ``l`` the left Perron vector of the power restricted to ``C``, scaled so
+    that ``l @ u_tilde[C] == 1``.  It solves the bordered system
+    ``[P_CC^T - lambda I ; u_tilde[C]^T] l = [0 ; 1]`` by least squares.
+    The input must be supported on the component.
+    """
+    u = np.asarray(u, dtype=float)
+    inside = pdata.u_tilde > 0.0
+    stray = np.max(np.abs(u[~inside]), initial=0.0)
+    if stray > 1e-9 * max(np.max(np.abs(u)), 1e-300):
+        raise ValueError("data must be supported on the component")
+    block = cache.power(pdata.j, pdata.period)[np.ix_(inside, inside)]
+    tilde = pdata.u_tilde[inside]
+    m = tilde.size
+    bordered = np.vstack([block.T - pdata.eigenvalue * np.eye(m), tilde])
+    left = np.linalg.lstsq(bordered, np.append(np.zeros(m), 1.0))[0]
+    return float(left @ u[inside])
+
+
 def pi_limit_by_iteration(cache, pdata, u, tol=1e-12, max_iter=500):
     """Limiting coefficient of component data along ``pdata.u_tilde`` by
     iteration: apply the period-th operator power divided by its eigenvalue
@@ -496,6 +626,34 @@ def pi_limit_by_iteration(cache, pdata, u, tol=1e-12, max_iter=500):
             return coeff
         prev = coeff
     return None
+
+
+def is_harmonic_at(form: DirichletForm, u, j: int) -> bool:
+    """Whether the weighted difference operator vanishes at vertex ``j``.
+
+    The comparison is relative: the threshold is 1e-9 times the largest
+    coefficient times the oscillation of ``u``, so the answer is invariant
+    under rescaling either the form or the data.  Zero scale counts as
+    harmonic.
+    """
+    u = _vertex_data(u, form.N)
+    scale = form.max_coefficient() * (u.max() - u.min())
+    value = laplacian(form, u)[j]
+    return bool(abs(value) <= 1e-9 * scale)
+
+
+def harmonicity_functional(
+    form: DirichletForm, comp: ComponentData, s: int, u
+) -> float:
+    """Weighted difference operator at the pivot vertex of the shifted,
+    component-masked data."""
+    return float(laplacian(form, project_g(u, comp, s))[comp.j])
+
+
+def pair_energy(table: Mapping[tuple[int, int], float], u) -> float:
+    """Evaluate a pair-difference coefficient table on boundary data."""
+    u = np.asarray(u, dtype=float)
+    return float(sum(d * (u[a] - u[b]) ** 2 for (a, b), d in table.items()))
 
 
 def all_words(k, max_len):

@@ -17,16 +17,11 @@ from eigenform_lab import (
     energy,
     explore_nonuniqueness,
     find_eigenform,
-    harmonicity_functional,
-    harmonic_extension,
     hat_graph,
-    l_j_image,
     laplacian,
-    lift_edges,
     pair_list,
     perron_component,
     perron_positive,
-    project_g,
     renormalize,
     stability_digraph,
     support_graph,
@@ -40,8 +35,14 @@ from eigenform_lab.renorm import OperatorCache
 from eigenform_lab.uniqueness import _sink_sccs
 
 from oracles import (
+    constrained_extension,
     digraph_by_word_enumeration,
+    harmonic_extension,
+    harmonicity_functional,
     has_two_disjoint_closed_subsets,
+    l_j_image,
+    lift_edges_loop,
+    project_g,
     two_level_form,
 )
 
@@ -160,7 +161,7 @@ def _random_connected_cell_subset(triple, rng):
 def _interior_reach_sets(triple, hat):
     """Boundary vertices visible from each interior vertex through interior
     paths of the lifted stable graph."""
-    adj = adjacency(triple.num_vertices, lift_edges(triple, hat.edges))
+    adj = adjacency(triple.num_vertices, lift_edges_loop(triple, hat.edges))
     reach = {}
     for q in range(triple.N, triple.num_vertices):
         seen = {q}
@@ -249,8 +250,6 @@ def test_criterion_6_identity_suites(corpus):
 
         # pinned-boundary value equals the renormalized coefficient ratio
         lam = renormalize(triple, form, weights)
-        from eigenform_lab import constrained_extension
-
         for _ in range(30):
             j1 = int(rng.integers(0, n))
             j2 = int(rng.integers(0, n))

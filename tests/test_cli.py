@@ -12,6 +12,8 @@ from eigenform_lab import builtin, cli, graphs
 from eigenform_lab.cli import run
 from eigenform_lab.jsonio import dumps, triple_to_dict
 
+from oracles import lift_edges_loop
+
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -262,7 +264,7 @@ def test_report_labels_the_contact_graph_once(name, monkeypatch, capsys):
     # the stable graph starts from the contact graph, and the graphs block
     # prints it: one lift and labelling serves both
     triple = builtin(name)
-    contact = graphs.lift_edges(
+    contact = lift_edges_loop(
         triple, graphs.complete_graph(triple.N).edges, range(triple.N, triple.k)
     )
     labelled = []

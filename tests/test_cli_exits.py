@@ -23,11 +23,7 @@ import pytest
 
 from eigenform_lab import builtin
 from eigenform_lab import cli
-from eigenform_lab.errors import (
-    InternalConsistencyError,
-    NonConvergenceError,
-    SingularInteriorError,
-)
+from eigenform_lab.errors import InternalConsistencyError, SingularInteriorError
 from eigenform_lab.jsonio import dumps, triple_to_dict
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_exits.json"
@@ -166,7 +162,6 @@ def test_help_exits_0(capsys):
             cli.EXIT_NUMERICAL,
             "numerical failure: interior vertex 7 has no conductance path to the boundary\n",
         ),
-        (NonConvergenceError("injected"), cli.EXIT_NUMERICAL, "numerical failure: injected\n"),
         (
             InternalConsistencyError("injected"),
             cli.EXIT_INCONSISTENT,
@@ -271,6 +266,34 @@ def test_oversized_inputs_exit_1_at_once(argv, stdout, stderr, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert got == {"exit": cli.EXIT_INVALID_INPUT, "stdout": stdout, "stderr": stderr}
 
+
+
+# past the decoder's recursion limit, as a whole document and inside "cells"
+_DEEP = {
+    "deep.json": "[" * 100000 + "]" * 100000,
+    "deep_cells.json": '{"N": 3, "k": 3, "vertices": 6, "cells": ' + "[" * 5000 + "]" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["validate", "deep.json"], "deep.json"),
+        (["report", "deep_cells.json"], "deep_cells.json"),
+        (["verify", "gasket", "deep.json"], "deep.json"),
+        (["solve", "gasket", "--init", "deep.json"], "deep.json"),
+    ],
+)
+def test_deeply_nested_files_exit_1(argv, name, tmp_path):
+    # fractal and form files alike: an input error naming the file, not a traceback
+    for file, text in _DEEP.items():
+        (tmp_path / file).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a) if a in _DEEP else a for a in argv]
+    assert _run(argv, tmp_path) == {
+        "exit": cli.EXIT_INVALID_INPUT,
+        "stdout": "",
+        "stderr": f"error: {tmp_path / name}: JSON values nested too deeply to read\n",
+    }
 
 if __name__ == "__main__":
     import tempfile

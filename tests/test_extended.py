@@ -9,7 +9,6 @@ from eigenform_lab import (
     FractalTriple,
     builtin,
     components,
-    connectivity_flags,
     decide_uniqueness,
     find_eigenform,
     hat_graph,
@@ -21,7 +20,11 @@ from eigenform_lab import (
 from eigenform_lab.renorm import OperatorCache
 from eigenform_lab.uniqueness import _sink_sccs
 
-from oracles import digraph_by_word_enumeration, has_two_disjoint_closed_subsets
+from oracles import (
+    connectivity_flags_dfs,
+    digraph_by_word_enumeration,
+    has_two_disjoint_closed_subsets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +63,7 @@ def snowflake():
 def test_snowflake_structure(snowflake):
     assert validate(snowflake) == []
     assert snowflake.num_vertices == 30
-    flags = connectivity_flags(snowflake)
-    assert flags.a_connected and not flags.o_connected
+    assert connectivity_flags_dfs(snowflake) == (True, False)
     assert len(hat_graph(snowflake).edges) == 15  # complete on six vertices
 
 

@@ -7,7 +7,6 @@ from eigenform_lab import (
     DirichletForm,
     builtin,
     energy,
-    is_harmonic_at,
     is_irreducible,
     laplacian,
     pair_list,
@@ -16,6 +15,8 @@ from eigenform_lab import (
 from eigenform_lab import forms, solver
 from eigenform_lab.renorm import OperatorCache
 from eigenform_lab.spectral import perron_positive
+
+from oracles import is_harmonic_at
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 

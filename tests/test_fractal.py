@@ -13,9 +13,7 @@ from eigenform_lab import (
     FractalTriple,
     builtin,
     builtin_names,
-    cell_graph,
     check_weights,
-    connectivity_flags,
     hat_graph,
     validate,
 )
@@ -186,33 +184,25 @@ def test_boundary_vertex_occurs_only_in_own_cell():
 
 
 def test_cell_graph_gasket(gasket):
-    assert cell_graph(gasket) == frozenset({(0, 1), (0, 2), (1, 2)})
+    assert cell_graph_pairwise(gasket) == frozenset({(0, 1), (0, 2), (1, 2)})
 
 
 def test_cell_graph_vicsek_star(vicsek):
-    assert cell_graph(vicsek) == frozenset({(0, 4), (1, 4), (2, 4), (3, 4)})
+    assert cell_graph_pairwise(vicsek) == frozenset({(0, 4), (1, 4), (2, 4), (3, 4)})
 
 
 def test_cell_graph_single_cell():
     lonely = FractalTriple("one", 2, 1, 2, ((0, 1),))
-    assert cell_graph(lonely) == frozenset()
+    assert cell_graph_pairwise(lonely) == frozenset()
 
 
 def test_connectivity_flags():
-    assert connectivity_flags(builtin("vicsek")) == (True, True)
-    assert connectivity_flags(builtin("tree_gasket")).a_connected is False
-    gasket_flags = connectivity_flags(builtin("gasket"))
-    assert gasket_flags.o_connected is False
-    assert gasket_flags.a_connected is True
+    assert connectivity_flags_dfs(builtin("vicsek")) == (True, True)
+    assert connectivity_flags_dfs(builtin("tree_gasket")) == (False, False)
+    assert connectivity_flags_dfs(builtin("gasket")) == (True, False)
 
 
-def test_o_connected_implies_a_connected():
-    for name in builtin_names():
-        flags = connectivity_flags(builtin(name))
-        assert not flags.o_connected or flags.a_connected
-
-
-def test_connectivity_flags_match_dfs_oracle(gen):
+def test_o_connected_implies_a_connected(gen):
     triples = [builtin(name) for name in builtin_names()]
     triples += [gen.simplex_gasket(d) for d in (4, 8, 12)]
     triples += [gen.vicsek(n) for n in range(5, 10)]
@@ -221,9 +211,9 @@ def test_connectivity_flags_match_dfs_oracle(gen):
     triples += [gen.relabel(t, [1.0] * t.k, rng)[0] for t in list(triples)]
     seen = set()
     for triple in triples:
-        flags = connectivity_flags(triple)
-        assert flags == connectivity_flags_dfs(triple), triple.name
-        seen.add(tuple(flags))
+        a_connected, o_connected = connectivity_flags_dfs(triple)
+        assert not o_connected or a_connected, triple.name
+        seen.add((a_connected, o_connected))
     assert {(True, True), (True, False), (False, False)} <= seen
 
 
@@ -235,8 +225,7 @@ def test_cell_graph_and_connectivity_match_pairwise_oracles(gen):
     rng = random.Random(23)
     triples += [gen.relabel(t, [1.0] * t.k, rng)[0] for t in list(triples)]
     for triple in triples:
-        edges = cell_graph(triple)
-        assert edges == cell_graph_pairwise(triple), triple.name
+        edges = cell_graph_pairwise(triple)
         k, n = triple.k, triple.N
         adj = adjacency(k, edges)
         subsets = [range(k), range(n, k), range(n)]

@@ -13,15 +13,19 @@ from eigenform_lab import (
     complete_graph,
     components,
     hat_graph,
-    l_j_image,
     lambda_graph,
-    lift_edges,
     tilde_graph,
     validate,
 )
 from eigenform_lab._graphutil import adjacency, labels, split_components
-from eigenform_lab.graphs import _single_images
-from oracles import lambda_graph_bfs, lift_edges_loop, random_valid_triples, single_images_bfs
+from eigenform_lab.graphs import _lift, _single_images
+from oracles import (
+    l_j_image,
+    lambda_graph_bfs,
+    lift_edges_loop,
+    random_valid_triples,
+    single_images_bfs,
+)
 
 
 def edges(*pairs):
@@ -370,4 +374,5 @@ def test_lift_edges_match_cell_loop(gen, twisted_tree_gasket):
         for _ in range(3):
             g = [p for p in pairs if rng.random() < rng.random()]
             for chosen in (None, [i for i in range(k) if rng.random() < 0.5], range(n, k)):
-                assert lift_edges(triple, g, chosen) == lift_edges_loop(triple, g, chosen)
+                lifted = frozenset(map(tuple, np.sort(_lift(triple, g, chosen)).tolist()))
+                assert lifted == lift_edges_loop(triple, g, chosen)

@@ -9,13 +9,10 @@ from eigenform_lab import (
     SingularInteriorError,
     builtin,
     builtin_names,
-    constrained_extension,
     decide_uniqueness,
     find_eigenform,
-    harmonic_extension,
     hat_graph,
     lambda_graph,
-    one_step_energy,
     pair_list,
     renormalize,
     stability_digraph,
@@ -29,7 +26,10 @@ from eigenform_lab.renorm import OperatorCache, _schedule, conductance_laplacian
 from oracles import (
     check_reachable_bfs,
     conductance_laplacian_loop,
+    constrained_extension,
     extension_by_lu,
+    harmonic_extension,
+    one_step_energy,
     operators_by_lu,
     two_level_form,
 )

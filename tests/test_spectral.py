@@ -15,9 +15,6 @@ from eigenform_lab import (
     laplacian,
     perron_component,
     perron_positive,
-    pi_limit,
-    project_g,
-    project_g_tilde,
 )
 from eigenform_lab import InternalConsistencyError, spectral
 from eigenform_lab.forms import _support_mask
@@ -25,7 +22,10 @@ from eigenform_lab.renorm import OperatorCache
 from oracles import (
     perron_component_by_node,
     perron_positive_by_vertex,
+    pi_limit,
     pi_limit_by_iteration,
+    project_g,
+    project_g_tilde,
     random_valid_triples,
 )
 

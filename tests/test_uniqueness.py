@@ -12,14 +12,11 @@ from eigenform_lab import (
     decide_uniqueness,
     explore_nonuniqueness,
     find_eigenform,
-    harmonicity_functional,
     hat_graph,
     laplacian,
     orbit_span,
-    pair_energy,
     penalty_form,
     perron_component,
-    pi_limit,
     stability_digraph,
     verify_eigenform,
 )
@@ -32,10 +29,14 @@ from oracles import (
     closed_subsets,
     digraph_by_word_enumeration,
     digraph_readout_by_span,
+    harmonicity_functional,
     has_two_disjoint_closed_subsets,
     magnitudes_by_span,
     orbit_span_rounds,
+    pair_energy,
+    pi_limit,
     positive_case_edges_by_span,
+    project_g,
     random_valid_triples,
     round_verdict,
 )
@@ -531,8 +532,6 @@ def test_penalty_form_properties(gasket, tree_gasket, vicsek, gasket_eigenform, 
                 assert pair_energy(table, pd.u_tilde) == pytest.approx(expected, rel=1e-10)
                 assert expected > 0
                 # the table reproduces the squared functional on random data
-                from eigenform_lab import project_g
-
                 power = cache.word([j] * pd.period)
                 for _ in range(5):
                     u = rng.normal(size=triple.N)
