@@ -142,18 +142,24 @@ class DirichletForm:
         return float(self.vector().sum())
 
     def scaled(self, factor: float) -> "DirichletForm":
-        if not (factor >= 0 and np.isfinite(factor)):
-            raise ValueError(f"scale factor must be finite and nonnegative, got {factor}")
-        m = self.matrix() * factor
-        if not np.isfinite(m).all():
-            raise ValueError(f"scaling by {factor} overflows a coefficient")
         # a finite nonnegative multiple of a valid matrix is valid as it
         # stands, so it skips from_matrix's symmetry and per-entry checks
-        return DirichletForm._wrap(self.N, m)
+        return DirichletForm._wrap(self.N, _scaled(self.matrix(), factor))
 
     def __repr__(self):
         items = ", ".join(f"({a},{b}): {c:.6g}" for a, b, c in self.coefficient_items())
         return f"DirichletForm(N={self.N}, {{{items}}})"
+
+
+def _scaled(coeffs: np.ndarray, factor: float) -> np.ndarray:
+    """The finite nonnegative ``coeffs`` times ``factor``, refused unless the
+    factor is finite and nonnegative and no product overflows."""
+    if not (factor >= 0 and np.isfinite(factor)):
+        raise ValueError(f"scale factor must be finite and nonnegative, got {factor}")
+    out = coeffs * factor
+    if not np.isfinite(out).all():
+        raise ValueError(f"scaling by {factor} overflows a coefficient")
+    return out
 
 
 def _vertex_data(u, n: int) -> np.ndarray:
@@ -185,10 +191,15 @@ def laplacian(form: DirichletForm, u) -> np.ndarray:
     return _laplacian_matrix(form) @ _vertex_data(u, form.N)
 
 
+def _support_of(coeffs: np.ndarray) -> np.ndarray:
+    """Which of the nonnegative ``coeffs`` exceed ``COEFF_EPS`` times the
+    largest: the one test of a coefficient against zero."""
+    return coeffs > COEFF_EPS * coeffs.max()
+
+
 def _support_mask(form: DirichletForm) -> np.ndarray:
-    """Which coefficients, in ``pair_list`` order, exceed ``COEFF_EPS`` times
-    the largest: the one test of a coefficient against zero."""
-    return form.vector() > COEFF_EPS * form.max_coefficient()
+    """``_support_of`` the form's coefficients, in ``pair_list`` order."""
+    return _support_of(form.vector())
 
 
 def support_graph(form: DirichletForm) -> BoundaryGraph:

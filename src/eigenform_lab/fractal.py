@@ -164,7 +164,8 @@ def check_weights(triple: FractalTriple, weights) -> np.ndarray:
     r = np.asarray(weights, dtype=float)
     if r.shape != (triple.k,):
         raise ValueError(f"expected {triple.k} weights, got shape {r.shape}")
-    if not np.all(np.isfinite(r)) or np.any(r <= 0):
+    # NaN fails both comparisons; an empty array has nothing to check
+    if r.size and not (r.min() > 0 and r.max() < np.inf):
         raise ValueError("weights must be strictly positive finite reals")
     return r
 

@@ -13,6 +13,7 @@ and coefficients JSON numbers; bools, strings and fractional ids are refused.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -59,10 +60,18 @@ def _scalar(value) -> str:
 
 def _flat(seq: list):
     """``seq`` on one line, or None when it holds a container."""
+    items = []
     for item in seq:
         if isinstance(item, _CONTAINERS):
             return None
-    return "[" + ", ".join(map(_scalar, seq)) + "]"
+        items.append(_scalar(item))
+    return "[" + ", ".join(items) + "]"
+
+
+@functools.lru_cache(maxsize=1024)
+def _quoted(key: str) -> str:
+    """``key`` as a JSON string; a report repeats a few dozen keys."""
+    return json.dumps(key)
 
 
 def _emit(value, parts, level):
@@ -76,7 +85,7 @@ def _emit(value, parts, level):
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
-            parts.append(f"{sep}{inner}{json.dumps(key)}: ")
+            parts.append(f"{sep}{inner}{_quoted(key)}: ")
             _emit(item, parts, level + 1)
             sep = ",\n"
         parts.append(f"\n{pad}}}")

@@ -10,7 +10,10 @@ stochastic boundary-to-boundary map.  ``OperatorCache`` makes the one interior
 solve for boundary data of a (triple, form, weights) context and keeps the k
 cell maps and the Schur block; the eigenform search, ``renormalize`` and the
 stability analysis take it from a slot holding the context built last, so
-checking the form the search returned reuses its last solve.
+checking the form the search returned reuses its last solve.  A search step
+is one such solve, built without the constructor's checks (the search makes
+them once), and one checked read of the image coefficients off the Schur
+block.
 
 Every interior solve is a Kron reduction of the network onto a set of fixed
 vertices: the boundary, for the library; the extension oracles of the test
@@ -34,6 +37,7 @@ straight to LU.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -73,19 +77,25 @@ def conductance_laplacian(
     """
     r = check_weights(triple, weights)
     w = (r[:, None] * form.vector()).ravel()
-    return _laplacian(_pair_images(triple), w, triple.num_vertices)
+    nv = triple.num_vertices
+    return _laplacian(_entries(_pair_images(triple), nv), w, nv)
 
 
-def _laplacian(ends: np.ndarray, c: np.ndarray, size: int) -> np.ndarray:
-    """Laplacian over ``size`` vertices of the edges ``ends`` (one row of two
-    vertex ids per edge) with conductances ``c``."""
-    # slots (p,p), (q,q), (p,q), (q,p) of each conductance.  bincount adds in
-    # input order, so every entry sums edge by edge, in the order given, and
-    # rounds the same on every run; zero conductances add zeros and change
-    # nothing.
-    slots = ends[:, [0, 1, 0, 1]] * size + ends[:, [0, 1, 1, 0]]
+def _entries(ends: np.ndarray, size: int) -> np.ndarray:
+    """Flat positions in a ``size`` x ``size`` matrix of the entries (p,p),
+    (q,q), (p,q), (q,p) of each edge of ``ends`` (one row of two vertex ids
+    per edge), edge by edge."""
+    return (ends[:, [0, 1, 0, 1]] * size + ends[:, [0, 1, 1, 0]]).ravel()
+
+
+def _laplacian(entries: np.ndarray, c: np.ndarray, size: int) -> np.ndarray:
+    """Laplacian over ``size`` vertices of the edges at ``_entries`` with
+    conductances ``c``."""
+    # bincount adds in input order, so every entry sums edge by edge, in the
+    # order given, and rounds the same on every run; zero conductances add
+    # zeros and change nothing.
     terms = c[:, None] * _SLOT_SIGNS
-    lap = np.bincount(slots.ravel(), weights=terms.ravel(), minlength=size * size)
+    lap = np.bincount(entries, weights=terms.ravel(), minlength=size * size)
     return lap.reshape(size, size)
 
 
@@ -125,7 +135,7 @@ class _Schedule(NamedTuple):
     fixed: np.ndarray
     core: np.ndarray  # free vertices left for dense LU, sorted
     kept: np.ndarray  # edges left on fixed + core
-    kept_ends: np.ndarray  # their ends, numbered fixed first, then core
+    kept_entries: np.ndarray  # their ``_entries``, numbered fixed first, then core
 
 
 def _ids(values) -> np.ndarray:
@@ -174,7 +184,7 @@ def _schedule(triple: FractalTriple, live: bytes, fixed: tuple[int, ...]) -> _Sc
         fixed=fixed,
         core=core,
         kept=kept,
-        kept_ends=ends[kept],
+        kept_entries=_entries(ends[kept], size),
     )
 
 
@@ -198,7 +208,7 @@ def _rounds(
         # every live edge in both directions, grouped by the vertex it leaves
         live = np.flatnonzero(alive)
         x, y = ends[live].T
-        order = np.argsort(np.concatenate((x, y)), kind="stable")
+        order = _stable_order(np.concatenate((x, y)), nv)
         dst = np.concatenate((y, x))[order]
         eid = np.concatenate((live, live))[order]
         deg = np.bincount(x, minlength=nv) + np.bincount(y, minlength=nv)
@@ -243,6 +253,13 @@ def _rounds(
     return tuple(rounds), slot_edge, ends, np.flatnonzero(left)
 
 
+def _stable_order(ids: np.ndarray, nv: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for vertex ids below ``nv``.  Cast
+    to the smallest integer type that holds ``nv``, they take numpy's radix
+    sort (16 bits or fewer) instead of its merge sort."""
+    return np.argsort(ids.astype(np.min_scalar_type(nv)), kind="stable")
+
+
 @functools.lru_cache(maxsize=32)
 def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Both indices of every pair ``a < b`` below ``d`` (read-only)."""
@@ -285,7 +302,7 @@ def _reduce(sched: _Schedule, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c += np.bincount(rnd.into, weights=fills, minlength=c.size)
         coefs.append(coef)
     m = sched.fixed.size
-    lap = _laplacian(sched.kept_ends, c[sched.kept], m + sched.core.size)
+    lap = _laplacian(sched.kept_entries, c[sched.kept], m + sched.core.size)
     try:
         core = np.linalg.solve(lap[m:, m:], -lap[m:, :m])
     except np.linalg.LinAlgError:
@@ -314,7 +331,8 @@ def renormalize(triple: FractalTriple, form: DirichletForm, weights) -> Dirichle
     Coefficients are read off the Schur complement of the first-level network
     Laplacian onto the boundary block.  Schur off-diagonals in
     ``[-COEFF_EPS * max, 0]`` are clamped to zero: structural zeros of the
-    stable support pick up only round-off there.
+    stable support pick up only round-off there.  A form whose ``N`` is not
+    the triple's raises ``ValueError``.
     """
     return _context(triple, form, weights).image
 
@@ -328,14 +346,32 @@ class OperatorCache:
     (rows sum to one), and ``word`` multiplies them on demand; ``power``
     keeps each node power it builds.  ``schur`` is the Schur complement onto
     the boundary, ``image`` (computed on first read) the renormalized form,
-    ``weights`` a copy of the checked weights.
+    ``weights`` a read-only copy of the checked weights.
     """
 
+    def __new__(cls, triple: FractalTriple, form: DirichletForm, weights):
+        # the constructor's checks, before ``__init__`` solves; the eigenform
+        # search makes them once and builds by ``_checked``
+        if form.N != triple.N:
+            raise ValueError(f"form has N={form.N}, triple has N={triple.N}")
+        out = object.__new__(cls)
+        out.weights = np.array(check_weights(triple, weights))
+        out.weights.flags.writeable = False
+        return out
+
+    @classmethod
+    def _checked(cls, triple: FractalTriple, form: DirichletForm, r: np.ndarray) -> "OperatorCache":
+        """The context of a form on ``triple.N`` and the read-only checked
+        weights ``r``, kept as they are."""
+        out = object.__new__(cls)
+        out.weights = r
+        out.__init__(triple, form, r)
+        return out
+
     def __init__(self, triple: FractalTriple, form: DirichletForm, weights):
+        # ``weights`` is checked into ``self.weights`` by now
         self.triple = triple
         self.form = form
-        self.weights = np.array(check_weights(triple, weights))
-        self.weights.flags.writeable = False
         x, self.schur = _extend(triple, form, self.weights, tuple(range(triple.N)))
         # boundary data to the full minimizing extension, per cell
         self.ops = x[triple.cell_array]
@@ -344,9 +380,11 @@ class OperatorCache:
 
     def matches(self, triple: FractalTriple, form: DirichletForm, weights: np.ndarray) -> bool:
         """Whether this is the context of ``triple``, ``form`` and the checked
-        ``weights``, by value."""
+        ``weights``, by value.  A form of another size is told apart before
+        its matrix is read."""
         return (
             self.triple == triple
+            and self.form.N == form.N
             and np.array_equal(self.form.matrix(), form.matrix())
             and np.array_equal(self.weights, weights)
         )
@@ -354,21 +392,30 @@ class OperatorCache:
     @functools.cached_property
     def image(self) -> DirichletForm:
         """The renormalized form, read off the Schur off-diagonals."""
+        return DirichletForm._from_vector(self.triple.N, self._coefficients())
+
+    def _coefficients(self) -> np.ndarray:
+        """The coefficients of ``image`` in pair order, as a fresh array.
+        One pass over the Schur off-diagonals finds them finite and none
+        below ``-COEFF_EPS`` of the largest; only when it fails are they
+        searched for the first offending pair, which is named."""
         rows, cols = pair_index(self.triple.N)
         off = -self.schur[rows, cols]
-        bad = np.flatnonzero(off < -COEFF_EPS * np.max(np.abs(off)))
-        if bad.size:
-            i = bad[0]
-            raise InternalConsistencyError(
-                f"renormalized coefficient for pair ({rows[i]},{cols[i]}) is negative: {off[i]}"
-            )
-        bad = np.flatnonzero(~np.isfinite(off))
-        if bad.size:
-            i = bad[0]
-            raise ValueError(
-                f"coefficient for pair ({rows[i]}, {cols[i]}) must be finite and >= 0, got {off[i]}"
-            )
-        return DirichletForm._from_vector(self.triple.N, np.maximum(off, 0.0))
+        lo, hi = off.min(), off.max()
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo >= -COEFF_EPS * max(hi, -lo)):
+            bad = np.flatnonzero(off < -COEFF_EPS * np.max(np.abs(off)))
+            if bad.size:
+                i = bad[0]
+                raise InternalConsistencyError(
+                    f"renormalized coefficient for pair ({rows[i]},{cols[i]}) is negative: {off[i]}"
+                )
+            bad = np.flatnonzero(~np.isfinite(off))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(
+                    f"coefficient for pair ({rows[i]}, {cols[i]}) must be finite and >= 0, got {off[i]}"
+                )
+        return np.maximum(off, 0.0)
 
     def word(self, word: Iterable[int]) -> np.ndarray:
         """Product of cell operators, first index applied last (outermost).
@@ -404,4 +451,17 @@ def _context(triple: FractalTriple, form: DirichletForm, weights) -> OperatorCac
     r = check_weights(triple, weights)
     if _last is None or not _last.matches(triple, form, r):
         _last = OperatorCache(triple, form, r)
+    return _last
+
+
+def _search_context(
+    triple: FractalTriple, form: DirichletForm, r: np.ndarray, reuse: bool
+) -> OperatorCache:
+    """A new context of a form on ``triple.N`` and the read-only checked
+    weights ``r``, put in the slot; with ``reuse``, the slot's own if it
+    matches.  Each search step after the first has a new iterate, which the
+    slot cannot hold, so only the first reuses."""
+    global _last
+    if not (reuse and _last is not None and _last.matches(triple, form, r)):
+        _last = OperatorCache._checked(triple, form, r)
     return _last

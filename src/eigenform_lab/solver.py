@@ -6,8 +6,14 @@ coefficients at unit coefficient sum; the eigenvalue estimate is the
 coefficient sum of the image.  Plain iteration of the renormalization map
 converges only linearly, at the ratio of the two largest eigenvalues of its
 Jacobian (0.8 on the gasket), so it is kept only for single steps: to fill in
-a stable-graph edge the start lacks, and when a Newton step stalls.  No
-convergence guarantee exists, so a run that fails to stabilize is a
+a stable-graph edge the start lacks, and when a Newton step stalls.
+
+One step costs one interior solve: the iterate's ``OperatorCache`` gives the
+Schur block, off which the image's coefficients, the eigenvalue estimate,
+the residual and the support test are read as vectors in pair order, and the
+cell operators, from which the Jacobian of a Newton step is built.
+
+No convergence guarantee exists, so a run that fails to stabilize is a
 reported outcome rather than an exception.  A candidate counts as verified
 only when the eigen-residual is small, the eigenvalue sits below every
 boundary weight, and the support equals the stable boundary graph; structural
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import renorm
-from .forms import DirichletForm, _support_mask, is_irreducible, support_graph
+from .forms import DirichletForm, _scaled, _support_of, is_irreducible, support_graph
 from .fractal import FractalTriple, check_weights
 from .graphs import _hat_index, hat_graph
 
@@ -52,9 +58,10 @@ class EigenResult:
     checks: dict
 
 
-def _relative_residual(form: DirichletForm, image: DirichletForm, rho: float) -> float:
-    dev = np.max(np.abs(image.vector() - rho * form.vector()))
-    return float(dev / form.max_coefficient())
+def _relative_residual(coeffs: np.ndarray, image: np.ndarray, rho: float) -> float:
+    """Largest deviation of the ``image`` coefficients from ``rho`` times the
+    nonnegative ``coeffs``, relative to the largest of them."""
+    return float(np.abs(image - rho * coeffs).max() / coeffs.max())
 
 
 def _on_hat_support(triple: FractalTriple, form: DirichletForm) -> bool:
@@ -104,20 +111,20 @@ def verify_eigenform(
         raise ValueError(f"form has N={form.N}, triple has N={triple.N}")
     if not is_irreducible(form):
         raise ValueError("verification requires an irreducible form")
-    image = renorm.renormalize(triple, form, r)
+    image = renorm.renormalize(triple, form, r).vector()
     v = form.vector()  # nonzero: the form is irreducible
-    rho = float(image.vector() @ v) / float(v @ v)
-    residual = _relative_residual(form, image, rho)
+    rho = float(image @ v) / float(v @ v)
+    residual = _relative_residual(v, image, rho)
     checks = {"residual_within_tol": bool(residual <= tol)}
     return _result(triple, r, form, rho, residual, 0, checks)
 
 
-def _on_hat(triple: FractalTriple, coeffs: np.ndarray) -> DirichletForm:
-    """Form with the positive ``coeffs`` on the stable-graph edges and exact
-    zeros elsewhere."""
+def _on_hat(triple: FractalTriple, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients in pair order: the positive ``coeffs`` on the
+    stable-graph edges and exact zeros elsewhere."""
     vec = np.zeros(triple.N * (triple.N - 1) // 2)
     vec[_hat_index(triple)[0]] = coeffs
-    return DirichletForm._from_vector(triple.N, vec)
+    return vec
 
 
 def _unit_sum(x: np.ndarray) -> np.ndarray:
@@ -127,14 +134,19 @@ def _unit_sum(x: np.ndarray) -> np.ndarray:
     return x * (1.0 / x.sum())
 
 
-def _hat_start(triple: FractalTriple, form: DirichletForm) -> DirichletForm | None:
-    """The restriction of ``form`` to the stable graph, scaled to unit
-    coefficient sum; None while some stable-graph edge is missing from the
-    form's support."""
-    hat = _hat_index(triple)[0]
-    if not _support_mask(form)[hat].all():
+def _fills_hat(triple: FractalTriple, vec: np.ndarray) -> bool:
+    """Whether every stable-graph edge is in the support of the
+    coefficients ``vec``."""
+    return bool(_support_of(vec)[_hat_index(triple)[0]].all())
+
+
+def _hat_start(triple: FractalTriple, vec: np.ndarray) -> np.ndarray | None:
+    """The restriction of the coefficients ``vec`` to the stable graph,
+    scaled to unit sum; None while some stable-graph edge is missing from
+    their support."""
+    if not _fills_hat(triple, vec):
         return None
-    return _on_hat(triple, _unit_sum(form.vector()[hat]))
+    return _on_hat(triple, _unit_sum(vec[_hat_index(triple)[0]]))
 
 
 def _jacobian(triple: FractalTriple, r: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -166,7 +178,8 @@ def _newton_step(jac: np.ndarray, x: np.ndarray, c: np.ndarray, rho: float) -> n
     bordered[:m, :m] = jac - rho * np.eye(m)
     bordered[:m, m] = -x
     bordered[m, :m] = 1.0
-    rhs = np.append(rho * x - c, 0.0)
+    rhs = np.zeros(m + 1)
+    rhs[:m] = rho * x - c
     return np.linalg.lstsq(bordered, rhs, rcond=LSTSQ_RCOND)[0][:m]
 
 
@@ -185,7 +198,7 @@ def _into_cone(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     shrink = d < -0.9 * x
     if not shrink.any():
         return x + d
-    return x + (0.9 * np.min(x[shrink] / -d[shrink])) * d
+    return x + (0.9 * (x[shrink] / -d[shrink]).min()) * d
 
 
 def find_eigenform(
@@ -203,62 +216,71 @@ def find_eigenform(
     while that graph has an edge outside the support of ``init``, it first
     takes plain renormalization steps ``R(f) / sum R(f)`` on the whole form.
 
-    Each round reads the image and the cell operators, and with them the
-    Jacobian, off one interior solve.  It records the coefficient-sum ratio
-    as the eigenvalue estimate and stops when the iterate's direction and
-    eigen-residual both settle below ``tol``, or after ``max_iter`` rounds;
-    either way the result reports the last iterate renormalized, with its
-    own ``rho`` and ``residual``.  Otherwise it takes a Newton step,
-    shortened to stay inside the open cone, or, when the previous Newton
-    step did not halve the residual, one plain step.  Once a coefficient
-    falls below ``COEFF_EPS`` of the largest the iterate is heading out of
-    the cone, and the search stops there.  The returned flag additionally
-    demands the structural checks, so such a run reports non-convergence.
+    The weights and ``init`` are checked once, on entry, and the iterate is
+    carried as its coefficient vector in pair order.  One step is one
+    interior solve, for the iterate's ``OperatorCache`` (the only form a step
+    builds is the iterate's, which that cache keeps), and the algebra on its
+    Schur block and cell operators: the image's coefficients, the
+    coefficient-sum ratio as the eigenvalue estimate, the eigen-residual
+    and, for a Newton step, the Jacobian.  The search stops when the
+    iterate's direction and eigen-residual both settle below ``tol``, or
+    after ``max_iter`` steps; either way the result reports the last iterate
+    renormalized, with its own ``rho`` and ``residual``, and its cache stays
+    in ``renorm``'s slot for the verification and stability analysis.
+    Otherwise it takes a Newton step, shortened to stay inside the open
+    cone, or, when the previous Newton step did not halve the residual, one
+    plain step.  Once a coefficient falls below ``COEFF_EPS`` of the largest
+    the iterate is heading out of the cone, and the search stops there.  The
+    returned flag additionally demands the structural checks, so such a run
+    reports non-convergence.
     """
-    r = check_weights(triple, weights)
+    r = np.array(check_weights(triple, weights))
+    r.flags.writeable = False
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    current = init if init is not None else DirichletForm.ones(triple.N)
-    if current.N != triple.N:
-        raise ValueError(f"init form has N={current.N}, triple has N={triple.N}")
-    if not is_irreducible(current):
+    init = init if init is not None else DirichletForm.ones(triple.N)
+    if init.N != triple.N:
+        raise ValueError(f"init form has N={init.N}, triple has N={triple.N}")
+    if not is_irreducible(init):
         raise ValueError("initial form must be irreducible")
-    start = _hat_start(triple, current)
+    vec = init.vector()
+    start = _hat_start(triple, vec)
     on_hat = start is not None
-    current = start if on_hat else DirichletForm._from_vector(triple.N, _unit_sum(current.vector()))
+    vec = start if on_hat else _unit_sum(vec)
     hat = _hat_index(triple)[0]
     newton_from = None  # residual where the last step, if a Newton step, began
 
     for iterations in range(1, max_iter + 1):
-        cache = renorm._context(triple, current, r)
-        image = cache.image
+        form = DirichletForm._from_vector(triple.N, vec)
+        cache = renorm._search_context(triple, form, r, reuse=iterations == 1)
+        image = cache._coefficients()
         # the iterate has unit coefficient sum, so this is the pre-normalization ratio
-        rho = image.l1_norm()
-        residual = _relative_residual(current, image, rho)
+        rho = float(image.sum())
+        residual = _relative_residual(vec, image, rho)
         # the plain step moves the iterate's direction by residual / rho
         stabilized = residual < tol * rho and residual <= tol
         # the returned form is the last one measured, never the unmeasured step
         if stabilized or iterations == max_iter:
             break
         if not on_hat:
-            step = image.scaled(1.0 / rho)
+            step = _scaled(image, 1.0 / rho)
             start = _hat_start(triple, step)
             on_hat = start is not None
-            current = start if on_hat else step
+            vec = start if on_hat else step
             continue
-        if not _support_mask(current)[hat].all():
+        if not _fills_hat(triple, vec):
             break
-        x = current.vector()[hat]
-        c = image.vector()[hat]
+        x = vec[hat]
+        c = image[hat]
         if newton_from is not None and residual > 0.5 * newton_from:
             x_next, newton_from = c / rho, None
         else:
             jac = _jacobian(triple, r, cache.ops)
             x_next = _into_cone(x, _newton_step(jac, x, c, rho))
             newton_from = residual
-        current = _on_hat(triple, x_next)
+        vec = _on_hat(triple, x_next)
 
     checks = {"direction_stabilized": stabilized, "residual_within_tol": bool(residual <= tol)}
-    return _result(triple, r, current, rho, residual, iterations, checks)
+    return _result(triple, r, form, rho, residual, iterations, checks)

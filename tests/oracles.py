@@ -35,6 +35,7 @@ from eigenform_lab import (
     BoundaryGraph,
     ComponentData,
     DirichletForm,
+    EigenResult,
     FractalTriple,
     PerronData,
     check_weights,
@@ -42,13 +43,14 @@ from eigenform_lab import (
     hat_graph,
     laplacian,
     pair_list,
+    support_graph,
     validate,
 )
 from eigenform_lab import spectral, uniqueness
 from eigenform_lab._graphutil import adjacency, split_components
 from eigenform_lab.errors import InternalConsistencyError, SingularInteriorError
 from eigenform_lab.forms import _support_mask, _vertex_data
-from eigenform_lab.graphs import _single_images
+from eigenform_lab.graphs import _hat_index, _single_images
 from eigenform_lab.renorm import OperatorCache, _extend
 from eigenform_lab.uniqueness import _node_row, _sink_sccs, orbit_span
 
@@ -795,3 +797,82 @@ def random_valid_triples(seed, n_max=4, k_max=5):
     for triple, weights in random_drawn_triples(seed, n_max, k_max):
         if not validate(triple):
             yield triple, weights
+
+
+def find_eigenform_frozen(triple, weights, init=None, tol=1e-12, max_iter=100_000):
+    """The eigenform search as it stood before its steps read the Schur block
+    directly: every step wraps the iterate and its image in forms, takes the
+    image through ``OperatorCache.image`` and re-reads every quantity off the
+    forms.  Its own copies of the Newton algebra keep it fixed while the
+    library's copies change; only the interior solve is shared."""
+    r = check_weights(triple, weights)
+    hat = _hat_index(triple)[0]
+    _, p, q = _hat_index(triple)
+
+    def on_hat(coeffs):
+        vec = np.zeros(triple.N * (triple.N - 1) // 2)
+        vec[hat] = coeffs
+        return DirichletForm._from_vector(triple.N, vec)
+
+    def unit_sum(x):
+        x = np.ldexp(x, -np.frexp(x.max())[1])
+        return x * (1.0 / x.sum())
+
+    def hat_start(form):
+        if not _support_mask(form)[hat].all():
+            return None
+        return on_hat(unit_sum(form.vector()[hat]))
+
+    def newton_step(ops, x, c, rho):
+        diff = ops[:, p, :] - ops[:, q, :]
+        jac = -np.einsum("i,ijh,ijh->hj", r, diff[:, :, p], diff[:, :, q])
+        m = x.size
+        bordered = np.zeros((m + 1, m + 1))
+        bordered[:m, :m] = jac - rho * np.eye(m)
+        bordered[:m, m] = -x
+        bordered[m, :m] = 1.0
+        rhs = np.append(rho * x - c, 0.0)
+        d = np.linalg.lstsq(bordered, rhs, rcond=1e-9)[0][:m]
+        shrink = d < -0.9 * x
+        if not shrink.any():
+            return x + d
+        return x + (0.9 * np.min(x[shrink] / -d[shrink])) * d
+
+    current = init if init is not None else DirichletForm.ones(triple.N)
+    start = hat_start(current)
+    on = start is not None
+    current = start if on else DirichletForm._from_vector(triple.N, unit_sum(current.vector()))
+    newton_from = None
+    for iterations in range(1, max_iter + 1):
+        cache = OperatorCache(triple, current, r)
+        image = cache.image
+        rho = image.l1_norm()
+        dev = np.max(np.abs(image.vector() - rho * current.vector()))
+        residual = float(dev / current.max_coefficient())
+        stabilized = residual < tol * rho and residual <= tol
+        if stabilized or iterations == max_iter:
+            break
+        if not on:
+            step = image.scaled(1.0 / rho)
+            start = hat_start(step)
+            on = start is not None
+            current = start if on else step
+            continue
+        if not _support_mask(current)[hat].all():
+            break
+        x = current.vector()[hat]
+        c = image.vector()[hat]
+        if newton_from is not None and residual > 0.5 * newton_from:
+            x_next, newton_from = c / rho, None
+        else:
+            x_next = newton_step(cache.ops, x, c, rho)
+            newton_from = residual
+        current = on_hat(x_next)
+
+    checks = {
+        "direction_stabilized": stabilized,
+        "residual_within_tol": bool(residual <= tol),
+        "eigenvalue_below_boundary_weights": all(r[j] > rho for j in range(triple.N)),
+        "support_matches_hat_graph": support_graph(current) == hat_graph(triple),
+    }
+    return EigenResult(current, rho, residual, iterations, all(checks.values()), checks)

@@ -116,7 +116,7 @@ def test_every_zero_test_reads_the_forms_threshold(monkeypatch, gasket):
     assert support_graph(form).sorted_edges() == [(0, 1), (0, 2)]
     with pytest.raises(ValueError, match="positive form"):
         perron_positive(OperatorCache(gasket, form, np.ones(3)), [0])
-    assert solver._hat_start(gasket, form) is None
+    assert solver._hat_start(gasket, form.vector()) is None
 
 
 def test_is_harmonic_at(gasket_eigenform):

@@ -248,3 +248,42 @@ def test_check_weights(gasket):
         check_weights(gasket, [1.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         check_weights(gasket, [1.0, -1.0, 1.0])
+
+
+def test_check_weights_refuses_as_the_elementwise_rule(gasket):
+    # same accepted inputs and the same message as testing every entry
+    empty = FractalTriple("empty", 2, 0, 2, ())
+    cases = [
+        (gasket, w)
+        for w in (
+            [1, 2, 3],
+            [1e-300, 1e300, 5e-324],
+            [0.0, 1.0, 1.0],
+            [-0.0, 1.0, 1.0],
+            [1.0, -1.0, 1.0],
+            [np.nan, 1.0, 1.0],
+            [1.0, np.inf, 1.0],
+            [-np.inf, 1.0, 1.0],
+            [np.nan, -1.0, np.inf],
+            [1.0, 2.0],
+            [[1.0, 2.0, 3.0]],
+            1.0,
+            [True, 1, 1],
+        )
+    ]
+    cases += [(empty, []), (empty, [1.0]), (empty, np.empty(0))]
+    for triple, weights in cases:
+        r = np.asarray(weights, dtype=float)
+        if r.shape != (triple.k,):
+            want = f"expected {triple.k} weights, got shape {r.shape}"
+        elif not np.all(np.isfinite(r)) or np.any(r <= 0):
+            want = "weights must be strictly positive finite reals"
+        else:
+            want = None
+        try:
+            got, message = check_weights(triple, weights), None
+        except ValueError as exc:
+            message = str(exc)
+        assert message == want, weights
+        if want is None:
+            assert np.array_equal(got, r)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eigenform_lab import DirichletForm, builtin, validate
+from eigenform_lab import jsonio
 from eigenform_lab.jsonio import (
     dumps,
     form_to_dict,
@@ -234,3 +235,11 @@ def test_dumps_matches_the_recursive_emitter():
 def test_parallel_map_matches_serial():
     assert parallel_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
     assert parallel_map(lambda x: x + 1, range(5)) == list(range(1, 6))
+
+
+def test_dumps_quotes_keys_through_a_bounded_memo():
+    # more distinct keys, some needing escapes, than the memo holds
+    doc = {f"k{i}é\"\\": [i, 0.5] for i in range(3000)}
+    assert dumps(doc) == dumps_recursive(doc)
+    info = jsonio._quoted.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize

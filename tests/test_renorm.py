@@ -656,3 +656,65 @@ def test_context_lookup_keys_on_value(gen, monkeypatch):
         assert first.weights.tobytes() == weights.tobytes()
         assert not first.weights.flags.writeable
         _assert_same_context(renorm._context(triple, form, mutable), OperatorCache(triple, form, mutable))
+
+
+def test_a_form_of_another_size_is_refused(monkeypatch, gasket, vicsek):
+    # on the gasket a four-vertex form once indexed past the cell table, and
+    # on vicsek a three-vertex one put its coefficients on the wrong pairs
+    for triple, form in [(gasket, DirichletForm.ones(4)), (vicsek, DirichletForm.ones(3))]:
+        weights = np.ones(triple.k)
+        message = f"form has N={form.N}, triple has N={triple.N}"
+        with pytest.raises(ValueError, match=message):
+            renormalize(triple, form, weights)
+        with pytest.raises(ValueError, match=message):
+            OperatorCache(triple, form, weights)
+    # refused before its matrix is read, also while the slot holds the
+    # triple's own context
+    renormalize(gasket, DirichletForm.ones(3), R3)
+    huge = DirichletForm(10**6)
+    matrix = DirichletForm.matrix
+
+    def guarded(form):
+        assert form is not huge, "the matrix of a form of another size was read"
+        return matrix(form)
+
+    monkeypatch.setattr(DirichletForm, "matrix", guarded)
+    for build in (renormalize, OperatorCache):
+        with pytest.raises(ValueError, match=f"form has N={10**6}, triple has N=3"):
+            build(gasket, huge, R3)
+
+
+@pytest.mark.parametrize("nv", [2, 255, 256, 487, 65535, 65536, 70000])
+def test_stable_order_is_the_int64_stable_argsort(nv):
+    # the narrow key of the elimination rounds' CSR sort keeps the order
+    rng = np.random.default_rng(nv)
+    ids = rng.integers(0, nv, size=1500)
+    want = np.argsort(ids.astype(np.int64), kind="stable")
+    assert np.array_equal(renorm._stable_order(ids, nv), want)
+
+
+@pytest.mark.parametrize(
+    "off, error, message",
+    [
+        ([1.0, -0.99e-10, 0.5], None, None),
+        ([1.0, -1.01e-10, 0.5], InternalConsistencyError, r"pair \(0,2\) is negative: -1\.01e-10"),
+        ([-3.0, 1.0, -2.0], InternalConsistencyError, r"pair \(0,1\) is negative: -3\.0"),
+        ([1.0, np.nan, -2.0], ValueError, r"pair \(0, 2\) must be finite and >= 0, got nan"),
+        ([1.0, -5.0, np.inf], ValueError, r"pair \(1, 2\) must be finite and >= 0, got inf"),
+        ([-np.inf, 1.0, 1.0], ValueError, r"pair \(0, 1\) must be finite and >= 0, got -inf"),
+    ],
+)
+def test_image_read_names_the_first_bad_coefficient(gasket, gasket_eigenform, off, error, message):
+    # the one-pass read off the Schur block and the image form refuse the
+    # same blocks, with the message of the pairwise checks
+    cache = OperatorCache(gasket, gasket_eigenform, R3)
+    schur = np.zeros((3, 3))
+    schur[[0, 0, 1], [1, 2, 2]] = -np.array(off)
+    cache.schur = schur
+    if error is None:
+        assert cache._coefficients().tolist() == [1.0, 0.0, 0.5]
+        assert cache.image.vector().tolist() == [1.0, 0.0, 0.5]
+        return
+    for read in (cache._coefficients, lambda: cache.image):
+        with pytest.raises(error, match=message):
+            read()

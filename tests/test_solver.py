@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -13,8 +14,10 @@ from eigenform_lab import (
     renormalize,
     verify_eigenform,
 )
+from eigenform_lab import solver
 from eigenform_lab.jsonio import parse_form, parse_fractal
 from eigenform_lab.solver import _hat_index, _jacobian, _relative_residual, _unit_sum
+from oracles import find_eigenform_frozen, random_valid_triples
 
 R3 = np.ones(3)
 FZ1_RHO = 0.11832864782596758
@@ -84,7 +87,7 @@ def test_exhausted_budget_reports_the_measured_iterate(name, weights, coeffs, ma
     assert not res.converged
     image = renormalize(triple, res.form, weights)
     assert res.rho == image.l1_norm()
-    assert res.residual == _relative_residual(res.form, image, res.rho)
+    assert res.residual == _relative_residual(res.form.vector(), image.vector(), res.rho)
 
 
 def test_verify_scale_invariance(gasket, gasket_eigenform):
@@ -330,3 +333,70 @@ def test_boundary_heading_vicsek3_start_converges(gen, pipeline):
         pytest.approx(0.0, abs=1e-12),
     )
     assert find_eigenform(t, w, init=init).iterations <= 8
+
+
+def _frozen_loop_inputs(gen, fz1_doc):
+    """Seeded inputs that reach every exit of the search: converged Newton
+    runs from random starts on relabelled solve-large-style composites and
+    wide-boundary-style triples, plain steps before Newton, the cone stop on
+    tree_gasket (1, 2, 3) plain and relabelled, the ``max_iter`` stop, fz1
+    and draw 527 capped at 300 steps."""
+    gasket, tree, vicsek = (builtin(n) for n in ("gasket", "tree_gasket", "vicsek"))
+    rng = random.Random(29)
+    out = []
+    for triple, weights in [
+        gen.iterate(gasket, 4),
+        gen.iterate(gen.simplex_gasket(4), 2),
+        gen.iterate(tree, 4),
+        gen.iterate(vicsek, 2),
+    ]:
+        for _ in range(2):
+            t, w = gen.relabel(triple, weights, rng)
+            out.append((t, w, gen.random_form(t.N, rng), {}))
+    for triple in (gen.simplex_gasket(8), gen.vicsek(8), gen.vicsek(9)):
+        out.append((*gen.relabel(triple, [1.0] * triple.k, rng), None, {}))
+    for relabel in (None, 7):
+        triple, weights = tree, [1.0, 2.0, 3.0]
+        if relabel is not None:
+            triple, weights = gen.relabel(triple, weights, random.Random(relabel))
+        for seed in (None, 0):
+            init = None if seed is None else gen.random_form(3, random.Random(seed))
+            out.append((triple, weights, init, {}))
+    out.append((tree, R3, DirichletForm(3, {(0, 1): 1.0, (1, 2): 1.0}), {}))
+    out.append((gasket, R3, DirichletForm(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1e-12}), {}))
+    for max_iter in (1, 2):
+        out.append((gasket, R3, DirichletForm(3, {(0, 1): 1.0, (0, 2): 2.0, (1, 2): 3.0}), {"max_iter": max_iter}))
+    out.append((*parse_fractal(fz1_doc), None, {}))
+    triple, weights = next(itertools.islice(random_valid_triples(1, 5, 6), 527, None))
+    out.append((triple, weights, None, {"max_iter": 300}))
+    return out
+
+
+def test_search_matches_the_frozen_loop_bit_for_bit(monkeypatch, gen, fz1_doc):
+    shortened = []
+    into_cone = solver._into_cone
+
+    def recording(x, d):
+        out = into_cone(x, d)
+        shortened.append(not np.array_equal(out, x + d))
+        return out
+
+    monkeypatch.setattr(solver, "_into_cone", recording)
+    exits = set()
+    for triple, weights, init, options in _frozen_loop_inputs(gen, fz1_doc):
+        got = find_eigenform(triple, weights, init=init, **options)
+        want = find_eigenform_frozen(triple, weights, init=init, **options)
+        assert got.rho.hex() == want.rho.hex()
+        assert got.residual.hex() == want.residual.hex()
+        assert (got.iterations, got.converged, got.checks) == (want.iterations, want.converged, want.checks)
+        assert got.form.matrix().tobytes() == want.form.matrix().tobytes()
+        if init is not None and solver._hat_start(triple, init.vector()) is None:
+            exits.add("plain steps first")
+        if got.iterations == options.get("max_iter"):
+            exits.add("max_iter")
+        elif got.converged:
+            exits.add("converged")
+        elif not got.checks["direction_stabilized"]:
+            exits.add("cone")
+    assert exits == {"plain steps first", "converged", "cone", "max_iter"}
+    assert any(shortened) and not all(shortened)

@@ -539,7 +539,9 @@ def test_penalty_form_properties(gasket, tree_gasket, vicsek, gasket_eigenform, 
                     assert pair_energy(table, u) == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
-def test_cell_operators_built_once_per_context(monkeypatch, gasket, tree_gasket, gasket_eigenform, tree_eigenform):
+def test_cell_operators_built_once_per_context(
+    monkeypatch, gasket, tree_gasket, vicsek, gasket_eigenform, tree_eigenform
+):
     # every build, keyed by value; the context slot may only save builds, so
     # no (triple, form, weights) is built twice within one measurement
     builds = []
@@ -581,6 +583,19 @@ def test_cell_operators_built_once_per_context(monkeypatch, gasket, tree_gasket,
     # them the verdict's
     _, n = count(key, lambda: explore_nonuniqueness(tree_gasket, tree_eigenform, R3, verdict))
     assert n == 0
+    # the search builds one context per step and leaves the last in the
+    # slot, so verifying and analysing the form it returns builds none
+    for triple in (gasket, tree_gasket, vicsek):
+        weights = [1.0] * triple.k
+        res, _ = count(None, lambda: find_eigenform(triple, weights))
+        assert res.converged
+        assert len(builds) == res.iterations
+        builds.clear()
+        verify_eigenform(triple, weights, res.form)
+        dg = stability_digraph(triple, res.form, weights)
+        decide_uniqueness(triple, res.form, weights, digraph=dg)
+        decide_uniqueness(triple, res.form, weights)
+        assert builds == []
 
 
 def test_verdict_carries_its_digraph(tree_gasket, tree_eigenform):
