@@ -46,7 +46,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundaryGraph:
-    """Loop-free undirected graph on the boundary ids ``0..N-1``."""
+    """Loop-free undirected graph on the boundary ids ``0..N-1``.
+
+    Its neighbour tuples are built on first use and kept on the instance,
+    out of ``__eq__``, ``__hash__`` and ``repr``, so the per-vertex component
+    data of one graph share one build.
+    """
 
     N: int
     edges: frozenset[tuple[int, int]]
@@ -65,8 +70,16 @@ class BoundaryGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return sorted_edge(a, b) in self.edges
 
-    def adjacency(self) -> list[set[int]]:
-        return adjacency(self.N, self.edges)
+    @functools.cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        # tuples hold a graph's neighbours in under a fifth of a frozenset's bytes,
+        # and the caches keep several graphs per triple alive
+        return tuple(tuple(sorted(adj)) for adj in adjacency(self.N, self.edges))
+
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of every id in increasing order, read-only and built
+        once per graph."""
+        return self._adjacency
 
     def is_connected(self) -> bool:
         return len(split_components(range(self.N), self.adjacency())) <= 1

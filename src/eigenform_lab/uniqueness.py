@@ -13,25 +13,29 @@ functionals are linear, so vanishing on every composite image is the same as
 vanishing on the smallest invariant subspace containing the seed.  The word
 enumeration bound survives as a test oracle.  The empty word is always
 included: the seed itself belongs to its own orbit span.  ``orbit_span``
-closes a whole stack of seeds in lockstep, so the digraph closes all node
-spans in one call and the positive-form cross-check all of its own in
-another; their seeds come the same way, every node's Perron data from one
-``perron_component`` call and every vertex's Perron vector from one
-``perron_positive`` call.
+closes a whole stack of seeds in lockstep, and a seed closes bit for bit as
+it would alone, so ``stability_digraph`` makes one call for the node seeds
+and, for a positive form, the positive-form cross-check's own seeds stacked
+after them.  The seeds come in one call each, every node's Perron data from
+``perron_component`` and every vertex's Perron vector from
+``perron_positive``.
 
 Each node's functional is stored as one row vector, shift and mask folded in,
 so the rows of all nodes stack into a (nodes x N) matrix; one product of it
-with every span basis stacked, reduced per source, gives all edge magnitudes,
-for the digraph and the cross-check alike.  Sinks of the condensation are
-read off reachability: a node lies in a sink exactly when every node it
-reaches reaches it back.
+with every span basis stacked, reduced per source, gives all edge magnitudes.
+The cross-check reads its table the same way off its own slice of spans, with
+the boundary Laplacian rows as functionals, so it shares the lockstep loop,
+the table readout and ``PHI_TOL`` with the digraph, and no span, seed or
+table.  Sinks of the condensation are read off reachability: a node lies in
+a sink exactly when every node it reaches reaches it back.
 
 Orbit spans, Perron data and penalty forms all read one ``OperatorCache``,
 passed as their first argument: ``stability_digraph`` takes the one the
 solver's last iteration built, when the form is the one it returned, and
-keeps it on the digraph.  The verdict carries that digraph, so the
-positive-form cross-check and ``explore_nonuniqueness`` read its operators
-and component data instead of rebuilding them.
+keeps it on the digraph, with the cross-check's edges.  The verdict carries
+that digraph, so ``decide_uniqueness`` compares the cross-check's edges with
+the digraph's, and ``explore_nonuniqueness`` reads its operators and
+component data, without closing a span or rebuilding an operator.
 """
 
 from __future__ import annotations
@@ -75,6 +79,12 @@ class StabilityDigraph:
     functional value seen over the source's orbit span; ``edges`` holds the
     pairs above threshold.  Borderline magnitudes are listed in ``warnings``.
     ``cache`` holds the cell operators the digraph was built from.
+
+    ``cross_check_edges`` holds, for a positive form, the edges of the
+    single-vertex variant on the nodes ``(j, 0)``, and is ``None`` otherwise.
+    Their spans close in the digraph's ``orbit_span`` call, from their own
+    Perron seeds, and their table comes off their own slice of spans, so they
+    share no result with ``edges``; ``decide_uniqueness`` compares the two.
     """
 
     nodes: list[Node]
@@ -84,6 +94,7 @@ class StabilityDigraph:
     spans: dict[Node, np.ndarray]
     magnitudes: dict[tuple[Node, Node], float]
     cache: OperatorCache
+    cross_check_edges: set[tuple[Node, Node]] | None
     warnings: list[str] = field(default_factory=list)
 
 
@@ -120,18 +131,23 @@ def orbit_span(cache: OperatorCache, seeds) -> list[np.ndarray]:
     taken twice.
 
     All seeds close in lockstep on one zero-padded ``(S, N, N)`` basis stack,
-    where zero rows are inert.  Each step projects every seed's pending image
-    block at once; a seed then adjoins its first image above threshold and
-    drops the images up to it, or, having none, moves on to its next basis
-    vector, whose images all moving seeds get from one product.  A seed stops
-    when its span is full or its worklist is empty.
+    where zero rows are inert.  Each outer step pushes the next basis vector
+    of every open seed through the operators in one product; the inner loop
+    then projects the pending image blocks of the seeds still growing at
+    once, and each of them adjoins its first image above threshold and drops
+    the images up to it, until none has one left.  A seed stops when its span
+    is full or its worklist is empty.  Every product and norm has the shape
+    it would have for the seed alone, so a seed closes bit for bit as it
+    would alone: the digraph and its positive-form cross-check share one call
+    without sharing a result.
     """
     ops = cache.ops
     k, n = ops.shape[0], ops.shape[-1]
     seeds = np.asarray(seeds, dtype=float)
     if seeds.ndim != 2 or seeds.shape[1] != n:
         raise ValueError(f"orbit seeds must be an (S, {n}) stack, got shape {seeds.shape}")
-    norm = np.linalg.norm(seeds, axis=1)
+    # what np.linalg.norm computes for real input, without its dispatch
+    norm = np.sqrt(np.add.reduce(seeds * seeds, axis=1))
     if not norm.all():
         raise ValueError("orbit seed must be nonzero")
     count = len(seeds)
@@ -140,40 +156,40 @@ def orbit_span(cache: OperatorCache, seeds) -> list[np.ndarray]:
     dim = np.ones(count, dtype=np.intp)
     done = np.zeros(count, dtype=np.intp)  # basis vectors whose images were taken
     scale = np.maximum(1.0, norm)
-    images = np.zeros((count, k, n))
-    reach = np.zeros((count, k))  # the images' norms
-    limit = np.zeros((count, k))
-    live = move = dim < n
-    while live.any():
-        who = np.flatnonzero(move)
-        if who.size:
-            # one product per vector, so a seed's bits do not depend on its stack
-            new = (ops @ basis[who, done[who], None, :, None])[..., 0]
-            images[who] = new
-            reach[who] = np.linalg.norm(new, axis=2)
-            limit[who] = RANK_TOL * np.maximum(scale[who, None], reach[who])
-            done[who] += 1
-        resid = images - (images @ basis.transpose(0, 2, 1)) @ basis
-        size = np.linalg.norm(resid, axis=2)
-        fresh = (size > limit) & live[:, None]
-        grow = fresh.any(axis=1)
-        move = live & ~grow & (done < dim)
-        who = np.flatnonzero(grow)
-        first = fresh[who].argmax(axis=1)
-        add, length = resid[who, first], size[who, first]
-        # one projection leaves a part along the span of about rounding times
-        # the image's norm, which is over 1e-13 of a residual below 1e-3 of
-        # that norm; such a residual is projected once more
-        again = length < 1e-3 * reach[who, first]
-        if again.any():
-            span = basis[who[again]]
-            add[again] -= ((add[again, None] @ span.transpose(0, 2, 1)) @ span)[:, 0]
-            length[again] = np.linalg.norm(add[again], axis=1)
-        basis[who, dim[who]] = add / length[:, None]
-        dim[who] += 1
-        # the images up to the adjoined one were within threshold of a smaller span
-        images[who] *= (np.arange(k) > first[:, None])[:, :, None]
-        live = move | (grow & (dim < n))
+    cells = np.arange(k)
+    move = np.flatnonzero(dim < n)
+    while move.size:
+        # one product per vector, so a seed's bits do not depend on its stack
+        images = (ops @ basis[move, done[move], None, :, None])[..., 0]
+        reach = np.sqrt(np.add.reduce(images * images, axis=2))  # the images' norms
+        limit = RANK_TOL * np.maximum(scale[move, None], reach)
+        done[move] += 1
+        at = np.arange(move.size)  # image blocks whose seeds may still grow
+        while at.size:
+            block, span = images[at], basis[move[at]]
+            resid = block - (block @ span.transpose(0, 2, 1)) @ span
+            size = np.sqrt(np.add.reduce(resid * resid, axis=2))
+            fresh = size > limit[at]
+            grow = np.flatnonzero(fresh.any(axis=1))
+            at = at[grow]
+            who = move[at]
+            first = fresh[grow].argmax(axis=1)
+            add, length = resid[grow, first], size[grow, first]
+            # one projection leaves a part along the span of about rounding times
+            # the image's norm, which is over 1e-13 of a residual below 1e-3 of
+            # that norm; such a residual is projected once more
+            again = length < 1e-3 * reach[at, first]
+            if again.any():
+                span = span[grow[again]]
+                add[again] -= ((add[again, None] @ span.transpose(0, 2, 1)) @ span)[:, 0]
+                length[again] = np.sqrt(np.add.reduce(add[again] * add[again], axis=1))
+            basis[who, dim[who]] = add / length[:, None]
+            dim[who] += 1
+            # the images up to the adjoined one were within threshold of a smaller span
+            drop, cell = np.nonzero(cells <= first[:, None])
+            images[at[drop], cell] = 0.0
+            at = at[dim[who] < n]
+        move = move[(done[move] < dim[move]) & (dim[move] < n)]
     return [basis[s, :d] for s, d in enumerate(dim.tolist())]
 
 
@@ -187,17 +203,16 @@ def _node_row(v: np.ndarray, comp: ComponentData, s: int) -> np.ndarray:
     return x
 
 
-def _reach(cache: OperatorCache, seeds, rows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Orbit spans of the ``(S, N)`` stack ``seeds``, and the ``(S, R)`` table
-    of the largest ``|rows[r] @ b| / (max_coeff * sup|b|)`` over the vectors
-    ``b`` of basis ``s``: one product over all bases stacked, one reduction
-    per basis.  An orthonormal basis has no zero vector to divide by."""
-    spans = orbit_span(cache, seeds)
+def _table(cache: OperatorCache, spans: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The ``(S, R)`` table of the largest ``|rows[r] @ b| / (max_coeff *
+    sup|b|)`` over the vectors ``b`` of each of the S bases ``spans``: one
+    product over all bases stacked, one reduction per basis.  An orthonormal
+    basis has no zero vector to divide by."""
     basis = np.concatenate(spans)
     sup = np.max(np.abs(basis), axis=1)
     values = np.abs(rows @ basis.T) / (cache.form.max_coefficient() * sup)
     starts = np.cumsum([0] + [len(span) for span in spans[:-1]])
-    return spans, np.maximum.reduceat(values, starts, axis=1).T
+    return np.maximum.reduceat(values, starts, axis=1).T
 
 
 def stability_digraph(
@@ -210,6 +225,12 @@ def stability_digraph(
     somewhere on the invariant span generated by the source's eigenvector
     iterate.  The cell operators come from ``renorm``'s context slot and stay
     on the digraph.
+
+    For a positive form the single-vertex cross-check runs here too: its own
+    seeds, one Perron vector per vertex from one ``perron_positive`` call,
+    close in the same ``orbit_span`` call as the nodes' seeds, and its edges,
+    read off its own slice of spans against the boundary Laplacian rows, are
+    kept in ``cross_check_edges`` for ``decide_uniqueness`` to compare.
     """
     if not _on_hat_support(triple, form):
         raise ValueError(
@@ -223,8 +244,18 @@ def stability_digraph(
     payload = dict(zip(nodes, perron))
     lap = _laplacian_matrix(form)
     rows = np.array([_node_row(lap[j], comp_by_j[j], s) for (j, s) in nodes])
-    spans, table = _reach(cache, [payload[src].u_tilde for src in nodes], rows)
+    seeds = [payload[src].u_tilde for src in nodes]
+    positive = _support_mask(form).all()
+    if positive:
+        seeds += [u_bar for u_bar, _ in perron_positive(cache, range(triple.N))]
+    spans = orbit_span(cache, seeds)
+    table = _table(cache, spans[: len(nodes)], rows)
     magnitudes = dict(zip([(a, b) for a in nodes for b in nodes], table.ravel().tolist()))
+    cross_check_edges = None
+    if positive:
+        check = _table(cache, spans[len(nodes) :], lap)
+        pairs = np.argwhere(check > PHI_TOL).tolist()
+        cross_check_edges = {((j, 0), (jd, 0)) for j, jd in pairs}
     return StabilityDigraph(
         nodes=nodes,
         edges={pair for pair, mag in magnitudes.items() if mag > PHI_TOL},
@@ -233,6 +264,7 @@ def stability_digraph(
         spans=dict(zip(nodes, spans)),
         magnitudes=magnitudes,
         cache=cache,
+        cross_check_edges=cross_check_edges,
         warnings=[
             f"borderline functional magnitude {mag:.3e} on edge {src}->{dst}"
             for (src, dst), mag in magnitudes.items()
@@ -265,14 +297,6 @@ def _sink_sccs(
     return sorted((sorted(scc) for scc in sinks), key=lambda scc: scc[0])
 
 
-def _positive_case_edges(cache: OperatorCache) -> set[tuple[Node, Node]]:
-    """Single-vertex variant for positive eigenforms, as edges on the nodes
-    ``(j, 0)``: Perron vectors as seeds, the difference operator as functional."""
-    seeds = [u_bar for u_bar, _ in perron_positive(cache, range(cache.triple.N))]
-    _, table = _reach(cache, seeds, _laplacian_matrix(cache.form))
-    return {((j, 0), (jd, 0)) for j, jd in np.argwhere(table > PHI_TOL).tolist()}
-
-
 def _require_context(dg: StabilityDigraph, triple, form, r, what: str) -> None:
     """Refuse a digraph whose cell operators belong to another triple, form or
     checked weights, compared by value."""
@@ -294,9 +318,11 @@ def decide_uniqueness(
     carries it.  One sink means unique; two or more yield witnesses, namely
     two sink components themselves (each is closed under out-edges).  For a
     positive form (every coefficient above ``COEFF_EPS`` times the largest,
-    as ``perron_positive`` requires) the single-vertex variant runs as well,
-    on the digraph's cell operators, and must give the same edges; its stable
-    graph is complete, so equal edges on the nodes ``(j, 0)`` imply an equal verdict.
+    as ``perron_positive`` requires) the single-vertex variant's edges, which
+    ``stability_digraph`` found from their own seeds and spans and keeps in
+    ``cross_check_edges``, must equal the digraph's; its stable graph is
+    complete, so equal edges on the nodes ``(j, 0)`` imply an equal verdict.
+    No span is closed here.
     """
     r = check_weights(triple, weights)
     if digraph is not None:
@@ -309,7 +335,7 @@ def decide_uniqueness(
         witnesses = (list(sinks[0]), list(sinks[1]))
 
     if _support_mask(form).all():
-        if _positive_case_edges(dg.cache) != dg.edges:
+        if dg.cross_check_edges != dg.edges:
             raise InternalConsistencyError(
                 "single-vertex and component-based digraphs differ for a positive form"
             )

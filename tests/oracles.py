@@ -10,7 +10,9 @@ span, one power iteration per Perron block, power iteration for projection
 limits, exhaustive word enumeration, exhaustive subset enumeration, one
 recursive call per JSON value) without going through the production code
 paths it checks.  ``random_drawn_triples`` and ``random_valid_triples`` draw
-the seeded inputs that some of them are checked on.
+the seeded inputs that some of them are checked on.  ``orbit_span_frozen``
+and ``find_eigenform_frozen`` keep earlier forms of two library loops, so a
+rewrite of either is checked against the bits it replaced.
 
 The paper's proof devices, which no library path needs, are defined here
 alone: the harmonic and constrained extensions with their one-step energy,
@@ -496,6 +498,56 @@ def orbit_span_rounds(triple, cache, seed, rank_tol=1e-10):
             if len(basis) == triple.N:
                 break
     return np.array(basis)
+
+
+def orbit_span_frozen(cache, seeds):
+    """``orbit_span`` as it stood before its image blocks were projected in an
+    inner adjoin loop: every step projects the pending images of every seed
+    of the stack, a seed without an image above threshold moves to its next
+    basis vector in the same step, and norms go through ``np.linalg.norm``.
+    The spans it closes one stack at a time are the bits the library's
+    stacked closure must reproduce."""
+    rank_tol = uniqueness.RANK_TOL
+    ops = cache.ops
+    k, n = ops.shape[0], ops.shape[-1]
+    seeds = np.asarray(seeds, dtype=float)
+    norm = np.linalg.norm(seeds, axis=1)
+    count = len(seeds)
+    basis = np.zeros((count, n, n))
+    basis[:, 0] = seeds / norm[:, None]
+    dim = np.ones(count, dtype=np.intp)
+    done = np.zeros(count, dtype=np.intp)
+    scale = np.maximum(1.0, norm)
+    images = np.zeros((count, k, n))
+    reach = np.zeros((count, k))
+    limit = np.zeros((count, k))
+    live = move = dim < n
+    while live.any():
+        who = np.flatnonzero(move)
+        if who.size:
+            new = (ops @ basis[who, done[who], None, :, None])[..., 0]
+            images[who] = new
+            reach[who] = np.linalg.norm(new, axis=2)
+            limit[who] = rank_tol * np.maximum(scale[who, None], reach[who])
+            done[who] += 1
+        resid = images - (images @ basis.transpose(0, 2, 1)) @ basis
+        size = np.linalg.norm(resid, axis=2)
+        fresh = (size > limit) & live[:, None]
+        grow = fresh.any(axis=1)
+        move = live & ~grow & (done < dim)
+        who = np.flatnonzero(grow)
+        first = fresh[who].argmax(axis=1)
+        add, length = resid[who, first], size[who, first]
+        again = length < 1e-3 * reach[who, first]
+        if again.any():
+            span = basis[who[again]]
+            add[again] -= ((add[again, None] @ span.transpose(0, 2, 1)) @ span)[:, 0]
+            length[again] = np.linalg.norm(add[again], axis=1)
+        basis[who, dim[who]] = add / length[:, None]
+        dim[who] += 1
+        images[who] *= (np.arange(k) > first[:, None])[:, :, None]
+        live = move | (grow & (dim < n))
+    return [basis[s, :d] for s, d in enumerate(dim.tolist())]
 
 
 def _perron_pair(matrix):

@@ -17,6 +17,7 @@ from eigenform_lab import (
     tilde_graph,
     validate,
 )
+from eigenform_lab import graphs
 from eigenform_lab._graphutil import adjacency, labels, split_components
 from eigenform_lab.graphs import _lift, _single_images
 from oracles import (
@@ -200,6 +201,29 @@ def test_image_rejects_bad_vertex(tree_gasket):
         l_j_image(tree_gasket, 1, [1], 1)
     with pytest.raises(ValueError):
         l_j_image(tree_gasket, 1, [5], 1)
+
+
+def test_boundary_graph_builds_its_adjacency_once(monkeypatch, gen, twisted_tree_gasket):
+    # the component data of every vertex read one read-only adjacency build
+    # of a fresh graph, and give what one build per call gave; the cached
+    # sets stay out of equality, hashing and repr
+    calls = []
+    monkeypatch.setattr(graphs, "adjacency", lambda n, e: calls.append(n) or adjacency(n, e))
+    triples = [builtin(name) for name in builtin_names()]
+    triples += [twisted_tree_gasket, gen.simplex_gasket(12), gen.vicsek(9)]
+    for triple in triples:
+        hat = hat_graph(triple)
+        fresh = BoundaryGraph(hat.N, hat.edges)
+        calls.clear()
+        got = [graphs._component_data.__wrapped__(triple, j, fresh) for j in range(triple.N)]
+        assert fresh.is_connected()
+        assert calls == [triple.N]
+        assert got == [components(triple, j) for j in range(triple.N)]
+        for j, comp in enumerate(got):
+            verts = [x for x in range(triple.N) if x != j]
+            assert comp.components == tuple(split_components(verts, adjacency(triple.N, hat.edges)))
+        assert fresh.adjacency() == tuple(tuple(sorted(a)) for a in adjacency(triple.N, hat.edges))
+        assert (fresh, hash(fresh), repr(fresh)) == (hat, hash(hat), repr(hat))
 
 
 def test_boundary_graph_validation():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from eigenform_lab import (
     DirichletForm,
     FractalTriple,
     InternalConsistencyError,
+    builtin,
     components,
     decide_uniqueness,
     explore_nonuniqueness,
@@ -23,7 +25,7 @@ from eigenform_lab import (
 from eigenform_lab import renorm, uniqueness
 from eigenform_lab.forms import _support_mask
 from eigenform_lab.renorm import OperatorCache
-from eigenform_lab.uniqueness import _node_row, _positive_case_edges, _sink_sccs
+from eigenform_lab.uniqueness import _node_row, _sink_sccs
 
 from oracles import (
     closed_subsets,
@@ -32,6 +34,7 @@ from oracles import (
     harmonicity_functional,
     has_two_disjoint_closed_subsets,
     magnitudes_by_span,
+    orbit_span_frozen,
     orbit_span_rounds,
     pair_energy,
     pi_limit,
@@ -249,8 +252,8 @@ def _bits(magnitudes):
 def test_reach_matches_the_per_span_oracle(verified, phi_tol, monkeypatch):
     # the stacked table against one product per span: every magnitude bit
     # for bit and in order, and the edges, sinks, witnesses, warnings and
-    # cross-check edges read off it; at PHI_TOL = 1e-2 most edges are
-    # borderline, so the warnings' text and order are compared in bulk
+    # cross-check edges the digraph carries; at PHI_TOL = 1e-2 most edges
+    # are borderline, so the warnings' text and order are compared in bulk
     monkeypatch.setattr(uniqueness, "PHI_TOL", phi_tol)
     warned = positive = 0
     for triple, form, r in verified:
@@ -263,11 +266,126 @@ def test_reach_matches_the_per_span_oracle(verified, phi_tol, monkeypatch):
         assert verdict.sink_sccs == sinks
         assert verdict.witnesses == ((sinks[0], sinks[1]) if len(sinks) > 1 else None)
         if _support_mask(form).all():
-            assert _positive_case_edges(dg.cache) == positive_case_edges_by_span(dg.cache)
+            assert dg.cross_check_edges == positive_case_edges_by_span(dg.cache)
             positive += 1
+        else:
+            assert dg.cross_check_edges is None
         warned += len(warnings)
     assert positive > 150
     assert (warned > 1000) == (phi_tol == 1e-2)
+
+
+class _SpanSpy:
+    """Stand-in for ``uniqueness.orbit_span`` that records every call's
+    cache, seed stack and spans."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        monkeypatch.setattr(uniqueness, "orbit_span", self)
+
+    def __call__(self, cache, seeds):
+        spans = orbit_span(cache, seeds)
+        self.calls.append((cache, np.asarray(seeds, dtype=float), spans))
+        return spans
+
+
+def _benchmark_inputs(harness, rng):
+    """Every benchmark input, relabelled once, with its weights and start;
+    the built-ins named by the CLI corpus get unit weights."""
+    out = []
+    for cases in harness.CASES.values():
+        for case in cases():
+            if case.triple is None:
+                triple = builtin(case.label)
+                case = dataclasses.replace(case, triple=triple, weights=(1.0,) * triple.k)
+            out.append(harness.prepare(case, rng))
+    return out
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_stacked_spans_match_the_frozen_closure(verified, harness, monkeypatch):
+    # every span the digraph closes, node seeds and the positive-form
+    # cross-check's seeds in one stack, has the bits of the frozen closure
+    # run on each seed set alone
+    spy = _SpanSpy(monkeypatch)
+    cases = list(verified)
+    for triple, weights, init in _benchmark_inputs(harness, random.Random(48)):
+        result = find_eigenform(triple, weights, init=init)
+        if result.converged:
+            cases.append((triple, result.form, np.asarray(weights)))
+    # tree_gasket at weights (1, 2, 3) has no eigenform
+    assert len(cases) == len(verified) + 16
+    stacked = 0
+    for triple, form, r in cases:
+        spy.calls.clear()
+        dg = stability_digraph(triple, form, r)
+        [(cache, seeds, spans)] = spy.calls
+        nodes = len(dg.nodes)
+        node_seeds = np.array([dg.payload[node].u_tilde for node in dg.nodes])
+        assert seeds[:nodes].tobytes() == node_seeds.tobytes()
+        assert len(seeds) == nodes + (triple.N if _support_mask(form).all() else 0)
+        _same_bits(spans[:nodes], orbit_span_frozen(cache, seeds[:nodes]))
+        _same_bits(spans[:nodes], list(dg.spans.values()))
+        if len(seeds) > nodes:
+            _same_bits(spans[nodes:], orbit_span_frozen(cache, seeds[nodes:]))
+            stacked += 1
+    assert stacked > 150
+    rng = np.random.default_rng(49)
+    for ops, seed in _sparse_draws():
+        n = len(seed)
+        cache = _StackedOps(ops)
+        first, second = np.vstack([seed, np.ones(n)]), np.vstack([np.eye(n)[0], rng.normal(size=n)])
+        spans = orbit_span(cache, np.vstack([first, second]))
+        _same_bits(spans[:2], orbit_span_frozen(cache, first))
+        _same_bits(spans[2:], orbit_span_frozen(cache, second))
+
+
+def test_one_span_closure_per_digraph(monkeypatch, gen, gasket, tree_gasket, gasket_eigenform, tree_eigenform):
+    # the digraph closes its spans, and a positive form's cross-check spans,
+    # in one orbit_span call and finds the cross-check's seeds in one
+    # perron_positive call; deciding on that digraph makes neither call
+    spy = _SpanSpy(monkeypatch)
+    perron = []
+    real = uniqueness.perron_positive
+
+    def counting(cache, js):
+        perron.append(cache)
+        return real(cache, js)
+
+    monkeypatch.setattr(uniqueness, "perron_positive", counting)
+    g8 = gen.simplex_gasket(8)
+    r8 = np.ones(g8.k)
+    cases = [
+        (gasket, gasket_eigenform, R3, True),
+        (g8, find_eigenform(g8, r8).form, r8, True),
+        (tree_gasket, tree_eigenform, R3, False),
+    ]
+    for triple, form, r, positive in cases:
+        spy.calls.clear()
+        perron.clear()
+        dg = stability_digraph(triple, form, r)
+        assert [cache for cache, _, _ in spy.calls] == [dg.cache]
+        assert perron == ([dg.cache] if positive else [])
+        assert (dg.cross_check_edges is None) == (not positive)
+        spy.calls.clear()
+        perron.clear()
+        verdict = decide_uniqueness(triple, form, r, digraph=dg)
+        assert (spy.calls, perron) == ([], [])
+        assert verdict.unique == positive
+        if positive:
+            assert dg.cross_check_edges == dg.edges
+            # a carried edge set that differs from the digraph's is refused
+            kept = set(sorted(dg.edges)[1:])
+            with pytest.raises(InternalConsistencyError, match="digraphs differ"):
+                decide_uniqueness(
+                    triple, form, r, digraph=dataclasses.replace(dg, cross_check_edges=kept)
+                )
 
 
 def test_node_rows_match_harmonicity_functional(analysed):
