@@ -8,12 +8,11 @@ in the boundary data is the Schur complement of that Laplacian onto the
 boundary.  Restricting the minimizer to a single cell gives a small
 stochastic boundary-to-boundary map.  ``OperatorCache`` makes the one interior
 solve for boundary data of a (triple, form, weights) context and keeps the k
-cell maps and the Schur block; the eigenform search, ``renormalize`` and the
-stability analysis take it from a slot holding the context built last, so
-checking the form the search returned reuses its last solve.  A search step
-is one such solve, built without the constructor's checks (the search makes
-them once), and one checked read of the image coefficients off the Schur
-block.
+cell maps and the Schur block.  Each eigenform search step builds one, without
+the constructor's checks (the search makes them once), reads the image
+coefficients off its Schur block and puts it in a slot; ``renormalize`` and
+the stability analysis look the slot up by value, so checking the form the
+search returned reuses its last solve.
 
 Every interior solve is a Kron reduction of the network onto a set of fixed
 vertices: the boundary, for the library; the extension oracles of the test
@@ -343,29 +342,20 @@ class OperatorCache:
     ``ops`` stacks the k cell operators into one ``(k, N, N)`` array: row
     ``p`` of operator ``i`` gives the minimizing extension at the image of
     boundary vertex ``p`` in cell ``i`` as a function of the boundary data
-    (rows sum to one), and ``word`` multiplies them on demand; ``power``
-    keeps each node power it builds.  ``schur`` is the Schur complement onto
-    the boundary, ``image`` (computed on first read) the renormalized form,
-    ``weights`` a read-only copy of the checked weights.
+    (rows sum to one), and ``word`` multiplies them on demand.  ``schur`` is
+    the Schur complement onto the boundary, ``image`` (computed on first
+    read) the renormalized form, ``weights`` a read-only copy of the checked
+    weights.
     """
 
     def __new__(cls, triple: FractalTriple, form: DirichletForm, weights):
         # the constructor's checks, before ``__init__`` solves; the eigenform
-        # search makes them once and builds by ``_checked``
+        # search makes them once and builds by ``_search_context``
         if form.N != triple.N:
             raise ValueError(f"form has N={form.N}, triple has N={triple.N}")
         out = object.__new__(cls)
         out.weights = np.array(check_weights(triple, weights))
         out.weights.flags.writeable = False
-        return out
-
-    @classmethod
-    def _checked(cls, triple: FractalTriple, form: DirichletForm, r: np.ndarray) -> "OperatorCache":
-        """The context of a form on ``triple.N`` and the read-only checked
-        weights ``r``, kept as they are."""
-        out = object.__new__(cls)
-        out.weights = r
-        out.__init__(triple, form, r)
         return out
 
     def __init__(self, triple: FractalTriple, form: DirichletForm, weights):
@@ -376,7 +366,6 @@ class OperatorCache:
         # boundary data to the full minimizing extension, per cell
         self.ops = x[triple.cell_array]
         self.ops.flags.writeable = self.schur.flags.writeable = False
-        self._powers: dict[tuple[int, int], np.ndarray] = {}
 
     def matches(self, triple: FractalTriple, form: DirichletForm, weights: np.ndarray) -> bool:
         """Whether this is the context of ``triple``, ``form`` and the checked
@@ -431,17 +420,12 @@ class OperatorCache:
         return out
 
     def power(self, j: int, period: int) -> np.ndarray:
-        """The word of ``period`` copies of cell ``j``, built on the first
-        call for each ``(j, period)`` and shared, read-only, after it."""
-        out = self._powers.get((j, period))
-        if out is None:
-            out = self._powers[j, period] = self.word((j,) * period)
-            out.flags.writeable = False
-        return out
+        """The word of ``period`` copies of cell ``j``."""
+        return self.word((j,) * period)
 
 
 # Search, verification and stability analysis read one final form in that
-# order, so one slot lets each stage reuse the interior solve of the one before.
+# order, so one slot lets the later stages reuse the search's last solve.
 _last: OperatorCache | None = None
 
 
@@ -454,14 +438,12 @@ def _context(triple: FractalTriple, form: DirichletForm, weights) -> OperatorCac
     return _last
 
 
-def _search_context(
-    triple: FractalTriple, form: DirichletForm, r: np.ndarray, reuse: bool
-) -> OperatorCache:
+def _search_context(triple: FractalTriple, form: DirichletForm, r: np.ndarray) -> OperatorCache:
     """A new context of a form on ``triple.N`` and the read-only checked
-    weights ``r``, put in the slot; with ``reuse``, the slot's own if it
-    matches.  Each search step after the first has a new iterate, which the
-    slot cannot hold, so only the first reuses."""
+    weights ``r``, kept as they are, put in the slot.  The slot is never
+    read here, so a search builds the same contexts whatever ran before it."""
     global _last
-    if not (reuse and _last is not None and _last.matches(triple, form, r)):
-        _last = OperatorCache._checked(triple, form, r)
+    _last = object.__new__(OperatorCache)
+    _last.weights = r
+    _last.__init__(triple, form, r)
     return _last

@@ -254,7 +254,7 @@ def find_eigenform(
 
     for iterations in range(1, max_iter + 1):
         form = DirichletForm._from_vector(triple.N, vec)
-        cache = renorm._search_context(triple, form, r, reuse=iterations == 1)
+        cache = renorm._search_context(triple, form, r)
         image = cache._coefficients()
         # the iterate has unit coefficient sum, so this is the pre-normalization ratio
         rho = float(image.sum())

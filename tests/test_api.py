@@ -1,10 +1,14 @@
 """The public API carries no tolerance or iteration option beyond the ones
 the CLI sets: every other threshold is a module constant, read when the
-function runs, so two analyses of one input can never use different values."""
+function runs, so two analyses of one input can never use different values.
+The package also keeps the RSS rules that ROADMAP's Settled list records."""
 
 import importlib
 import inspect
 import re
+from pathlib import Path
+
+import eigenform_lab
 
 MODULES = ("forms", "fractal", "graphs", "renorm", "solver", "spectral", "uniqueness")
 OPTION = re.compile(r"tol|eps|max_iter|max_retries")
@@ -40,3 +44,15 @@ def test_only_forms_and_renorm_bind_the_zero_threshold():
     # every other module tests coefficients against zero through forms
     bound = [m for m in MODULES if hasattr(importlib.import_module(f"eigenform_lab.{m}"), "COEFF_EPS")]
     assert bound == ["forms", "renorm"]
+
+
+def test_the_product_calls_no_np_unique():
+    # a first np.unique call adds 0.5-0.8 MB of RSS to a process
+    calls = re.compile(r"\b(np|numpy)\.unique\b")
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(Path(eigenform_lab.__file__).parent.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if calls.search(line)
+    ]
+    assert found == []

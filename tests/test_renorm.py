@@ -622,6 +622,48 @@ def test_one_interior_solve_per_iteration_through_the_pipeline(gen, twisted_tree
         assert len(calls) == res.iterations
 
 
+def test_a_search_never_reads_the_context_slot(gen, monkeypatch):
+    # from an empty slot, right after the identical search, and after an
+    # unrelated renormalize, a search returns the same bits and builds one
+    # context per iteration
+    builds = []
+    original = OperatorCache.__init__
+
+    def counting(self, triple, form, weights):
+        builds.append(triple)
+        original(self, triple, form, weights)
+
+    monkeypatch.setattr(OperatorCache, "__init__", counting)
+    g8, w8 = gen.relabel(gen.simplex_gasket(8), np.ones(8), random.Random(3))
+    cases = [
+        (builtin("gasket"), R3, None),
+        (builtin("tree_gasket"), R3, None),
+        (builtin("vicsek"), np.ones(5), None),
+        (g8, np.array(w8), gen.random_form(8, random.Random(3))),
+    ]
+    for triple, weights, init in cases:
+        results = []
+        for before in (
+            lambda: monkeypatch.setattr(renorm, "_last", None),
+            lambda: None,
+            lambda: renormalize(builtin("gasket"), DirichletForm.ones(3), R3),
+        ):
+            before()
+            builds.clear()
+            res = find_eigenform(triple, weights, init=init)
+            assert len(builds) == res.iterations
+            results.append(res)
+        first = results[0]
+        assert first.converged
+        if init is None:
+            assert first.iterations == 1
+        for res in results[1:]:
+            assert np.float64(res.rho).tobytes() == np.float64(first.rho).tobytes()
+            assert np.float64(res.residual).tobytes() == np.float64(first.residual).tobytes()
+            assert res.iterations == first.iterations
+            assert res.form.matrix().tobytes() == first.form.matrix().tobytes()
+
+
 def _assert_same_context(got, want):
     assert got.triple == want.triple
     for a, b in [

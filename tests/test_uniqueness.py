@@ -37,7 +37,6 @@ from oracles import (
     orbit_span_frozen,
     orbit_span_rounds,
     pair_energy,
-    pi_limit,
     positive_case_edges_by_span,
     project_g,
     random_valid_triples,
@@ -582,42 +581,24 @@ def test_sink_criterion_matches_subset_enumeration(gasket, tree_gasket, vicsek, 
             assert any(frozenset(s) <= subset for s in sinks)
 
 
-def test_node_powers_are_built_once_per_cache(
-    monkeypatch, gen, tree_gasket, vicsek, twisted_tree_gasket, tree_eigenform, vicsek_eigenform
+def test_node_powers_are_words_of_one_cell(
+    gen, tree_gasket, vicsek, twisted_tree_gasket, tree_eigenform, vicsek_eigenform
 ):
-    # perron_component, penalty_form and pi_limit all read one read-only
-    # power per (j, period) of a cache, with the bits of a fresh product;
-    # both components at the twisted tree gasket's vertex 0 have period 2
-    original = OperatorCache.word
-    built = []
-
-    def counting(self, word):
-        word = tuple(word)
-        built.append((id(self), word))
-        return original(self, word)
-
-    monkeypatch.setattr(OperatorCache, "word", counting)
+    # every node's power, as perron_component, penalty_form and pi_limit read
+    # it, has the bits of the word of ``period`` copies of its cell; both
+    # components at the twisted tree gasket's vertex 0 have period 2
     cases = [(tree_gasket, tree_eigenform, R3), (vicsek, vicsek_eigenform, np.ones(5))]
     triple, r = gen.vicsek(8), np.ones(9)
     cases.append((triple, find_eigenform(triple, r).form, r))
     cases.append((twisted_tree_gasket, DirichletForm(3, {(0, 1): 1.0, (0, 2): 1.0}), R3))
+    periods = set()
     for triple, form, r in cases:
-        monkeypatch.setattr(renorm, "_last", None)
-        built.clear()
-        verdict = decide_uniqueness(triple, form, r)
-        dg = verdict.digraph
-        for node, pdata in dg.payload.items():
-            penalty_form(dg.cache, dg.component_data[node[0]], node[1])
-            pi_limit(dg.cache, pdata, pdata.u_tilde)
-        if verdict.witnesses is not None:
-            explore_nonuniqueness(triple, form, r, verdict)
-        keys = sorted({(j, pdata.period) for (j, _), pdata in dg.payload.items()})
-        assert sorted(built) == [(id(dg.cache), (j,) * period) for j, period in keys]
-        for j, period in keys:
-            power = dg.cache.power(j, period)
-            assert not power.flags.writeable
-            assert power.tobytes() == original(dg.cache, (j,) * period).tobytes()
-        assert len(built) == len(keys)
+        dg = stability_digraph(triple, form, r)
+        for (j, _), pdata in dg.payload.items():
+            periods.add(pdata.period)
+            power = dg.cache.power(j, pdata.period)
+            assert power.tobytes() == dg.cache.word((j,) * pdata.period).tobytes()
+    assert periods == {1, 2}
 
 
 def test_penalty_form_values(tree_gasket, tree_eigenform):
