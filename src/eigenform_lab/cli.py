@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from dataclasses import fields
 
 from .errors import InternalConsistencyError, SingularInteriorError
 from .fractal import FractalTriple, builtin, builtin_names, uniform_weights, validate
@@ -99,39 +99,20 @@ def _eigenresult_dict(res: EigenResult) -> dict:
 
 def _graphs_dict(triple: FractalTriple) -> dict:
     hat = hat_graph(triple)
-    comp_rows = []
-    for j in range(triple.N):
-        comp = components(triple, j, hat)
-        comp_rows.append(
-            {
-                "j": j,
-                "components": [list(c) for c in comp.components],
-                "beta": list(comp.beta),
-                "periods": list(comp.periods),
-                "c_prime": [list(c) for c in comp.c_prime],
-                "c_second": [list(c) for c in comp.c_second],
-            }
-        )
+    rows = (components(triple, j, hat) for j in range(triple.N))
     return {
         "N": triple.N,
-        "tilde_graph": [list(e) for e in tilde_graph(triple).sorted_edges()],
-        "hat_graph": [list(e) for e in hat.sorted_edges()],
-        "components": comp_rows,
+        "tilde_graph": tilde_graph(triple).sorted_edges(),
+        "hat_graph": hat.sorted_edges(),
+        "components": [{f.name: getattr(row, f.name) for f in fields(row)} for row in rows],
     }
 
 
 def _verdict_dict(verdict: StabilityVerdict, rho: float) -> dict:
-    out = {
-        "unique": verdict.unique,
-        "rho": rho,
-        "sink_sccs": [[list(node) for node in scc] for scc in verdict.sink_sccs],
-    }
+    out = {"unique": verdict.unique, "rho": rho, "sink_sccs": verdict.sink_sccs}
     if verdict.witnesses is not None:
-        out["witnesses"] = [[list(node) for node in w] for w in verdict.witnesses]
-    out["digraph"] = {
-        "nodes": [list(node) for node in verdict.digraph.nodes],
-        "edges": [[list(a), list(b)] for a, b in sorted(verdict.digraph.edges)],
-    }
+        out["witnesses"] = verdict.witnesses
+    out["digraph"] = {"nodes": verdict.digraph.nodes, "edges": sorted(verdict.digraph.edges)}
     return out
 
 
@@ -145,15 +126,15 @@ def _text_lines(value, prefix: str):
     if isinstance(value, dict):
         lines = []
         for key, item in value.items():
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 lines.append(f"{prefix}{key}:")
                 lines.extend(_text_lines(item, prefix + "  "))
             else:
                 lines.append(f"{prefix}{key}: {item}")
         return lines
-    if isinstance(value, list):
-        if all(not isinstance(x, (dict, list)) for x in value):
-            return [f"{prefix}{value}"]
+    if isinstance(value, (list, tuple)):
+        if all(not isinstance(x, (dict, list, tuple)) for x in value):
+            return [f"{prefix}{list(value)}"]
         lines = []
         for item in value:
             lines.extend(_text_lines(item, prefix + "  "))
@@ -227,17 +208,16 @@ def _cmd_report(args, triple, weights) -> int:
         return _print(doc, args, EXIT_NUMERICAL)
     verdict = _uniqueness(triple, weights, solved.form, args)
     doc["uniqueness"] = _verdict_dict(verdict, solved.rho)
-    payload = verdict.digraph.payload
     doc["perron"] = [
         {
-            "j": node[0],
-            "s": node[1],
-            "period": payload[node].period,
-            "eigenvalue": payload[node].eigenvalue,
-            "u_bar": payload[node].u_bar.tolist(),
-            "u_tilde": payload[node].u_tilde.tolist(),
+            "j": p.j,
+            "s": p.s,
+            "period": p.period,
+            "eigenvalue": p.eigenvalue,
+            "u_bar": p.u_bar.tolist(),
+            "u_tilde": p.u_tilde.tolist(),
         }
-        for node in verdict.digraph.nodes
+        for p in verdict.digraph.payload.values()
     ]
     return _print(doc, args)
 
@@ -281,7 +261,7 @@ def run(argv=None) -> int:
         return EXIT_INVALID_INPUT
     try:
         return _dispatch(args)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except SingularInteriorError as exc:

@@ -156,7 +156,8 @@ def _scaled(coeffs: np.ndarray, factor: float) -> np.ndarray:
     factor is finite and nonnegative and no product overflows."""
     if not (factor >= 0 and np.isfinite(factor)):
         raise ValueError(f"scale factor must be finite and nonnegative, got {factor}")
-    out = coeffs * factor
+    with np.errstate(over="ignore"):  # an overflowing product is refused below
+        out = coeffs * factor
     if not np.isfinite(out).all():
         raise ValueError(f"scaling by {factor} overflows a coefficient")
     return out

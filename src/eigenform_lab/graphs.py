@@ -210,6 +210,8 @@ class ComponentData:
     permutation induced on them by the image map, ``periods`` its cycle
     lengths.  ``c_prime[s]`` holds the members whose iterated image fills the
     whole component, ``c_second[s]`` those whose iterated image vanishes.
+    ``graphs`` and ``report`` print the fields in declaration order, so
+    reordering them changes the output that the goldens pin.
     """
 
     j: int

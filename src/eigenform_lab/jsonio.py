@@ -2,7 +2,8 @@
 
 Floats are serialized with 17 significant digits so every double round-trips
 exactly; keys keep insertion order and the pipeline is RNG-free, so identical
-inputs yield byte-identical output.
+inputs yield byte-identical output.  Lists, tuples and numpy arrays all print
+as JSON arrays.
 
 Fractal file: ``{"name": str, "N": int, "k": int, "vertices": int,
 "cells": [[int, ...], ...], "weights": [float, ...]?}`` with weights optional
@@ -58,7 +59,7 @@ def _scalar(value) -> str:
     return format(value, ".17g")
 
 
-def _flat(seq: list):
+def _flat(seq):
     """``seq`` on one line, or None when it holds a container."""
     items = []
     for item in seq:
@@ -90,13 +91,12 @@ def _emit(value, parts, level):
             sep = ",\n"
         parts.append(f"\n{pad}}}")
     elif isinstance(value, _SEQUENCES):
-        seq = list(value)
-        line = _flat(seq)
+        line = _flat(value)
         if line is not None:
             parts.append(line)
             return
         sep = "[\n"
-        for item in seq:
+        for item in value:
             parts.append(sep + inner)
             _emit(item, parts, level + 1)
             sep = ",\n"

@@ -168,6 +168,27 @@ def test_entries_are_checked_before_the_matrix_is_built():
         assert DirichletForm.ones(n).matrix().tobytes() == ones.tobytes()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DirichletForm(1), "a form needs at least 2 vertices, got N=1"),
+        (lambda: DirichletForm.ones(1), "a form needs at least 2 vertices, got N=1"),
+        (
+            lambda: DirichletForm.from_matrix([[0.0, 1.0], [2.0, 0.0]]),
+            "coefficient matrix must be square and symmetric",
+        ),
+        (
+            lambda: DirichletForm.ones(3).coefficient(1, 1),
+            "coefficients live on distinct vertex pairs",
+        ),
+    ],
+    ids=["one-vertex", "ones-one-vertex", "asymmetric", "diagonal-pair"],
+)
+def test_degenerate_forms_and_pairs_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_from_matrix_rejects_nonzero_diagonal():
     with pytest.raises(ValueError, match="diagonal"):
         DirichletForm.from_matrix(np.array([[1.0, 0.5], [0.5, 0.0]]))
@@ -189,6 +210,12 @@ def test_scaled_matches_validated_route():
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             form.scaled(bad)
+
+
+def test_scaling_past_the_largest_float_is_refused_without_a_warning():
+    # pytest turns warnings into errors, so a numpy overflow warning fails here
+    with pytest.raises(ValueError, match=r"^scaling by 1e\+308 overflows a coefficient$"):
+        DirichletForm(2, {(0, 1): 10.0}).scaled(1e308)
 
 
 def test_vector_order_and_roundtrip():

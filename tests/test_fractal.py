@@ -80,6 +80,21 @@ def test_validate_uncovered_vertex():
     assert any("vertex id 6 does not occur" in v for v in validate(broken))
 
 
+_GASKET_CELLS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+
+
+@pytest.mark.parametrize(
+    "N, k, nv, cells, message",
+    [
+        (1, 1, 2, ((0,),), "boundary count must be at least 2 (N=1)"),
+        (3, 2, 6, _GASKET_CELLS[:2], "cell count must be at least the boundary count (k=2, N=3)"),
+        (3, 3, 2, _GASKET_CELLS, "vertex count must be at least the boundary count (2 < 3)"),
+    ],
+)
+def test_validate_refuses_counts_below_the_boundary(N, k, nv, cells, message):
+    assert message in validate(FractalTriple("small", N, k, nv, cells))
+
+
 def test_validate_refuses_more_vertices_than_cell_entries():
     # 9 entries cover at most 9 ids: up to 9 the uncovered ids are listed one
     # by one, past it one count violation stands for them, whatever the size

@@ -203,6 +203,12 @@ def test_image_rejects_bad_vertex(tree_gasket):
         l_j_image(tree_gasket, 1, [5], 1)
 
 
+@pytest.mark.parametrize("j", [-1, 3])
+def test_components_refuses_a_vertex_outside_the_boundary(gasket, j):
+    with pytest.raises(ValueError, match=f"^j={j} is not a boundary id$"):
+        components(gasket, j)
+
+
 def test_boundary_graph_builds_its_adjacency_once(monkeypatch, gen, twisted_tree_gasket):
     # the component data of every vertex read one read-only adjacency build
     # of a fresh graph, and give what one build per call gave; the cached

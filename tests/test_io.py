@@ -36,6 +36,19 @@ def test_fractal_missing_key():
         parse_fractal({"N": 3, "k": 3, "cells": []})
 
 
+@pytest.mark.parametrize(
+    "parse, data, message",
+    [
+        (parse_fractal, [3, 3, 6], "fractal file must contain a JSON object"),
+        (parse_form, [[0, 1, 1.0]], "form file must contain a JSON object"),
+        (parse_form, {"N": 3}, "form file is missing required key 'coefficients'"),
+    ],
+)
+def test_documents_of_the_wrong_shape_are_refused(parse, data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse(data)
+
+
 _GASKET_FILE = {
     "name": "g",
     "N": 3,
