@@ -3,7 +3,9 @@
 Floats are serialized with 17 significant digits so every double round-trips
 exactly; keys keep insertion order and the pipeline is RNG-free, so identical
 inputs yield byte-identical output.  Lists, tuples and numpy arrays all print
-as JSON arrays.
+as JSON arrays.  The emitter scans a sequence once, formatting exact ints and
+finite exact floats, dict values too, as it meets them: a sequence of scalars
+prints on one line, and one holding a container an item per line.
 
 Fractal file: ``{"name": str, "N": int, "k": int, "vertices": int,
 "cells": [[int, ...], ...], "weights": [float, ...]?}`` with weights optional
@@ -39,34 +41,22 @@ _CONTAINERS = (dict, *_SEQUENCES)
 
 
 def _scalar(value) -> str:
-    """Exact floats and ints, most of any document, skip the isinstance chain."""
-    if type(value) is int:
-        return str(value)
-    if type(value) is not float:
-        if isinstance(value, (bool, np.bool_)):
-            return "true" if value else "false"
-        if value is None:
-            return "null"
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        if isinstance(value, str):
-            return json.dumps(value)
-        if not isinstance(value, (float, np.floating)):
-            raise TypeError(f"cannot serialize {type(value).__name__}")
-        value = float(value)
+    """Any scalar but an exact ``int`` or finite exact ``float``, which
+    ``_emit`` formats as it meets them; those come out the same here."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if not isinstance(value, (float, np.floating)):
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite float {value}")
     return format(value, ".17g")
-
-
-def _flat(seq):
-    """``seq`` on one line, or None when it holds a container."""
-    items = []
-    for item in seq:
-        if isinstance(item, _CONTAINERS):
-            return None
-        items.append(_scalar(item))
-    return "[" + ", ".join(items) + "]"
 
 
 @functools.lru_cache(maxsize=1024)
@@ -76,30 +66,55 @@ def _quoted(key: str) -> str:
 
 
 def _emit(value, parts, level):
-    pad = "  " * level
-    inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             parts.append("{}")
             return
+        pad = "  " * level
+        inner = pad + "  "
         sep = "{\n"
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
-            parts.append(f"{sep}{inner}{_quoted(key)}: ")
-            _emit(item, parts, level + 1)
+            kind = type(item)
+            if kind is int:
+                parts.append(f"{sep}{inner}{_quoted(key)}: {item}")
+            elif kind is float and math.isfinite(item):
+                parts.append(f"{sep}{inner}{_quoted(key)}: {item:.17g}")
+            else:
+                parts.append(f"{sep}{inner}{_quoted(key)}: ")
+                _emit(item, parts, level + 1)
             sep = ",\n"
         parts.append(f"\n{pad}}}")
     elif isinstance(value, _SEQUENCES):
-        line = _flat(value)
-        if line is not None:
-            parts.append(line)
+        # one scan formats the scalars; a sequence holding a container prints
+        # an item per line, the scalars before it as formatted
+        items = []
+        rest = iter(value)
+        for item in rest:
+            kind = type(item)
+            if kind is int:
+                items.append(str(item))
+            elif kind is float and math.isfinite(item):
+                items.append(format(item, ".17g"))
+            elif isinstance(item, _CONTAINERS):
+                break
+            else:
+                items.append(_scalar(item))
+        else:
+            parts.append("[" + ", ".join(items) + "]")
             return
+        pad = "  " * level
+        inner = pad + "  "
         sep = "[\n"
-        for item in value:
-            parts.append(sep + inner)
-            _emit(item, parts, level + 1)
+        for text in items:
+            parts.append(f"{sep}{inner}{text}")
             sep = ",\n"
+        parts.append(sep + inner)
+        _emit(item, parts, level + 1)
+        for item in rest:
+            parts.append(",\n" + inner)
+            _emit(item, parts, level + 1)
         parts.append(f"\n{pad}]")
     else:
         parts.append(_scalar(value))

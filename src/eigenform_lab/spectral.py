@@ -12,11 +12,13 @@ Eigenvectors are normalized to sup-norm one with positive entries.  Perron
 pairs come from power iteration with a Rayleigh-quotient eigenvalue, falling
 back to a dense eigensolver on stagnation; the matrices are tiny and strictly
 positive on the relevant block, so convergence is geometric.
-``perron_component`` takes every node of a digraph and ``perron_positive``
-every vertex in one call: their blocks are cut at once, grouped by size and
-iterated in lockstep, one BLAS product per block, so each block gets the
-bits it would get alone, and the checks run as array operations; a failure
-is raised for the first failing item.
+One pass finds the Perron pairs a stability digraph needs: its nodes' blocks
+and, for a positive form, the positive-form cross-check's per-vertex blocks
+are cut at once, grouped by size and iterated in lockstep, one BLAS product
+per block, so each block gets the bits it would get alone, and the checks
+run as array operations; a failure is raised for the first failing node,
+then for the first failing vertex.  ``perron_component`` (every node) and
+``perron_positive`` (every vertex) are that pass with one side empty.
 
 The limiting projection coefficient of the paper, the left Perron vector
 applied to the data, is a proof device with no part in the decision; it is
@@ -148,51 +150,37 @@ def _raise_first(errors: Sequence[str | None]) -> None:
             raise InternalConsistencyError(message)
 
 
-def perron_positive(cache: OperatorCache, js: Sequence[int]) -> list[tuple[np.ndarray, float]]:
-    """Perron pair of the cell-``j`` operator on data vanishing at ``j``, for
-    every vertex ``j`` of ``js``, in one pass.
+def _perron_pass(
+    cache: OperatorCache, nodes: Sequence[tuple[ComponentData, int]], js: Sequence[int]
+) -> tuple[list[PerronData], list[tuple[np.ndarray, float]]]:
+    """Perron data of every node ``(comp, s)`` and Perron pair of every vertex
+    of ``js`` on data vanishing there, from one ``_perron_blocks`` call.
 
-    Requires a positive form (every pair coefficient above the zero
-    threshold); then the operator restricted to the complementary coordinates
-    is entrywise positive and the pair is unique.
-    """
-    if not _support_mask(cache.form).all():
-        raise ValueError("perron_positive requires a positive form")
-    n = cache.triple.N
-    cuts = [[p for p in range(n) if p != j] for j in js]
-    vecs, values, errors = _perron_blocks(
-        cache.ops, js, cuts, lambda i: f"restricted cell operator at j={js[i]}"
-    )
-    _raise_first(errors)
-    vecs.flags.writeable = False
-    return list(zip(vecs, values.tolist()))
-
-
-def perron_component(
-    cache: OperatorCache, nodes: Sequence[tuple[ComponentData, int]]
-) -> list[PerronData]:
-    """Perron data of every node ``(comp, s)``, component ``s`` at the
-    boundary vertex ``comp.j``, in one pass.
-
-    The operator power matching the component period, cut down to the
-    surviving coordinates, must be entrywise positive, and its Perron vector
-    pushed through the power must stay on the component and be positive
-    there; anything else is an internal-consistency failure, raised for the
-    first failing node in node order.  Each distinct power is read once,
-    from ``cache.power``.
+    The nodes' distinct powers, each read once from ``cache.power``, are
+    stacked with ``cache.ops``, and a vertex's block is cut from its own cell
+    operator, so each item gets the bits it would get alone.  Every node
+    failure, its block checks and then the pushed-forward iterate's checks,
+    is raised before any vertex failure.
     """
     keys = [(comp.j, comp.periods[s]) for comp, s in nodes]
     slot = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    powers = np.array([cache.power(j, period) for j, period in slot])
-    which = [slot[key] for key in keys]
-    u_bar, values, errors = _perron_blocks(
-        powers,
-        which,
-        [comp.c_prime[s] for comp, s in nodes],
-        lambda i: f"component-restricted operator at (j={keys[i][0]}, s={nodes[i][1]})",
-    )
+    mats = np.array([cache.power(j, period) for j, period in slot] + list(cache.ops))
+    count, n = len(nodes), cache.triple.N
+    which = [slot[key] for key in keys] + [len(slot) + j for j in js]
 
-    u_tilde = (powers[which] @ u_bar[:, :, None])[:, :, 0]
+    def where(i: int) -> str:
+        if i < count:
+            return f"component-restricted operator at (j={keys[i][0]}, s={nodes[i][1]})"
+        return f"restricted cell operator at j={js[i - count]}"
+
+    vecs, values, errors = _perron_blocks(
+        mats,
+        which,
+        [comp.c_prime[s] for comp, s in nodes] + [[p for p in range(n) if p != j] for j in js],
+        where,
+    )
+    u_bar = vecs[:count]
+    u_tilde = (mats[which[:count]] @ u_bar[:, :, None])[:, :, 0]
     inside = np.zeros(u_tilde.shape, dtype=bool)
     members = [comp.components[s] for comp, s in nodes]
     inside[[i for i, c in enumerate(members) for _ in c], [v for c in members for v in c]] = True
@@ -210,9 +198,10 @@ def perron_component(
                 else f"iterate at (j={j}, s={s}) is not positive on its component"
             )
     _raise_first(errors)
-    u_bar.flags.writeable = False
+    vecs.flags.writeable = False
     u_tilde.flags.writeable = False
-    return [
+    node_values, vertex_values = values[:count].tolist(), values[count:].tolist()
+    perron = [
         PerronData(
             j=comp.j,
             s=s,
@@ -221,5 +210,34 @@ def perron_component(
             u_tilde=u_tilde[i],
             eigenvalue=value,
         )
-        for i, ((comp, s), value) in enumerate(zip(nodes, values.tolist()))
+        for i, ((comp, s), value) in enumerate(zip(nodes, node_values))
     ]
+    return perron, list(zip(vecs[count:], vertex_values))
+
+
+def perron_positive(cache: OperatorCache, js: Sequence[int]) -> list[tuple[np.ndarray, float]]:
+    """Perron pair of the cell-``j`` operator on data vanishing at ``j``, for
+    every vertex ``j`` of ``js``, in one pass.
+
+    Requires a positive form (every pair coefficient above the zero
+    threshold); then the operator restricted to the complementary coordinates
+    is entrywise positive and the pair is unique.
+    """
+    if not _support_mask(cache.form).all():
+        raise ValueError("perron_positive requires a positive form")
+    return _perron_pass(cache, [], js)[1]
+
+
+def perron_component(
+    cache: OperatorCache, nodes: Sequence[tuple[ComponentData, int]]
+) -> list[PerronData]:
+    """Perron data of every node ``(comp, s)``, component ``s`` at the
+    boundary vertex ``comp.j``, in one pass.
+
+    The operator power matching the component period, cut down to the
+    surviving coordinates, must be entrywise positive, and its Perron vector
+    pushed through the power must stay on the component and be positive
+    there; anything else is an internal-consistency failure, raised for the
+    first failing node in node order.
+    """
+    return _perron_pass(cache, nodes, [])[0]

@@ -16,9 +16,9 @@ included: the seed itself belongs to its own orbit span.  ``orbit_span``
 closes a whole stack of seeds in lockstep, and a seed closes bit for bit as
 it would alone, so ``stability_digraph`` makes one call for the node seeds
 and, for a positive form, the positive-form cross-check's own seeds stacked
-after them.  The seeds come in one call each, every node's Perron data from
-``perron_component`` and every vertex's Perron vector from
-``perron_positive``.
+after them.  The seeds come from one Perron pass too: every node's Perron
+data and, for a positive form, every vertex's Perron vector, each block
+iterated bit for bit as it would be alone.
 
 Each node's functional is stored as one row vector, shift and mask folded in,
 so the rows of all nodes stack into a (nodes x N) matrix; one product of it
@@ -51,7 +51,7 @@ from .fractal import FractalTriple, check_weights
 from .graphs import ComponentData, _hat_index, components
 from .renorm import OperatorCache, _context
 from .solver import EigenResult, _on_hat_support, find_eigenform
-from .spectral import PerronData, perron_component, perron_positive
+from .spectral import PerronData, _perron_pass
 
 __all__ = [
     "ExplorationOutcome",
@@ -82,9 +82,10 @@ class StabilityDigraph:
 
     ``cross_check_edges`` holds, for a positive form, the edges of the
     single-vertex variant on the nodes ``(j, 0)``, and is ``None`` otherwise.
-    Their spans close in the digraph's ``orbit_span`` call, from their own
-    Perron seeds, and their table comes off their own slice of spans, so they
-    share no result with ``edges``; ``decide_uniqueness`` compares the two.
+    Their Perron seeds come from their own blocks in the digraph's Perron
+    pass, their spans close in its ``orbit_span`` call, and their table comes
+    off their own slice of spans, so they share no result with ``edges``;
+    ``decide_uniqueness`` compares the two.
     """
 
     nodes: list[Node]
@@ -227,7 +228,7 @@ def stability_digraph(
     on the digraph.
 
     For a positive form the single-vertex cross-check runs here too: its own
-    seeds, one Perron vector per vertex from one ``perron_positive`` call,
+    seeds, one Perron vector per vertex, come from the nodes' Perron pass and
     close in the same ``orbit_span`` call as the nodes' seeds, and its edges,
     read off its own slice of spans against the boundary Laplacian rows, are
     kept in ``cross_check_edges`` for ``decide_uniqueness`` to compare.
@@ -240,14 +241,14 @@ def stability_digraph(
     cache = _context(triple, form, weights)
     comp_by_j = {j: components(triple, j) for j in range(triple.N)}
     nodes = sorted((j, s) for j, comp in comp_by_j.items() for s in range(comp.m))
-    perron = perron_component(cache, [(comp_by_j[j], s) for (j, s) in nodes])
+    positive = _support_mask(form).all()
+    perron, vertex_pairs = _perron_pass(
+        cache, [(comp_by_j[j], s) for (j, s) in nodes], range(triple.N) if positive else []
+    )
     payload = dict(zip(nodes, perron))
     lap = _laplacian_matrix(form)
     rows = np.array([_node_row(lap[j], comp_by_j[j], s) for (j, s) in nodes])
-    seeds = [payload[src].u_tilde for src in nodes]
-    positive = _support_mask(form).all()
-    if positive:
-        seeds += [u_bar for u_bar, _ in perron_positive(cache, range(triple.N))]
+    seeds = [data.u_tilde for data in perron] + [u_bar for u_bar, _ in vertex_pairs]
     spans = orbit_span(cache, seeds)
     table = _table(cache, spans[: len(nodes)], rows)
     magnitudes = dict(zip([(a, b) for a in nodes for b in nodes], table.ravel().tolist()))

@@ -125,6 +125,56 @@ def test_stacked_perron_pairs_match_the_per_node_oracle(gen, fz1_doc, fz1_plain_
     assert (nodes_checked, positive_checked) == (324, 291)
 
 
+def test_one_perron_pass_matches_the_separate_calls(gen, fz1_doc, fz1_plain_limit_doc):
+    # the digraph's one pass, every node and for a positive form every
+    # vertex, against perron_component and perron_positive called apart
+    nodes_checked = positive_checked = 0
+    for cache, comp_by_j in _perron_cases(gen, fz1_doc, fz1_plain_limit_doc):
+        nodes = [(comp, s) for comp in comp_by_j.values() for s in range(comp.m)]
+        positive = _support_mask(cache.form).all()
+        js = range(cache.triple.N) if positive else []
+        perron, pairs = spectral._perron_pass(cache, nodes, js)
+        for got, want in zip(perron, perron_component(cache, nodes), strict=True):
+            assert _same_perron_data(got, want)
+            nodes_checked += 1
+        for (u_bar, value), (want_bar, want_value) in zip(
+            pairs, perron_positive(cache, js) if positive else [], strict=True
+        ):
+            assert np.array_equal(u_bar, want_bar) and value == want_value
+            positive_checked += 1
+    assert (nodes_checked, positive_checked) == (324, 291)
+
+
+def test_one_perron_pass_raises_a_node_failure_before_a_vertex_failure(gasket, gasket_eigenform):
+    # a zero in the cell-2 operator breaks the block of the node at j = 2 and
+    # of the vertex 2; at j = 1 a component shrunk to vertex 0 leaks the
+    # iterate, a failure found only after every block is checked
+    ops = OperatorCache(gasket, gasket_eigenform, R3).ops.copy()
+    ops[2, 0, 1] = 0.0
+    stub = types.SimpleNamespace(
+        triple=gasket,
+        form=gasket_eigenform,
+        ops=ops,
+        power=lambda j, period: np.linalg.matrix_power(ops[j], period),
+    )
+    comp = {j: components(gasket, j) for j in range(3)}
+    block = (comp[2], 0)
+    leak = (dataclasses.replace(comp[1], components=((0,),)), 0)
+    vertex_text = "restricted cell operator at j=2 is not entrywise positive"
+    for nodes, js, text in [
+        ([(comp[0], 0)], [2, 0], vertex_text),
+        ([(comp[0], 0), block], [2, 0], "component-restricted operator at (j=2, s=0) is not entrywise positive"),
+        ([leak, (comp[0], 0)], [2], None),
+        ([(comp[0], 0), leak], [0, 2], None),
+    ]:
+        with pytest.raises(InternalConsistencyError) as caught:
+            spectral._perron_pass(stub, nodes, js)
+        if text is None:
+            assert re.fullmatch(r"iterate at \(j=1, s=0\) leaks outside its component by .*", str(caught.value))
+        else:
+            assert str(caught.value) == text
+
+
 def test_perron_positive_gasket(gasket, gasket_eigenform):
     u_bar, value = perron_positive(OperatorCache(gasket, gasket_eigenform, R3), [0])[0]
     assert np.allclose(u_bar, [0.0, 1.0, 1.0])

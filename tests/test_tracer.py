@@ -7,6 +7,7 @@ import sys
 import numpy as np
 
 import eigenform_lab
+from eigenform_lab import spectral
 from eigenform_lab.renorm import OperatorCache
 
 
@@ -24,8 +25,22 @@ def _bindings():
     return out
 
 
+def _perron_passes(monkeypatch):
+    """Per ``spectral._perron_blocks`` call, the names of its blocks."""
+    passes = []
+    real = spectral._perron_blocks
+
+    def counting(mats, which, cuts, where):
+        passes.append([where(i) for i in range(len(cuts))])
+        return real(mats, which, cuts, where)
+
+    monkeypatch.setattr(spectral, "_perron_blocks", counting)
+    return passes
+
+
 def test_tracer_wraps_pipeline_and_restores(tracer, pipeline, tree_gasket, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    passes = _perron_passes(monkeypatch)
     before = _bindings()
     recorder = tracer.Tracer()
     with recorder.installed():
@@ -42,20 +57,29 @@ def test_tracer_wraps_pipeline_and_restores(tracer, pipeline, tree_gasket, tmp_p
     assert table["uniqueness.orbit_span"]["calls"] > 0
     assert table["uniqueness.orbit_span"]["count"] > 0
     assert table["uniqueness.penalty_form"]["calls"] > 0
-    # one stacked Perron call per digraph, under the name the tracer wraps
-    assert table["spectral.perron_component"]["calls"] == 1
+    # one Perron pass per digraph, inside stability_digraph's span: neither
+    # public Perron function runs
     assert table["uniqueness.stability_digraph"]["calls"] == 1
+    assert len(passes) == 1
+    assert "spectral.perron_component" not in table
     assert table["renorm.OperatorCache"]["calls"] > 0
     assert list(tmp_path.iterdir()) == []
 
 
-def test_tracer_sees_the_positive_form_cross_check(tracer, pipeline, gasket):
-    # the gasket's eigenform is positive, so decide_uniqueness runs the
-    # single-vertex cross-check through perron_positive
+def test_tracer_sees_the_positive_form_cross_check(tracer, pipeline, gasket, monkeypatch):
+    # the gasket's eigenform is positive, so the digraph's one Perron pass
+    # covers the single-vertex cross-check's vertices after its nodes, and
+    # the pass runs in the digraph's span, not through perron_positive
+    passes = _perron_passes(monkeypatch)
     recorder = tracer.Tracer()
     with recorder.installed():
         outcome = pipeline.run_pipeline(gasket, np.ones(3))
     assert outcome.unique is True
     table = tracer.summarize(recorder.spans)
-    assert table["spectral.perron_component"]["calls"] == 1
-    assert table["spectral.perron_positive"]["calls"] == 1
+    assert table["uniqueness.stability_digraph"]["calls"] == 1
+    assert "spectral.perron_component" not in table
+    assert "spectral.perron_positive" not in table
+    assert passes == [
+        [f"component-restricted operator at (j={j}, s=0)" for j in range(3)]
+        + [f"restricted cell operator at j={j}" for j in range(3)]
+    ]

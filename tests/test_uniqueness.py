@@ -347,17 +347,18 @@ def test_stacked_spans_match_the_frozen_closure(verified, harness, monkeypatch):
 
 def test_one_span_closure_per_digraph(monkeypatch, gen, gasket, tree_gasket, gasket_eigenform, tree_eigenform):
     # the digraph closes its spans, and a positive form's cross-check spans,
-    # in one orbit_span call and finds the cross-check's seeds in one
-    # perron_positive call; deciding on that digraph makes neither call
+    # in one orbit_span call and finds the nodes' Perron data and the
+    # cross-check's seeds in one Perron pass; deciding on that digraph makes
+    # neither call
     spy = _SpanSpy(monkeypatch)
     perron = []
-    real = uniqueness.perron_positive
+    real = uniqueness._perron_pass
 
-    def counting(cache, js):
-        perron.append(cache)
-        return real(cache, js)
+    def counting(cache, nodes, js):
+        perron.append((cache, len(nodes), list(js)))
+        return real(cache, nodes, js)
 
-    monkeypatch.setattr(uniqueness, "perron_positive", counting)
+    monkeypatch.setattr(uniqueness, "_perron_pass", counting)
     g8 = gen.simplex_gasket(8)
     r8 = np.ones(g8.k)
     cases = [
@@ -370,7 +371,8 @@ def test_one_span_closure_per_digraph(monkeypatch, gen, gasket, tree_gasket, gas
         perron.clear()
         dg = stability_digraph(triple, form, r)
         assert [cache for cache, _, _ in spy.calls] == [dg.cache]
-        assert perron == ([dg.cache] if positive else [])
+        js = list(range(triple.N)) if positive else []
+        assert perron == [(dg.cache, len(dg.nodes), js)]
         assert (dg.cross_check_edges is None) == (not positive)
         spy.calls.clear()
         perron.clear()
