@@ -6,13 +6,14 @@ extensions of given boundary data is a linear solve against the interior block
 of the network Laplacian; reading the minimum energy back as a quadratic form
 in the boundary data is the Schur complement of that Laplacian onto the
 boundary.  Restricting the minimizer to a single cell gives a small
-stochastic boundary-to-boundary map.  ``OperatorCache`` makes the one interior
-solve for boundary data of a (triple, form, weights) context and keeps the k
-cell maps and the Schur block.  Each eigenform search step builds one, without
-the constructor's checks (the search makes them once), reads the image
-coefficients off its Schur block and puts it in a slot; ``renormalize`` and
-the stability analysis look the slot up by value, so checking the form the
-search returned reuses its last solve.
+stochastic boundary-to-boundary map.  ``OperatorCache`` checks a (triple,
+form, weights) context, makes its one interior solve for boundary data and
+keeps the k cell maps and the Schur block.  Each eigenform search step builds
+one and reads the image coefficients off its Schur block; the search puts
+the context of the form it returns in a one-context slot, which
+``renormalize`` and the stability analysis look up by value, so checking
+that form reuses the search's last solve.  The slot only ever holds a
+finished context.
 
 Every interior solve is a Kron reduction of the network onto a set of fixed
 vertices: the boundary, for the library; the extension oracles of the test
@@ -345,21 +346,15 @@ class OperatorCache:
     (rows sum to one), and ``word`` multiplies them on demand.  ``schur`` is
     the Schur complement onto the boundary, ``image`` (computed on first
     read) the renormalized form, ``weights`` a read-only copy of the checked
-    weights.
+    weights.  The constructor refuses a form whose ``N`` is not the
+    triple's before reading its matrix.
     """
 
-    def __new__(cls, triple: FractalTriple, form: DirichletForm, weights):
-        # the constructor's checks, before ``__init__`` solves; the eigenform
-        # search makes them once and builds by ``_search_context``
+    def __init__(self, triple: FractalTriple, form: DirichletForm, weights):
         if form.N != triple.N:
             raise ValueError(f"form has N={form.N}, triple has N={triple.N}")
-        out = object.__new__(cls)
-        out.weights = np.array(check_weights(triple, weights))
-        out.weights.flags.writeable = False
-        return out
-
-    def __init__(self, triple: FractalTriple, form: DirichletForm, weights):
-        # ``weights`` is checked into ``self.weights`` by now
+        self.weights = np.array(check_weights(triple, weights))
+        self.weights.flags.writeable = False
         self.triple = triple
         self.form = form
         x, self.schur = _extend(triple, form, self.weights, tuple(range(triple.N)))
@@ -425,25 +420,18 @@ class OperatorCache:
 
 
 # Search, verification and stability analysis read one final form in that
-# order, so one slot lets the later stages reuse the search's last solve.
+# order, so one slot lets the later stages reuse the search's last solve.  It
+# only ever holds a finished context, and each lookup reads it once, so
+# concurrent callers at worst rebuild a context another one displaced.
 _last: OperatorCache | None = None
 
 
 def _context(triple: FractalTriple, form: DirichletForm, weights) -> OperatorCache:
-    """The slot's ``OperatorCache`` if it matches by value, else a new one."""
+    """The slot's ``OperatorCache`` if it matches by value, else a new one,
+    which then takes the slot."""
     global _last
     r = check_weights(triple, weights)
-    if _last is None or not _last.matches(triple, form, r):
-        _last = OperatorCache(triple, form, r)
-    return _last
-
-
-def _search_context(triple: FractalTriple, form: DirichletForm, r: np.ndarray) -> OperatorCache:
-    """A new context of a form on ``triple.N`` and the read-only checked
-    weights ``r``, kept as they are, put in the slot.  The slot is never
-    read here, so a search builds the same contexts whatever ran before it."""
-    global _last
-    _last = object.__new__(OperatorCache)
-    _last.weights = r
-    _last.__init__(triple, form, r)
-    return _last
+    last = _last
+    if last is None or not last.matches(triple, form, r):
+        last = _last = OperatorCache(triple, form, r)
+    return last

@@ -113,6 +113,9 @@ def verify_eigenform(
         raise ValueError("verification requires an irreducible form")
     image = renorm.renormalize(triple, form, r).vector()
     v = form.vector()  # nonzero: the form is irreducible
+    # both scaled by one power of two, exactly, so ``v @ v`` stays in range
+    e = _exponent(v)
+    image, v = np.ldexp(image, e), np.ldexp(v, e)
     rho = float(image @ v) / float(v @ v)
     residual = _relative_residual(v, image, rho)
     checks = {"residual_within_tol": bool(residual <= tol)}
@@ -127,10 +130,15 @@ def _on_hat(triple: FractalTriple, coeffs: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _exponent(x: np.ndarray) -> int:
+    """The power of two that takes the largest entry of ``x``, if > 0, into [0.5, 1)."""
+    return -np.frexp(x.max())[1]
+
+
 def _unit_sum(x: np.ndarray) -> np.ndarray:
     """Nonnegative ``x`` at unit sum.  Prescaling by a power of two keeps the sum
     finite and changes no bit wherever the sum and its reciprocal are normal."""
-    x = np.ldexp(x, -np.frexp(x.max())[1])
+    x = np.ldexp(x, _exponent(x))
     return x * (1.0 / x.sum())
 
 
@@ -216,17 +224,18 @@ def find_eigenform(
     while that graph has an edge outside the support of ``init``, it first
     takes plain renormalization steps ``R(f) / sum R(f)`` on the whole form.
 
-    The weights and ``init`` are checked once, on entry, and the iterate is
-    carried as its coefficient vector in pair order.  One step is one
-    interior solve, for the iterate's ``OperatorCache`` (the only form a step
-    builds is the iterate's, which that cache keeps), and the algebra on its
+    The arguments are checked on entry, and the iterate is carried as its
+    coefficient vector in pair order.  One step is one interior solve, for
+    the iterate's new ``OperatorCache`` (the only form a step builds is the
+    iterate's, which that cache keeps), and the algebra on its
     Schur block and cell operators: the image's coefficients, the
     coefficient-sum ratio as the eigenvalue estimate, the eigen-residual
     and, for a Newton step, the Jacobian.  The search stops when the
     iterate's direction and eigen-residual both settle below ``tol``, or
     after ``max_iter`` steps; either way the result reports the last iterate
-    renormalized, with its own ``rho`` and ``residual``, and its cache stays
-    in ``renorm``'s slot for the verification and stability analysis.
+    renormalized, with its own ``rho`` and ``residual``, and no step reads
+    ``renorm``'s slot: the search puts that iterate's cache there once, after
+    its last step, for the verification and stability analysis.
     Otherwise it takes a Newton step, shortened to stay inside the open
     cone, or, when the previous Newton step did not halve the residual, one
     plain step.  Once a coefficient falls below ``COEFF_EPS`` of the largest
@@ -234,8 +243,7 @@ def find_eigenform(
     returned flag additionally demands the structural checks, so such a run
     reports non-convergence.
     """
-    r = np.array(check_weights(triple, weights))
-    r.flags.writeable = False
+    r = check_weights(triple, weights)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not 0 < tol < np.inf:
@@ -254,7 +262,7 @@ def find_eigenform(
 
     for iterations in range(1, max_iter + 1):
         form = DirichletForm._from_vector(triple.N, vec)
-        cache = renorm._search_context(triple, form, r)
+        cache = renorm.OperatorCache(triple, form, r)
         image = cache._coefficients()
         # the iterate has unit coefficient sum, so this is the pre-normalization ratio
         rho = float(image.sum())
@@ -282,5 +290,6 @@ def find_eigenform(
             newton_from = residual
         vec = _on_hat(triple, x_next)
 
+    renorm._last = cache
     checks = {"direction_stabilized": stabilized, "residual_within_tol": bool(residual <= tol)}
     return _result(triple, r, form, rho, residual, iterations, checks)

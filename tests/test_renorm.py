@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -724,6 +726,61 @@ def test_a_form_of_another_size_is_refused(monkeypatch, gasket, vicsek):
     for build in (renormalize, OperatorCache):
         with pytest.raises(ValueError, match=f"form has N={10**6}, triple has N=3"):
             build(gasket, huge, R3)
+
+
+def _pipeline_bits(triple, weights):
+    """Search, verify, digraph and verdict, as bytes and plain values."""
+    res = find_eigenform(triple, weights)
+    ver = verify_eigenform(triple, weights, res.form)
+    dg = stability_digraph(triple, res.form, weights)
+    verdict = decide_uniqueness(triple, res.form, weights, digraph=dg)
+    return (
+        res.form.matrix().tobytes(),
+        np.float64(ver.rho).tobytes(),
+        sorted(dg.edges),
+        (verdict.unique, verdict.sink_sccs, verdict.witnesses),
+        {node: pd.u_tilde.tobytes() for node, pd in dg.payload.items()},
+    )
+
+
+def test_concurrent_pipelines_match_a_serial_run():
+    # four threads share the context slot; a one-microsecond switch interval
+    # interleaves them inside every stage.  A slot that held a half-built
+    # context, or a lookup that read the slot twice, crashed or answered for
+    # another thread's input here
+    cases = [
+        (builtin("gasket"), R3),
+        (builtin("tree_gasket"), R3),
+        (builtin("vicsek"), np.ones(5)),
+        (builtin("tree_gasket"), np.array([5.0, 2.0, 2.0])),
+    ]
+    runs = 50
+    serial = [_pipeline_bits(triple, weights) for triple, weights in cases]
+    got = [[] for _ in cases]
+    errors = [[] for _ in cases]
+
+    def worker(i):
+        try:
+            for _ in range(runs):
+                got[i].append(_pipeline_bits(*cases[i]))
+        except Exception as exc:
+            errors[i].append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [[] for _ in cases]
+    for want, bits in zip(serial, got):
+        assert len(bits) == runs
+        assert all(b == want for b in bits)
 
 
 @pytest.mark.parametrize("nv", [2, 255, 256, 487, 65535, 65536, 70000])

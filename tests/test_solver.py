@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import numpy as np
@@ -8,14 +9,15 @@ from eigenform_lab import (
     DirichletForm,
     OperatorCache,
     builtin,
+    decide_uniqueness,
     find_eigenform,
     hat_graph,
     pair_list,
     renormalize,
     verify_eigenform,
 )
-from eigenform_lab import solver
-from eigenform_lab.jsonio import parse_form, parse_fractal
+from eigenform_lab import cli, solver
+from eigenform_lab.jsonio import dumps, form_to_dict, parse_form, parse_fractal
 from eigenform_lab.solver import _hat_index, _jacobian, _relative_residual, _unit_sum
 from oracles import find_eigenform_frozen, random_valid_triples
 
@@ -96,6 +98,34 @@ def test_verify_scale_invariance(gasket, gasket_eigenform):
     assert res.rho == pytest.approx(0.6, abs=1e-12)
     base = verify_eigenform(gasket, R3, gasket_eigenform)
     assert res.residual == pytest.approx(base.residual, abs=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+def test_verify_fits_rho_at_any_scale(
+    scale, tmp_path, capsys, gasket_eigenform, tree_eigenform, vicsek_eigenform
+):
+    # beyond about 1e±154, v @ v leaves the float range: the fit once divided
+    # by zero on small forms and returned NaN on large ones
+    for name, form in [
+        ("gasket", gasket_eigenform),
+        ("tree_gasket", tree_eigenform),
+        ("vicsek", vicsek_eigenform),
+    ]:
+        triple = builtin(name)
+        weights = np.ones(triple.k)
+        base = verify_eigenform(triple, weights, form)
+        unique = decide_uniqueness(triple, form, weights).unique
+        scaled = form.scaled(scale)
+        res = verify_eigenform(triple, weights, scaled)
+        assert res.converged
+        assert res.rho == pytest.approx(base.rho, rel=2e-15, abs=0.0)
+        assert decide_uniqueness(triple, scaled, weights).unique == unique
+        path = tmp_path / f"{name}_form.json"
+        path.write_text(dumps(form_to_dict(scaled)))
+        assert cli.run(["check-uniqueness", name, str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["unique"] == unique
+        assert doc["rho"] == pytest.approx(base.rho, rel=2e-15, abs=0.0)
 
 
 def test_verify_rejects_extra_support_edge(tree_gasket):
