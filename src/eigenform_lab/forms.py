@@ -163,6 +163,11 @@ def _scaled(coeffs: np.ndarray, factor: float) -> np.ndarray:
     return out
 
 
+def _exponent(x: np.ndarray) -> int:
+    """The power of two that takes the largest entry of ``x``, if > 0, into [0.5, 1)."""
+    return -np.frexp(x.max())[1]
+
+
 def _vertex_data(u, n: int) -> np.ndarray:
     """``u`` as floats, refused unless it holds one value per vertex of ``n``."""
     u = np.asarray(u, dtype=float)

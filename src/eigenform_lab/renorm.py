@@ -26,12 +26,14 @@ holds no fixed vertex; on networks with many free vertices it also lists
 elimination rounds, each one independent set of low-degree vertices.  A
 round takes GTH pivots: a pivot is the sum of the vertex's current
 conductances and each fill adds ``c_va * c_vb / d_v``, so the rounds never
-subtract.  Dense LU with partial pivoting then solves the
-core that is left, and back-substitution in reverse round order writes each
-eliminated vertex as a convex combination of its neighbours.  On the level-m
-composites the rounds leave 8 of 484 free vertices (tree_gasket^5), 22 of 372
-(vicsek^3) and 182 of 363 (gasket^5); networks below 129 free vertices go
-straight to LU.
+subtract.  Dense LU with partial pivoting then solves the core that is left,
+and back-substitution in reverse round order writes each eliminated vertex
+as a convex combination of its neighbours.  The reduction runs at the exact
+power-of-two scale that puts the largest conductance into [0.5, 1), so forms
+at either end of the float range neither overflow nor turn to NaN, and in
+range no bit changes.  On the level-m composites the rounds leave 8 of 484
+free vertices (tree_gasket^5), 22 of 372 (vicsek^3) and 182 of 363
+(gasket^5); networks below 129 free vertices go straight to LU.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from ._graphutil import labels, pair_index
 from .errors import InternalConsistencyError, SingularInteriorError
-from .forms import COEFF_EPS, DirichletForm, pair_list
+from .forms import COEFF_EPS, DirichletForm, _exponent, pair_list
 from .fractal import FractalTriple, check_weights
 
 __all__ = [
@@ -288,7 +290,12 @@ def _reduce(sched: _Schedule, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     conductances) and adds ``c_va * c_vb / d_v`` to every pair of its
     neighbours, so it never subtracts.  Dense LU solves the core left, and
     back-substitution in reverse round order writes each eliminated vertex
-    as a convex combination of its neighbours."""
+    as a convex combination of its neighbours.  All of it runs at the exact
+    power-of-two scale that puts the largest conductance into [0.5, 1); the
+    Schur block is scaled back, and a diagonal that overflows then stays
+    infinite (only the off-diagonals are read)."""
+    e = _exponent(w)
+    w = np.ldexp(w, e)
     c = np.bincount(sched.slot_edge, weights=w[sched.slots], minlength=sched.num_edges)
     coefs = []
     for rnd in sched.rounds:
@@ -313,7 +320,8 @@ def _reduce(sched: _Schedule, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x[sched.core] = core
     for rnd, coef in zip(reversed(sched.rounds), reversed(coefs)):
         x[rnd.vertices] = np.add.reduceat(coef[:, None] * x[rnd.others], rnd.starts)
-    return x, lap[:m, :m] + lap[m:, :m].T @ core
+    with np.errstate(over="ignore"):
+        return x, np.ldexp(lap[:m, :m] + lap[m:, :m].T @ core, -e)
 
 
 def _extend(
@@ -402,20 +410,18 @@ class OperatorCache:
         return np.maximum(off, 0.0)
 
     def word(self, word: Iterable[int]) -> np.ndarray:
-        """Product of cell operators, first index applied last (outermost).
-
-        The empty word gives the identity.  Under level composition the
-        composite map of the word ``(i1, ..., in)`` read as a single n-level
-        cell applies the single-cell maps in the opposite order; only the
-        direct composition order is exposed here.
+        """Product of cell operators, first index applied last (outermost),
+        multiplied as they are: a one-letter word is its operator, bit for
+        bit, and only the empty word builds the identity.  Under level
+        composition the composite map of the word ``(i1, ..., in)`` read as a
+        single n-level cell applies the single-cell maps in the opposite
+        order; only the direct composition order is exposed here.
         """
-        out = np.eye(self.triple.N)
-        for i in word:
-            out = out @ self.ops[i]
-        return out
+        ops = [self.ops[i] for i in word]
+        return functools.reduce(np.matmul, ops) if ops else np.eye(self.triple.N)
 
     def power(self, j: int, period: int) -> np.ndarray:
-        """The word of ``period`` copies of cell ``j``."""
+        """The word of ``period`` copies of cell ``j`` (``ops[j]`` at period 1)."""
         return self.word((j,) * period)
 
 

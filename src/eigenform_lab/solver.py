@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import renorm
-from .forms import DirichletForm, _scaled, _support_of, is_irreducible, support_graph
+from .forms import DirichletForm, _exponent, _scaled, _support_mask, _support_of, is_irreducible
 from .fractal import FractalTriple, check_weights
-from .graphs import _hat_index, hat_graph
+from .graphs import _hat_index
 
 __all__ = ["EigenResult", "find_eigenform", "verify_eigenform"]
 
@@ -67,7 +67,7 @@ def _relative_residual(coeffs: np.ndarray, image: np.ndarray, rho: float) -> flo
 def _on_hat_support(triple: FractalTriple, form: DirichletForm) -> bool:
     """Whether the support of ``form`` is the stable boundary graph, as every
     eigenform's is."""
-    return support_graph(form) == hat_graph(triple)
+    return np.array_equal(np.flatnonzero(_support_mask(form)), _hat_index(triple)[0])
 
 
 def _result(
@@ -128,11 +128,6 @@ def _on_hat(triple: FractalTriple, coeffs: np.ndarray) -> np.ndarray:
     vec = np.zeros(triple.N * (triple.N - 1) // 2)
     vec[_hat_index(triple)[0]] = coeffs
     return vec
-
-
-def _exponent(x: np.ndarray) -> int:
-    """The power of two that takes the largest entry of ``x``, if > 0, into [0.5, 1)."""
-    return -np.frexp(x.max())[1]
 
 
 def _unit_sum(x: np.ndarray) -> np.ndarray:

@@ -13,12 +13,13 @@ pairs come from power iteration with a Rayleigh-quotient eigenvalue, falling
 back to a dense eigensolver on stagnation; the matrices are tiny and strictly
 positive on the relevant block, so convergence is geometric.
 One pass finds the Perron pairs a stability digraph needs: its nodes' blocks
-and, for a positive form, the positive-form cross-check's per-vertex blocks
-are cut at once, grouped by size and iterated in lockstep, one BLAS product
-per block, so each block gets the bits it would get alone, and the checks
-run as array operations; a failure is raised for the first failing node,
-then for the first failing vertex.  ``perron_component`` (every node) and
-``perron_positive`` (every vertex) are that pass with one side empty.
+and, for a positive form, the cross-check's per-vertex blocks are cut at
+once, each from its own cached operator or power, grouped by size and
+iterated in lockstep, one BLAS product per block, so each block gets the
+bits it would get alone, and the checks run as array operations; a failure
+is raised for the first failing node, then for the first failing vertex.
+``perron_component`` (every node) and ``perron_positive`` (every vertex)
+are that pass with one side empty.
 
 The limiting projection coefficient of the paper, the left Perron vector
 applied to the data, is a proof device with no part in the decision; it is
@@ -79,10 +80,9 @@ def _perron_dense(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _perron_blocks(
-    mats: np.ndarray, which, cuts, where: Callable[[int], str]
+    mats: np.ndarray, cuts, where: Callable[[int], str]
 ) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
-    """Perron pairs of the blocks of ``mats[which[i]]`` on ``cuts[i]``, one
-    per item.
+    """Perron pairs of the blocks of ``mats[i]`` on ``cuts[i]``, one per item.
 
     Returns the vectors as an ``(S, N)`` stack, each sup-normalized on its
     cut and zero off it, their eigenvalues, and per item the message of the
@@ -97,7 +97,6 @@ def _perron_blocks(
     row-wise ``np.linalg.norm`` would sum in another order), so each block
     runs the iterates and takes the steps it would alone.
     """
-    which = np.asarray(which, dtype=np.intp)
     count, n = len(cuts), mats.shape[-1]
     vecs = np.zeros((count, n))
     values = np.zeros(count)
@@ -108,7 +107,7 @@ def _perron_blocks(
     for m, group in by_size.items():
         items = np.array(group)
         cut = np.array([cuts[i] for i in group], dtype=np.intp).reshape(len(group), m)
-        blocks = mats[which[items, None, None], cut[:, :, None], cut[:, None, :]]
+        blocks = mats[items[:, None, None], cut[:, :, None], cut[:, None, :]]
         ok = ~(blocks.min(axis=(1, 2)) <= 0.0)
         for g in np.flatnonzero(~ok).tolist():
             errors[group[g]] = f"{where(group[g])} is not entrywise positive"
@@ -156,31 +155,29 @@ def _perron_pass(
     """Perron data of every node ``(comp, s)`` and Perron pair of every vertex
     of ``js`` on data vanishing there, from one ``_perron_blocks`` call.
 
-    The nodes' distinct powers, each read once from ``cache.power``, are
-    stacked with ``cache.ops``, and a vertex's block is cut from its own cell
-    operator, so each item gets the bits it would get alone.  Every node
-    failure, its block checks and then the pushed-forward iterate's checks,
-    is raised before any vertex failure.
+    One matrix per item, in item order: a node's power, read from
+    ``cache.power``, and a vertex's own cell operator from ``cache.ops``, so
+    each item gets the bits it would get alone.  Every node failure, its
+    block checks and then the pushed-forward iterate's checks, is raised
+    before any vertex failure.
     """
-    keys = [(comp.j, comp.periods[s]) for comp, s in nodes]
-    slot = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    mats = np.array([cache.power(j, period) for j, period in slot] + list(cache.ops))
     count, n = len(nodes), cache.triple.N
-    which = [slot[key] for key in keys] + [len(slot) + j for j in js]
+    mats = np.array(
+        [cache.power(comp.j, comp.periods[s]) for comp, s in nodes] + [cache.ops[j] for j in js]
+    ).reshape(-1, n, n)
 
     def where(i: int) -> str:
         if i < count:
-            return f"component-restricted operator at (j={keys[i][0]}, s={nodes[i][1]})"
+            return f"component-restricted operator at (j={nodes[i][0].j}, s={nodes[i][1]})"
         return f"restricted cell operator at j={js[i - count]}"
 
     vecs, values, errors = _perron_blocks(
         mats,
-        which,
         [comp.c_prime[s] for comp, s in nodes] + [[p for p in range(n) if p != j] for j in js],
         where,
     )
     u_bar = vecs[:count]
-    u_tilde = (mats[which[:count]] @ u_bar[:, :, None])[:, :, 0]
+    u_tilde = (mats[:count] @ u_bar[:, :, None])[:, :, 0]
     inside = np.zeros(u_tilde.shape, dtype=bool)
     members = [comp.components[s] for comp, s in nodes]
     inside[[i for i, c in enumerate(members) for _ in c], [v for c in members for v in c]] = True
@@ -191,7 +188,7 @@ def _perron_pass(
     low = np.where(inside, u_tilde, np.inf).min(axis=1) <= 0.0
     for i in np.flatnonzero(leak | low).tolist():
         if errors[i] is None:
-            j, s = keys[i][0], nodes[i][1]
+            j, s = nodes[i][0].j, nodes[i][1]
             errors[i] = (
                 f"iterate at (j={j}, s={s}) leaks outside its component by {stray[i]}"
                 if leak[i]

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .forms import DirichletForm, _laplacian_matrix, _support_mask
+from .forms import DirichletForm, _exponent, _laplacian_matrix, _support_mask
 from .fractal import FractalTriple, check_weights
 from .graphs import ComponentData, _hat_index, components
 from .renorm import OperatorCache, _context
@@ -204,14 +204,14 @@ def _node_row(v: np.ndarray, comp: ComponentData, s: int) -> np.ndarray:
     return x
 
 
-def _table(cache: OperatorCache, spans: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """The ``(S, R)`` table of the largest ``|rows[r] @ b| / (max_coeff *
-    sup|b|)`` over the vectors ``b`` of each of the S bases ``spans``: one
-    product over all bases stacked, one reduction per basis.  An orthonormal
-    basis has no zero vector to divide by."""
+def _table(top: float, spans: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The ``(S, R)`` table of the largest ``|rows[r] @ b| / (top * sup|b|)``
+    over the vectors ``b`` of each of the S bases ``spans``, ``top`` the
+    largest coefficient of the rows' form: one product over all bases stacked,
+    one reduction per basis.  An orthonormal basis has no zero vector."""
     basis = np.concatenate(spans)
     sup = np.max(np.abs(basis), axis=1)
-    values = np.abs(rows @ basis.T) / (cache.form.max_coefficient() * sup)
+    values = np.abs(rows @ basis.T) / (top * sup)
     starts = np.cumsum([0] + [len(span) for span in spans[:-1]])
     return np.maximum.reduceat(values, starts, axis=1).T
 
@@ -246,15 +246,19 @@ def stability_digraph(
         cache, [(comp_by_j[j], s) for (j, s) in nodes], range(triple.N) if positive else []
     )
     payload = dict(zip(nodes, perron))
-    lap = _laplacian_matrix(form)
+    # the form at the exact power-of-two scale that puts its largest coefficient
+    # into [0.5, 1), so no row sum overflows; in range no bit of the table moves
+    scaled = np.ldexp(form.matrix(), _exponent(form.matrix()))
+    top = float(scaled.max())
+    lap = _laplacian_matrix(DirichletForm._wrap(form.N, scaled))
     rows = np.array([_node_row(lap[j], comp_by_j[j], s) for (j, s) in nodes])
     seeds = [data.u_tilde for data in perron] + [u_bar for u_bar, _ in vertex_pairs]
     spans = orbit_span(cache, seeds)
-    table = _table(cache, spans[: len(nodes)], rows)
+    table = _table(top, spans[: len(nodes)], rows)
     magnitudes = dict(zip([(a, b) for a in nodes for b in nodes], table.ravel().tolist()))
     cross_check_edges = None
     if positive:
-        check = _table(cache, spans[len(nodes) :], lap)
+        check = _table(top, spans[len(nodes) :], lap)
         pairs = np.argwhere(check > PHI_TOL).tolist()
         cross_check_edges = {((j, 0), (jd, 0)) for j, jd in pairs}
     return StabilityDigraph(

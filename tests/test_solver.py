@@ -100,12 +100,16 @@ def test_verify_scale_invariance(gasket, gasket_eigenform):
     assert res.residual == pytest.approx(base.residual, abs=1e-14)
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300, 1e-320, 1e-310, 2.0**1023, 1e308])
 def test_verify_fits_rho_at_any_scale(
     scale, tmp_path, capsys, gasket_eigenform, tree_eigenform, vicsek_eigenform
 ):
     # beyond about 1e±154, v @ v leaves the float range: the fit once divided
-    # by zero on small forms and returned NaN on large ones
+    # by zero on small forms and returned NaN on large ones; near 1e308 the
+    # network Laplacian and the digraph's rows once overflowed, and subnormal
+    # forms once renormalized to NaN; a subnormal form itself carries fewer
+    # bits, 40 or more at 1e-310 and 8 to 11 at 1e-320
+    rel = {1e-310: 1e-12, 1e-320: 1e-2}.get(scale, 2e-15)
     for name, form in [
         ("gasket", gasket_eigenform),
         ("tree_gasket", tree_eigenform),
@@ -114,18 +118,22 @@ def test_verify_fits_rho_at_any_scale(
         triple = builtin(name)
         weights = np.ones(triple.k)
         base = verify_eigenform(triple, weights, form)
-        unique = decide_uniqueness(triple, form, weights).unique
+        verdict = decide_uniqueness(triple, form, weights)
+        edges = sorted(verdict.digraph.edges)
         scaled = form.scaled(scale)
         res = verify_eigenform(triple, weights, scaled)
         assert res.converged
-        assert res.rho == pytest.approx(base.rho, rel=2e-15, abs=0.0)
-        assert decide_uniqueness(triple, scaled, weights).unique == unique
+        assert res.rho == pytest.approx(base.rho, rel=rel, abs=0.0)
+        got = decide_uniqueness(triple, scaled, weights)
+        assert got.unique == verdict.unique
+        assert sorted(got.digraph.edges) == edges
         path = tmp_path / f"{name}_form.json"
         path.write_text(dumps(form_to_dict(scaled)))
         assert cli.run(["check-uniqueness", name, str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["unique"] == unique
-        assert doc["rho"] == pytest.approx(base.rho, rel=2e-15, abs=0.0)
+        assert doc["unique"] == verdict.unique
+        assert [tuple(map(tuple, e)) for e in doc["digraph"]["edges"]] == edges
+        assert doc["rho"] == pytest.approx(base.rho, rel=rel, abs=0.0)
 
 
 def test_verify_rejects_extra_support_edge(tree_gasket):

@@ -46,7 +46,7 @@ def test_dense_fallback_when_power_iteration_stalls(monkeypatch):
     slow = np.array([[1.0, 1e-5], [2e-5, 1.0]])
     mats = np.array([[[2.0, 1.0], [1.0, 3.0]], slow])
     which, cuts = [0, 1, 0], [[0, 1], [0, 1], [1, 0]]
-    vecs, values, errors = spectral._perron_blocks(mats, which, cuts, str)
+    vecs, values, errors = spectral._perron_blocks(mats[which], cuts, str)
     assert errors == [None, None, None]
     assert len(calls) == 1 and np.array_equal(calls[0], slow)
     assert values[1] == pytest.approx(1.0 + np.sqrt(2.0) * 1e-5, rel=1e-14)
@@ -55,7 +55,7 @@ def test_dense_fallback_when_power_iteration_stalls(monkeypatch):
     assert values[[0, 2]] == pytest.approx([(5.0 + np.sqrt(5.0)) / 2.0] * 2, rel=1e-14)
     assert vecs[2] == pytest.approx(vecs[0], rel=1e-14)
     for i, (w, cut) in enumerate(zip(which, cuts)):
-        alone_vecs, alone_values, _ = spectral._perron_blocks(mats, [w], [cut], str)
+        alone_vecs, alone_values, _ = spectral._perron_blocks(mats[[w]], [cut], str)
         assert np.array_equal(alone_vecs[0], vecs[i]) and alone_values[0] == values[i]
     assert len(calls) == 2
 

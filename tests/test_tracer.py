@@ -30,9 +30,9 @@ def _perron_passes(monkeypatch):
     passes = []
     real = spectral._perron_blocks
 
-    def counting(mats, which, cuts, where):
+    def counting(mats, cuts, where):
         passes.append([where(i) for i in range(len(cuts))])
-        return real(mats, which, cuts, where)
+        return real(mats, cuts, where)
 
     monkeypatch.setattr(spectral, "_perron_blocks", counting)
     return passes

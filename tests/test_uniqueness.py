@@ -600,6 +600,8 @@ def test_node_powers_are_words_of_one_cell(
             periods.add(pdata.period)
             power = dg.cache.power(j, pdata.period)
             assert power.tobytes() == dg.cache.word((j,) * pdata.period).tobytes()
+            if pdata.period == 1:
+                assert power.tobytes() == dg.cache.ops[j].tobytes()
     assert periods == {1, 2}
 
 
