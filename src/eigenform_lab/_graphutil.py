@@ -12,11 +12,17 @@ def sorted_edge(a, b):
 
 @functools.lru_cache(maxsize=None)
 def pair_index(n):
-    """Both ends of every vertex pair ``a < b`` below ``n``, row by row
-    (``pair_list`` order), as two read-only arrays."""
+    """Both ends of every vertex pair ``a < b`` below ``n``, row by row, as
+    two read-only arrays: the one canonical pair order."""
     rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
+
+
+def pair_list(n: int) -> list[tuple[int, int]]:
+    """The pairs of ``pair_index(n)`` as a list of ``(a, b)`` tuples."""
+    rows, cols = pair_index(n)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def adjacency(n, edges):

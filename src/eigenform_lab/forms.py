@@ -11,7 +11,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._graphutil import pair_index
+from ._graphutil import pair_index, pair_list
 from .graphs import BoundaryGraph
 
 __all__ = [
@@ -29,11 +29,6 @@ __all__ = [
 # support graph predicts structural zeros, and that residue must not create
 # support edges.
 COEFF_EPS = 1e-10
-
-
-def pair_list(n: int) -> list[tuple[int, int]]:
-    """Canonical ordering of the unordered vertex pairs."""
-    return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
 class DirichletForm:
@@ -124,12 +119,8 @@ class DirichletForm:
 
     def coefficient_items(self) -> list[tuple[int, int, float]]:
         """Nonzero entries as ``(j1, j2, c)`` with ``j1 < j2``."""
-        m = self.matrix()
-        return [
-            (a, b, float(m[a, b]))
-            for a, b in pair_list(self.N)
-            if m[a, b] != 0.0
-        ]
+        pairs = zip(pair_list(self.N), self.vector().tolist())
+        return [(a, b, c) for (a, b), c in pairs if c != 0.0]
 
     def vector(self) -> np.ndarray:
         """Coefficients in canonical pair order, as a fresh array."""

@@ -13,7 +13,8 @@ Every operator here reads one labelling of a lifted graph.  The lift is one
 array of edge ends, ``cells[:, pairs]``; one array labelling
 (``_graphutil.labels``) gives the connected components of its interior
 edges, and each boundary id touches the components of its lifted
-neighbours.  The labelling is cached per (triple, graph), and the contact
+neighbours.  ``renorm`` reads the lift of every pair as its conductance
+slots.  The labelling is cached per (triple, graph), and the contact
 graph, the stable graph and its component data per triple, since they depend
 on nothing else.  The operators assume a triple that passes
 :func:`~eigenform_lab.fractal.validate` (the CLI validates first); in
@@ -29,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._graphutil import adjacency, labels, split_components, sorted_edge
+from ._graphutil import adjacency, labels, pair_index, pair_list, split_components, sorted_edge
 from .errors import InternalConsistencyError
 from .fractal import FractalTriple
 
@@ -94,9 +95,7 @@ class BoundaryGraph:
 
 
 def complete_graph(n: int) -> BoundaryGraph:
-    return BoundaryGraph.from_edges(
-        n, [(a, b) for a in range(n) for b in range(a + 1, n)]
-    )
+    return BoundaryGraph(n, frozenset(pair_list(n)))
 
 
 def _lift(
@@ -115,7 +114,7 @@ def _lift(
 
 def _touching(n: int, touch) -> BoundaryGraph:
     """Graph joining the boundary ids whose label sets ``touch`` meet."""
-    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if touch[a] & touch[b]]
+    edges = [(a, b) for a, b in pair_list(n) if touch[a] & touch[b]]
     return BoundaryGraph(n, frozenset(edges))
 
 
@@ -166,7 +165,7 @@ def tilde_graph(triple: FractalTriple) -> BoundaryGraph:
     Cached per triple, like ``hat_graph``, which starts from it.
     """
     n = triple.N
-    near = _boundary_cell_labels(triple, _lift(triple, complete_graph(n).edges, range(n, triple.k)))
+    near = _boundary_cell_labels(triple, _lift(triple, pair_list(n), range(n, triple.k)))
     return _touching(n, [{lab for h, lab in enumerate(row) if h != j} for j, row in enumerate(near)])
 
 
@@ -193,10 +192,9 @@ def hat_graph(triple: FractalTriple) -> BoundaryGraph:
 @functools.lru_cache(maxsize=8)
 def _hat_index(triple: FractalTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions in ``pair_list`` order and ends ``a < b`` of the stable-graph edges."""
-    rows, cols = np.triu_indices(triple.N, 1)
-    hat = hat_graph(triple)
-    pos = np.flatnonzero([hat.has_edge(a, b) for a, b in zip(rows.tolist(), cols.tolist())])
-    rows, cols = rows[pos], cols[pos]
+    edges = hat_graph(triple).edges
+    pos = np.flatnonzero([pair in edges for pair in pair_list(triple.N)])
+    rows, cols = (ends[pos] for ends in pair_index(triple.N))
     for a in (pos, rows, cols):
         a.flags.writeable = False
     return pos, rows, cols

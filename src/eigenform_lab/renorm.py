@@ -44,10 +44,11 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ._graphutil import labels, pair_index
+from ._graphutil import labels, pair_index, pair_list
 from .errors import InternalConsistencyError, SingularInteriorError
-from .forms import COEFF_EPS, DirichletForm, _exponent, pair_list
+from .forms import COEFF_EPS, DirichletForm, _exponent
 from .fractal import FractalTriple, check_weights
+from .graphs import _lift
 
 __all__ = [
     "OperatorCache",
@@ -57,13 +58,6 @@ __all__ = [
 
 
 _SLOT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-
-
-def _pair_images(triple: FractalTriple) -> np.ndarray:
-    """Vertex ids ``[p, q]`` of every pair image inside every cell, one row
-    per (cell, pair), cell by cell and in ``pair_list`` order within a cell.
-    These are the only vertex pairs that can carry conductance."""
-    return triple.cell_array[:, np.array(pair_list(triple.N))].reshape(-1, 2)
 
 
 # No library path calls this; it stays public only because the benchmark
@@ -80,7 +74,7 @@ def conductance_laplacian(
     r = check_weights(triple, weights)
     w = (r[:, None] * form.vector()).ravel()
     nv = triple.num_vertices
-    return _laplacian(_entries(_pair_images(triple), nv), w, nv)
+    return _laplacian(_entries(_lift(triple, pair_list(triple.N)), nv), w, nv)
 
 
 def _entries(ends: np.ndarray, size: int) -> np.ndarray:
@@ -146,17 +140,17 @@ def _ids(values) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _schedule(triple: FractalTriple, live: bytes, fixed: tuple[int, ...]) -> _Schedule:
-    """Elimination schedule when the ``_pair_images`` slots flagged in the
-    boolean mask ``live`` carry conductance and the sorted vertex ids
-    ``fixed`` are kept.  Raises ``SingularInteriorError`` at the lowest-id
-    free vertex with no conductance path to a fixed one.
+    """Elimination schedule when the pair images ``_lift(triple,
+    pair_list(N))`` flagged in the boolean mask ``live`` carry conductance and
+    the sorted vertex ids ``fixed`` are kept.  Raises ``SingularInteriorError``
+    at the lowest-id free vertex with no conductance path to a fixed one.
 
     Cached per (triple, pattern, fixed ids): the pattern stays put while the
     solver iterates.  Every relabelled triple is a new key, so the cache is
     kept small."""
     nv = triple.num_vertices
     slots = np.flatnonzero(np.frombuffer(live, dtype=bool))
-    ends = _pair_images(triple)[slots]
+    ends = _lift(triple, pair_list(triple.N))[slots]
     root = labels(nv, ends[:, 0], ends[:, 1])
     fixed = _ids(fixed)
     free = np.ones(nv, dtype=bool)
@@ -234,7 +228,7 @@ def _rounds(
         # every pair of one vertex's entries
         fa, fb = [], []
         for d in set(lens.tolist()):
-            ia, ib = _triu(d)
+            ia, ib = pair_index(d)
             first = starts[lens == d][:, None]
             fa.append((first + ia).ravel())
             fb.append((first + ib).ravel())
@@ -260,14 +254,6 @@ def _stable_order(ids: np.ndarray, nv: int) -> np.ndarray:
     to the smallest integer type that holds ``nv``, they take numpy's radix
     sort (16 bits or fewer) instead of its merge sort."""
     return np.argsort(ids.astype(np.min_scalar_type(nv)), kind="stable")
-
-
-@functools.lru_cache(maxsize=32)
-def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both indices of every pair ``a < b`` below ``d`` (read-only)."""
-    ia, ib = np.triu_indices(d, 1)
-    ia.flags.writeable = ib.flags.writeable = False
-    return ia, ib
 
 
 def _keys(p: np.ndarray, q: np.ndarray, nv: int) -> np.ndarray:

@@ -40,6 +40,7 @@ component data, without closing a span or rebuilding an operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -364,10 +365,17 @@ def penalty_form(
     stable graph's edges; the representation is checked, and a residual
     beyond 1e-8 of the largest entry of the square raises.
     """
-    j, n = comp.j, cache.triple.N
-    ell = _node_row(_laplacian_matrix(cache.form)[j] @ cache.power(j, comp.periods[s]), comp, s)
-    q = np.outer(ell, ell)
+    _, rows, cols = _hat_index(cache.triple)
+    table = _penalty(_laplacian_matrix(cache.form), cache, comp, s).tolist()
+    return {(a, b): d for a, b, d in zip(rows.tolist(), cols.tolist(), table) if d != 0.0}
 
+
+def _penalty(lap: np.ndarray, cache: OperatorCache, comp: ComponentData, s: int) -> np.ndarray:
+    """``penalty_form``'s table, one entry per stable-graph edge, fit check
+    included, for the Laplacian ``lap`` of a multiple of the cache's form."""
+    j, n = comp.j, len(lap)
+    ell = _node_row(lap[j] @ cache.power(j, comp.periods[s]), comp, s)
+    q = np.outer(ell, ell)
     _, rows, cols = _hat_index(cache.triple)
     table = -q[rows, cols]
     recon = np.zeros((n, n))
@@ -379,11 +387,7 @@ def penalty_form(
         raise InternalConsistencyError(
             f"pair-difference fit of the penalty at (j={j}, s={s}) fails by {err:.3e}"
         )
-    return {
-        (a, b): d
-        for a, b, d in zip(rows.tolist(), cols.tolist(), table.tolist())
-        if d != 0.0
-    }
+    return table
 
 
 @dataclass(frozen=True)
@@ -416,11 +420,14 @@ def explore_nonuniqueness(
 
     ``verdict`` must be the one decided for this triple, form and weights
     (any other raises ``ValueError``): the penalties of its second witness set
-    read its digraph's cell operators and component data.  Their sum, times
-    ``delta``, is subtracted from the form's stable-graph coefficients,
-    halving ``delta`` until every one of them is positive and finite, and
-    ``find_eigenform`` restarts from there with its own defaults.  At
-    ``delta == 0`` the start is the form itself, which lies in that cone for
+    read its digraph's cell operators and component data.  They are quadratic
+    in the form, so they and the start are taken at the power-of-two multiple
+    of the form whose coefficient sum is nearest 1: every power-of-two
+    multiple explores to the same bits, and a search output (sum 1 up to
+    rounding) as it stands.  Their sum, times ``delta``, is subtracted from
+    the stable-graph coefficients, halving ``delta`` until every one is
+    positive and finite, and ``find_eigenform`` restarts from there.  At
+    ``delta == 0`` the start is that multiple, which lies in that cone for
     every verdict this module decides; a start outside it even there raises
     ``ValueError``.  Whether the limit is genuinely new is reported, not
     guaranteed.
@@ -432,15 +439,16 @@ def explore_nonuniqueness(
         raise ValueError("delta must be nonnegative and finite")
     dg = verdict.digraph
     _require_context(dg, triple, form, r, "verdict was decided")
-    tables = [
-        penalty_form(dg.cache, dg.component_data[j], s) for (j, s) in verdict.witnesses[1]
-    ]
-    pos, rows, cols = _hat_index(triple)
-    ends = list(zip(rows.tolist(), cols.tolist()))
-    # one entry per stable-graph edge, summed in witness order
-    penalty = sum(np.array([t.get(pair, 0.0) for pair in ends]) for t in tables)
-
+    # exact powers of two: the first takes every power-of-two multiple of the
+    # form to the same bits, the second its coefficient sum nearest 1
     coeffs = form.vector()
+    coeffs = np.ldexp(coeffs, _exponent(coeffs))
+    coeffs = np.ldexp(coeffs, -round(math.log2(coeffs.sum())))
+    lap = _laplacian_matrix(DirichletForm._from_vector(triple.N, coeffs))
+    # one entry per stable-graph edge, summed in witness order
+    penalty = sum(_penalty(lap, dg.cache, dg.component_data[j], s) for j, s in verdict.witnesses[1])
+
+    pos = _hat_index(triple)[0]
     current = delta
     while True:
         with np.errstate(over="ignore"):  # an entry that overflows is refused

@@ -17,8 +17,8 @@ from eigenform_lab import (
     tilde_graph,
     validate,
 )
-from eigenform_lab import graphs
-from eigenform_lab._graphutil import adjacency, labels, split_components
+from eigenform_lab import forms, graphs
+from eigenform_lab._graphutil import adjacency, labels, pair_index, pair_list, split_components
 from eigenform_lab.graphs import _lift, _single_images
 from oracles import (
     l_j_image,
@@ -406,3 +406,14 @@ def test_lift_edges_match_cell_loop(gen, twisted_tree_gasket):
             for chosen in (None, [i for i in range(k) if rng.random() < 0.5], range(n, k)):
                 lifted = frozenset(map(tuple, np.sort(_lift(triple, g, chosen)).tolist()))
                 assert lifted == lift_edges_loop(triple, g, chosen)
+
+
+def test_pair_list_and_complete_graph_follow_pair_index():
+    # one canonical pair order, row by row: pair_list reads it off
+    # pair_index, forms re-exports it, and the complete graph holds its pairs
+    assert forms.pair_list is pair_list
+    for n in range(2, 13):
+        rows, cols = pair_index(n)
+        assert pair_list(n) == list(zip(rows.tolist(), cols.tolist()))
+        assert pair_list(n) == [(a, b) for a in range(n) for b in range(a + 1, n)]
+        assert complete_graph(n) == BoundaryGraph.from_edges(n, pair_list(n))

@@ -23,6 +23,7 @@ from eigenform_lab import (
 )
 from eigenform_lab import renorm
 from eigenform_lab.forms import COEFF_EPS
+from eigenform_lab.graphs import _lift
 from eigenform_lab.renorm import OperatorCache, _schedule, conductance_laplacian
 
 from oracles import (
@@ -382,7 +383,7 @@ def test_schedule_reachability_matches_bfs_oracle(harness, gen):
     for base in [case.triple for case in cases]:
         for triple in (base, gen.relabel(base, np.ones(base.k), relabel_rng)[0]):
             nv = triple.num_vertices
-            ends = renorm._pair_images(triple)
+            ends = _lift(triple, pair_list(triple.N))
             for _ in range(3):
                 live = rng.random(len(ends)) >= 10.0 ** rng.uniform(-3, -0.5)
                 mask = np.zeros((nv, nv))

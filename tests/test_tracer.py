@@ -56,7 +56,10 @@ def test_tracer_wraps_pipeline_and_restores(tracer, pipeline, tree_gasket, tmp_p
     table = tracer.summarize(recorder.spans)
     assert table["uniqueness.orbit_span"]["calls"] > 0
     assert table["uniqueness.orbit_span"]["count"] > 0
-    assert table["uniqueness.penalty_form"]["calls"] > 0
+    # exploration takes its penalties at its own scale through a private
+    # helper, so the public penalty_form is not called
+    assert table["uniqueness.explore_nonuniqueness"]["calls"] == 1
+    assert "uniqueness.penalty_form" not in table
     # one Perron pass per digraph, inside stability_digraph's span: neither
     # public Perron function runs
     assert table["uniqueness.stability_digraph"]["calls"] == 1

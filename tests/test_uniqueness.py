@@ -24,6 +24,7 @@ from eigenform_lab import (
 )
 from eigenform_lab import renorm, uniqueness
 from eigenform_lab.forms import _support_mask
+from eigenform_lab.graphs import _hat_index
 from eigenform_lab.renorm import OperatorCache
 from eigenform_lab.uniqueness import _node_row, _sink_sccs
 
@@ -778,6 +779,61 @@ def test_cross_check_refuses_a_digraph_with_dropped_edges(gasket, gasket_eigenfo
         )
 
 
+@pytest.mark.parametrize("name", ["tree_gasket", "vicsek"])
+def test_explore_keeps_its_bits_at_every_power_of_two(name, request, tree_eigenform):
+    # the penalties and the start are taken at a power-of-two multiple of the
+    # form fixed by its direction, so every power-of-two multiple of the form
+    # explores to the same bits, and the ends of the float range explore with
+    # no numpy warning
+    triple = request.getfixturevalue(name)
+    weights = np.ones(triple.k)
+    form = tree_eigenform if name == "tree_gasket" else find_eigenform(triple, weights).form
+
+    def explore(f):
+        return explore_nonuniqueness(triple, f, weights, decide_uniqueness(triple, f, weights))
+
+    base = explore(form)
+    assert base.result.converged and not base.proportional
+    for k in (-1000, -600, -1, 1, 600, 1000):
+        out = explore(form.scaled(2.0**k))
+        assert out.result.form.vector().tobytes() == base.result.form.vector().tobytes(), k
+        assert (out.proportional, out.delta) == (base.proportional, base.delta), k
+    for factor in (1e308, 1e-310):
+        assert explore(form.scaled(factor)).result.converged
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_explore_starts_a_search_output_from_its_own_penalties(harness, monkeypatch, seed):
+    # a search output's coefficient sum is 1 up to rounding, so exploration
+    # takes it as it stands: the start is its own coefficients less delta
+    # times the sum of its penalty_form tables, bit for bit
+    cases = harness.CASES["solve-large"]() + harness.CASES["wide-boundary"]()
+    starts = []
+    real = uniqueness.find_eigenform
+
+    def spy(triple, weights, init):
+        starts.append(init.vector())
+        return real(triple, weights)
+
+    rng = random.Random(seed)
+    for case in cases:
+        if case.label not in ("tree_gasket^4", "tree_gasket^5", "vicsek^3", "vicsek8"):
+            continue
+        triple, weights, init = harness.prepare(case, rng)
+        form = find_eigenform(triple, weights, init=init).form
+        verdict = decide_uniqueness(triple, form, weights)
+        dg = verdict.digraph
+        tables = [penalty_form(dg.cache, dg.component_data[j], s) for j, s in verdict.witnesses[1]]
+        pos, rows, cols = _hat_index(triple)
+        ends = list(zip(rows.tolist(), cols.tolist()))
+        want = form.vector()
+        want[pos] -= 0.1 * sum(np.array([t.get(pair, 0.0) for pair in ends]) for t in tables)
+        with monkeypatch.context() as m:
+            m.setattr(uniqueness, "find_eigenform", spy)
+            assert explore_nonuniqueness(triple, form, weights, verdict).delta == 0.1
+        assert starts.pop().tobytes() == want.tobytes(), case.label
+
+
 @pytest.mark.parametrize("delta", [1e19, 1e30, 1.7e308])
 @pytest.mark.parametrize("name", ["tree_gasket", "vicsek"])
 def test_explore_halves_any_finite_delta_into_the_cone(name, delta, request):
@@ -795,8 +851,9 @@ def test_explore_halves_a_start_that_overflows(monkeypatch, tree_gasket, tree_ei
     # a negative penalty raises a coefficient; at the largest delta it
     # overflows to inf, which is no form, so the start is halved once
     verdict = decide_uniqueness(tree_gasket, tree_eigenform, R3)
-    # both nodes of the second witness set read this table: -2 in all
-    monkeypatch.setattr(uniqueness, "penalty_form", lambda *args: {(0, 1): -1.0})
+    # both nodes of the second witness set read this table: -2 in all on
+    # (0, 1), the first stable-graph edge
+    monkeypatch.setattr(uniqueness, "_penalty", lambda *args: np.array([-1.0, 0.0]))
     starts = []
     real = uniqueness.find_eigenform
 
@@ -807,7 +864,8 @@ def test_explore_halves_a_start_that_overflows(monkeypatch, tree_gasket, tree_ei
     monkeypatch.setattr(uniqueness, "find_eigenform", spy)
     out = explore_nonuniqueness(tree_gasket, tree_eigenform, R3, verdict, delta=1.7e308)
     assert out.delta == 1.7e308 / 2
-    assert starts[0].tolist() == [1.0 + 1.7e308, 1.0, 0.0]
+    # the start is taken at the power of two that brings the sum 2 to 1
+    assert starts[0].tolist() == [0.5 + 1.7e308, 0.5, 0.0]
 
 
 def test_explore_refuses_a_form_outside_the_cone(monkeypatch, tree_gasket, tree_eigenform):
@@ -817,7 +875,7 @@ def test_explore_refuses_a_form_outside_the_cone(monkeypatch, tree_gasket, tree_
     verdict = decide_uniqueness(tree_gasket, tree_eigenform, R3)
     digraph = dataclasses.replace(verdict.digraph, cache=OperatorCache(tree_gasket, form, R3))
     verdict = dataclasses.replace(verdict, digraph=digraph)
-    monkeypatch.setattr(uniqueness, "penalty_form", lambda *args: {(0, 1): 1.0})
+    monkeypatch.setattr(uniqueness, "_penalty", lambda *args: np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="outside the admissible cone"):
         explore_nonuniqueness(tree_gasket, form, R3, verdict)
 
